@@ -1,9 +1,12 @@
 """Coefficient estimation against a fixed basis, plus quality diagnostics.
 
-Two interchangeable least-squares backends are provided: ridge with a
-closed-form normal-equations solve, and a truncated-SVD pseudo-inverse.
-The factorization is computed once per (design matrix, config) pair and
-applied to all samples by matrix multiplication.
+One SVD, two filters: every design matrix is factored once by a thin SVD,
+and the encode config only chooses the filter applied to its singular
+values (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
+Ridge is the Tikhonov filter s / (s^2 + lam * n); the truncated SVD is 1/s
+on the kept values and 0 elsewhere.  The factorization is computed once per
+(design matrix, config) pair and applied to all samples by matrix
+multiplication.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .basis import VectorBasis
 from .errors import ConfigurationError, DataError, RankDeficiencyError
@@ -28,9 +30,11 @@ class CutMode(str, Enum):
 class Ridge:
     """Penalized least squares; lam is the penalty weight on ||a||^2.
 
-    The data term carries a 1/n factor, so the closed form solved here is
+    The data term carries a 1/n factor, so the minimizer is
     a = (Phi^T Phi + lam * n * I)^{-1} Phi^T f with n the number of sample
-    points.  This keeps a given lam meaningful across grid sizes.
+    points.  This keeps a given lam meaningful across grid sizes.  It is
+    computed as a filter on the SVD Phi = U diag(s) V^T, never by forming
+    Phi^T Phi: a = V diag(s / (s^2 + lam * n)) U^T f.
     """
 
     lam: float = 0.0
@@ -76,38 +80,30 @@ class LeastSquaresEncoder:
         self.design = design
         self.config = config
         self.n_points = int(n_points) if n_points is not None else design.shape[0]
+        if not isinstance(config, (Ridge, TruncatedSvd)):
+            raise ConfigurationError(f"unknown encode config {config!r}")
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
         if isinstance(config, Ridge):
-            gram = design.T @ design + config.lam * self.n_points * np.eye(design.shape[1])
             if config.lam == 0.0:
-                cond = np.linalg.cond(gram)
-                if not np.isfinite(cond) or cond > _COND_LIMIT:
+                # cond(Phi); fewer nonzero singular values than columns is inf
+                full_rank = s.size == design.shape[1] and s[-1] > 0.0
+                cond = s[0] / s[-1] if full_rank else np.inf
+                if cond > _COND_LIMIT:
                     raise RankDeficiencyError(
-                        f"normal equations singular without regularization "
+                        f"design matrix singular without regularization "
                         f"(condition estimate {cond:.3e}); increase lam or use a cut",
                         condition_estimate=float(cond),
                     )
-            try:
-                self._chol = scipy.linalg.cho_factor(gram)
-            except scipy.linalg.LinAlgError as exc:
-                cond = np.linalg.cond(gram)
-                raise RankDeficiencyError(
-                    f"normal-equations factorization failed (condition estimate {cond:.3e})",
-                    condition_estimate=float(cond),
-                ) from exc
-            self._svd = None
-        elif isinstance(config, TruncatedSvd):
-            u, s, vt = np.linalg.svd(design, full_matrices=False)
+            filt = s / (s * s + config.lam * self.n_points)
+        else:
             if config.cut_mode == CutMode.RELATIVE_TO_SIGMA1:
-                threshold = config.cut * (s[0] if s.size else 0.0)
+                threshold = config.cut * s[0]
             else:
                 threshold = config.cut
-            inv = np.zeros_like(s)
+            filt = np.zeros_like(s)
             keep = (s >= threshold) & (s > 0)
-            inv[keep] = 1.0 / s[keep]
-            self._svd = (u, inv, vt)
-            self._chol = None
-        else:
-            raise ConfigurationError(f"unknown encode config {config!r}")
+            filt[keep] = 1.0 / s[keep]
+        self._svd = (u, filt, vt)
 
     @property
     def m(self) -> int:
@@ -124,11 +120,8 @@ class LeastSquaresEncoder:
                 f"sample vectors have {values.shape[1]} entries, design matrix has "
                 f"{self.design.shape[0]} rows"
             )
-        if self._chol is not None:
-            coeffs = scipy.linalg.cho_solve(self._chol, self.design.T @ values.T).T
-        else:
-            u, inv, vt = self._svd
-            coeffs = ((values @ u) * inv) @ vt
+        u, filt, vt = self._svd
+        coeffs = ((values @ u) * filt) @ vt
         return coeffs[0] if squeeze else coeffs
 
 
@@ -208,15 +201,6 @@ def effective_rank_of_singular_values(s: np.ndarray) -> float:
     return float(np.exp(-np.sum(p * np.log(p))))
 
 
-def _entropy_balance(weights: np.ndarray) -> float:
-    total = weights.sum()
-    if total <= 0:
-        return 1.0
-    q = weights / total
-    q = q[q > 0]
-    return float(np.exp(-np.sum(q * np.log(q))))
-
-
 def diagnostics(coeffs: CoefficientMatrix | np.ndarray) -> CoefficientDiagnostics:
     """Effective rank, spectrum, and variance balance of a coefficient matrix.
 
@@ -239,7 +223,7 @@ def diagnostics(coeffs: CoefficientMatrix | np.ndarray) -> CoefficientDiagnostic
         effective_rank=erank,
         singular_values=s,
         per_basis_variance=variances,
-        variance_entropy=_entropy_balance(variances),
+        variance_entropy=effective_rank_of_singular_values(variances),
         degenerate=degenerate,
     )
 

@@ -18,7 +18,11 @@ class DataError(ValueError):
 
 
 class RankDeficiencyError(RuntimeError):
-    """Unregularized normal equations are numerically singular."""
+    """An unregularized least-squares solve on a numerically singular design matrix.
+
+    ``condition_estimate`` is cond(Phi) = sigma_1 / sigma_min of the design
+    matrix, inf when it has fewer nonzero singular values than columns.
+    """
 
     def __init__(self, message: str, condition_estimate: float):
         super().__init__(message)

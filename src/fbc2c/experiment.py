@@ -91,27 +91,27 @@ def _stack_components(values: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[0], -1)
 
 
-def _output_system(config: ExperimentConfig, dataset: datagen.FunctionDataset):
-    """Build the output basis and its reconstruction matrix.
+def _reconstruction_matrix(basis, points: np.ndarray, c_out: int) -> np.ndarray:
+    """Psi mapping net outputs to the stacked output samples at ``points``.
 
-    Returns (basis, psi_eff, n2, m_out) where psi_eff maps net outputs to the
-    stacked output samples.  Scalar mode with C components reconstructs each
-    component from its own coefficient block (block-diagonal psi); vector
-    mode shares one coefficient vector across components (stacked psi).
+    A scalar basis with C components reconstructs each component from its
+    own coefficient block (block-diagonal psi); a VectorBasis shares one
+    coefficient vector across components (stacked psi).
     """
+    psi = basis.design_matrix(points)
+    if c_out == 1 or isinstance(basis, VectorBasis):
+        return psi
+    return scipy.linalg.block_diag(*([psi] * c_out))
+
+
+def _output_system(config: ExperimentConfig, dataset: datagen.FunctionDataset):
+    """Build the output basis and its reconstruction matrix: (basis, psi_eff)."""
     c_out = dataset.output_components
-    pts = dataset.output_points
-    n2 = pts.shape[0]
     if c_out == 1 or config.output_mode == "scalar":
         basis = config.output_basis.build()
-        psi = basis.design_matrix(pts)
-        if c_out == 1:
-            return basis, psi, n2, psi.shape[1]
-        psi_eff = scipy.linalg.block_diag(*([psi] * c_out))
-        return basis, psi_eff, n2, c_out * psi.shape[1]
-    basis = config.output_basis.build(n_components=c_out)
-    psi_eff = basis.design_matrix(pts)
-    return basis, psi_eff, n2, psi_eff.shape[1]
+    else:
+        basis = config.output_basis.build(n_components=c_out)
+    return basis, _reconstruction_matrix(basis, dataset.output_points, c_out)
 
 
 def _input_features(config: ExperimentConfig, basis, dataset: datagen.FunctionDataset):
@@ -198,7 +198,8 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
     data = prepared if prepared is not None else prepare_data(config.dataset)
     train_ds, test_ds = data.train, data.test
 
-    out_basis, psi_eff, _, m_out = _output_system(config, train_ds)
+    out_basis, psi_eff = _output_system(config, train_ds)
+    m_out = psi_eff.shape[1]
     u_train = _stack_components(train_ds.outputs)
     u_test = _stack_components(test_ds.outputs)
 
@@ -263,17 +264,9 @@ def evaluate_on(result: RunResult, dataset: datagen.FunctionDataset):
         )
     if result.input_scaler is not None:
         a = result.input_scaler.apply(a)
-    c_out = dataset.output_components
-    pts = dataset.output_points
-    if isinstance(result.output_basis, VectorBasis):
-        psi = result.output_basis.design_matrix(pts)
-    else:
-        psi = result.output_basis.design_matrix(pts)
-        if c_out > 1:
-            psi = scipy.linalg.block_diag(*([psi] * c_out))
-    mean, per_sample = relative_loss(forward(result.net, a), psi,
-                                     _stack_components(dataset.outputs))
-    return mean, per_sample
+    psi = _reconstruction_matrix(result.output_basis, dataset.output_points,
+                                 dataset.output_components)
+    return relative_loss(forward(result.net, a), psi, _stack_components(dataset.outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,12 @@ def test_smooth_window_plateau_and_ramp():
     # hand-evaluated ramp value at t = 0.8: sin(1.6 pi) = -0.9510565162951535
     assert eval_window(part, [0.25 + 0.25 * 0.8]) == pytest.approx(
         (1.0 + 0.9510565162951535) / 2.0, abs=1e-12)
-    # outside the support
+    # x = 0 rescales to -1, on the up ramp: (1 + sin(-2 pi)) / 2 = 0.5
+    assert eval_window(part, [0.0]) == pytest.approx(0.5, abs=1e-15)
+    # outside the support; t = -5/4 is the left-closed edge of the up ramp,
+    # where (1 + sin(-5 pi / 2)) / 2 = 0
     assert eval_window(part, [0.25 + 0.25 * 1.3]) == 0.0
-    assert eval_window(part, [0.25 - 0.25 * 1.25]) == pytest.approx(0.5, abs=1e-15)
+    assert eval_window(part, [0.25 - 0.25 * 1.25]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_characteristic_window_half_open():

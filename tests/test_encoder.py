@@ -49,11 +49,20 @@ def test_ridge_penalty_scales_with_point_count():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_unregularized_rank_deficiency_raises():
-    phi = np.column_stack([np.ones(6), np.ones(6)])
+@pytest.mark.parametrize("phi", [
+    np.column_stack([np.ones(6), np.ones(6)]),
+    np.random.default_rng(4).standard_normal((3, 5)),
+], ids=["repeated_column", "underdetermined_3x5"])
+def test_unregularized_rank_deficiency_raises(phi):
     with pytest.raises(RankDeficiencyError) as info:
         LeastSquaresEncoder(phi, Ridge(0.0))
     assert info.value.condition_estimate > 1e12
+
+
+def test_unregularized_solve_judges_condition_of_design_not_gram():
+    # cond(Phi) = 1e7 is solvable; cond(Phi^T Phi) = 1e14 would be refused
+    enc = LeastSquaresEncoder(np.diag([1.0, 1e-7]), Ridge(0.0))
+    assert enc.encode_values(np.array([2.0, 3.0])) == pytest.approx([2.0, 3e7], rel=1e-14)
 
 
 def test_dimension_mismatch_rejected():
