@@ -52,9 +52,10 @@ class Partition:
 
     ``lo``/``hi`` are the per-dimension cell edges, default
     ``center -/+ radius``.  A characteristic window is the half-open cell
-    ``lo <= x < hi`` on the raw coordinate.  Tiled partitions take their
-    edges from one ``np.linspace`` per axis, so neighbouring cells share the
-    very same float edge and every point lies in exactly one cell.
+    ``lo <= x < hi`` on the raw coordinate, open outward on a clamped side.
+    Tiled partitions take their edges from one ``np.linspace`` per axis, so
+    neighbouring cells share the very same float edge and every point of the
+    closed box lies in exactly one cell.
     """
 
     center: np.ndarray
@@ -127,7 +128,8 @@ def _characteristic_profile(x: np.ndarray, lo: float, hi: float,
 
     Testing the raw coordinate against the stored edges, not the rescaled
     one against -1 and 1, keeps the test free of rounding: a point on an
-    edge shared by two tiled cells lands in exactly one of them.
+    edge shared by two tiled cells lands in exactly one of them.  A clamped
+    side skips its edge test, so the last tiled cell also holds x = hi.
     """
     lo_ok = np.ones_like(x, dtype=bool) if clamp_lo else (x >= lo)
     hi_ok = np.ones_like(x, dtype=bool) if clamp_hi else (x < hi)
@@ -254,13 +256,10 @@ def _tile_partitions(dim: int, partitions_per_dim: Sequence[int],
         radius = np.array([axes[k][1] for k in range(dim)])
         cell_lo = np.array([axes[k][2][idx[k]] for k in range(dim)])
         cell_hi = np.array([axes[k][2][idx[k] + 1] for k in range(dim)])
-        clamp_lo = np.zeros(dim, bool)
-        clamp_hi = np.zeros(dim, bool)
-        if window_kind == WindowKind.SMOOTH:
-            # Edge windows hold value 1 outward so the family sums to one on
-            # the whole closed box.
-            clamp_lo = np.array([idx[k] == 0 for k in range(dim)])
-            clamp_hi = np.array([idx[k] == partitions_per_dim[k] - 1 for k in range(dim)])
+        # Edge windows hold value 1 outward so the family sums to one on the
+        # whole closed box: this closes the last characteristic cell at hi.
+        clamp_lo = np.array([idx[k] == 0 for k in range(dim)])
+        clamp_hi = np.array([idx[k] == partitions_per_dim[k] - 1 for k in range(dim)])
         parts.append(Partition(center, radius, window_kind, clamp_lo, clamp_hi,
                                cell_lo, cell_hi))
     return tuple(parts)

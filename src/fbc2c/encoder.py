@@ -4,14 +4,22 @@ One SVD, two filters: every design matrix is factored once by a thin SVD,
 and the encode config only chooses the filter applied to its singular
 values (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
 Ridge is the Tikhonov filter s / (s^2 + lam * n); the truncated SVD is 1/s
-on the kept values and 0 elsewhere.  The factorization is computed once per
-(design matrix, config) pair and applied to all samples by matrix
-multiplication.
+on the kept values and 0 elsewhere.  The filtered factors are applied to all
+samples of a batch by matrix multiplication.
+
+Inside a ``shared_factors()`` scope, which ``experiment.run`` and
+``experiment.sweep_cutoff`` open for the length of one call, every encoder
+built on the same design matrix reuses one SVD and only computes its own
+filter: a cutoff sweep factors its input and output designs once, not once
+per cut and per dataset.  Outside a scope every encoder factors its design.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,6 +72,47 @@ class TruncatedSvd:
 # condition estimate beyond which an unregularized solve is refused
 _COND_LIMIT = 1.0 / (100.0 * np.finfo(np.float64).eps)
 
+# Thin SVDs shared by the encoders of one shared_factors() scope, keyed on
+# (shape, blake2b digest of the design's bytes); each entry keeps a copy of
+# its design so that a hit is confirmed exactly.  None outside a scope.
+_FACTORS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "fbc2c_shared_factors", default=None)
+
+
+@contextlib.contextmanager
+def shared_factors():
+    """Share one thin SVD per distinct design matrix until the scope ends.
+
+    Entering a scope while one is already open does nothing, so nested calls
+    (the member runs of a sweep) share the outer scope's factors.  Nothing
+    is kept once the outermost scope exits.  Usable as a decorator.
+    """
+    if _FACTORS.get() is not None:
+        yield
+        return
+    token = _FACTORS.set({})
+    try:
+        yield
+    finally:
+        _FACTORS.reset(token)
+
+
+def _thin_svd(design: np.ndarray):
+    """(u, s, vt) of ``design``, from the open scope's memo when it has them."""
+    memo = _FACTORS.get()
+    if memo is None:
+        return np.linalg.svd(design, full_matrices=False)
+    design = np.ascontiguousarray(design)
+    key = (design.shape, hashlib.blake2b(design, digest_size=16).digest())
+    hit = memo.get(key)
+    if hit is not None and np.array_equal(hit[0], design):
+        return hit[1]
+    factors = np.linalg.svd(design, full_matrices=False)
+    for array in factors:
+        array.flags.writeable = False
+    memo[key] = (design.copy(), factors)
+    return factors
+
 
 class LeastSquaresEncoder:
     """Holds one factorization of a design matrix and encodes sample batches.
@@ -71,6 +120,11 @@ class LeastSquaresEncoder:
     ``n_points`` is the number of spatial sample points; for a stacked
     vector-valued design matrix this is rows / n_components, and it is what
     scales the ridge penalty.
+
+    ``kept_rank``, ``sigma_max``, ``sigma_min_kept`` and ``condition``
+    describe the filter: a singular value is kept where its filter factor is
+    nonzero (every positive one for a ridge, those at or above the threshold
+    for a cut).
     """
 
     def __init__(self, design: np.ndarray, config, n_points: int | None = None):
@@ -82,7 +136,7 @@ class LeastSquaresEncoder:
         self.n_points = int(n_points) if n_points is not None else design.shape[0]
         if not isinstance(config, (Ridge, TruncatedSvd)):
             raise ConfigurationError(f"unknown encode config {config!r}")
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        u, s, vt = _thin_svd(design)
         if isinstance(config, Ridge):
             if config.lam == 0.0:
                 # cond(Phi); fewer nonzero singular values than columns is inf
@@ -104,10 +158,32 @@ class LeastSquaresEncoder:
             keep = (s >= threshold) & (s > 0)
             filt[keep] = 1.0 / s[keep]
         self._svd = (u, filt, vt)
+        self._s = s
 
     @property
     def m(self) -> int:
         return self.design.shape[1]
+
+    @property
+    def kept_rank(self) -> int:
+        """Number of singular values with a nonzero filter factor."""
+        return int(np.count_nonzero(self._svd[1]))
+
+    @property
+    def sigma_max(self) -> float:
+        return float(self._s[0])
+
+    @property
+    def sigma_min_kept(self) -> float:
+        """Smallest kept singular value; 0.0 when none is kept."""
+        kept = self._s[self._svd[1] != 0.0]
+        return float(kept[-1]) if kept.size else 0.0
+
+    @property
+    def condition(self) -> float:
+        """sigma_max / sigma_min_kept; inf when no singular value is kept."""
+        low = self.sigma_min_kept
+        return self.sigma_max / low if low > 0.0 else np.inf
 
     def encode_values(self, values: np.ndarray) -> np.ndarray:
         """Encode a batch of sampled functions, shape (M, n) -> (M, m)."""

@@ -22,7 +22,7 @@ from .config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
                      config_hash, config_to_dict, dump_config)
 from .container import write_container
 from .encoder import (LeastSquaresEncoder, ProjectionError, diagnostics,
-                      projection_error_from_design)
+                      projection_error_from_design, shared_factors)
 from .errors import ConfigurationError
 from .neuralop import OperatorNet, forward, init_net, relative_loss, train
 
@@ -192,8 +192,13 @@ class RunResult:
     input_scaler: InputScaler | None = None
 
 
+@shared_factors()
 def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = None) -> RunResult:
-    """Execute one experiment: build, encode, train, evaluate, report."""
+    """Execute one experiment: build, encode, train, evaluate, report.
+
+    Encoders built on equal design matrices share one SVD for the length of
+    the call (see ``encoder.shared_factors``).
+    """
     started = time.perf_counter()
     data = prepared if prepared is not None else prepare_data(config.dataset)
     train_ds, test_ds = data.train, data.test
@@ -295,9 +300,14 @@ class SweepResult:
                                  repr(row.variance_entropy), repr(row.final_test_error)])
 
 
+@shared_factors()
 def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None = None,
                  keep_results: bool = False) -> SweepResult:
-    """One run per input-side cutoff, reusing the dataset and all seeds."""
+    """One run per input-side cutoff, reusing the dataset and all seeds.
+
+    The member runs share one SVD per distinct design matrix: a cut only
+    changes the filter on the input design's singular values.
+    """
     if len(cuts) < 1:
         raise ConfigurationError("sweep needs at least one cut value")
     if config.p2c:

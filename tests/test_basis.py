@@ -102,20 +102,19 @@ def test_window_product_over_dimensions():
 @pytest.mark.parametrize("kind", [WindowKind.SMOOTH, WindowKind.CHARACTERISTIC])
 def test_partition_of_unity_1d(kind):
     basis = build_rfm(1, [5], 1, 3.0, kind, seed=0, bounds=[[0.0, 1.0]])
-    if kind == WindowKind.SMOOTH:
-        pts = np.linspace(0.0, 1.0, 1001)        # clamped edges cover the closed domain
-    else:
-        pts = np.linspace(0.0, 1.0, 1001)[:-1]   # half-open cells exclude the right edge
+    pts = np.linspace(0.0, 1.0, 1001)        # clamped edges cover the closed domain
     total = sum(window_values(p, pts[:, None]) for p in basis.partitions)
     assert np.max(np.abs(total - 1.0)) < 1e-12
+    if kind == WindowKind.CHARACTERISTIC:
+        assert np.all(total == 1.0)
 
 
 def test_partition_of_unity_2d_characteristic():
     basis = build_rfm(2, [3, 7], 1, 1.0, WindowKind.CHARACTERISTIC, seed=0,
                       bounds=[[0.0, 1.0], [-1.0, 2.0]])
-    # a grid that hits every interior cell edge; right edges left out
-    xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 301)[:-1],
-                         np.linspace(-1.0, 2.0, 701)[:-1])
+    # a grid that hits every cell edge, the domain's right edges included
+    xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 301),
+                         np.linspace(-1.0, 2.0, 701))
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     total = sum(window_values(p, pts) for p in basis.partitions)
     assert np.all(total == 1.0)

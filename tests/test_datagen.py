@@ -1,6 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fbc2c
 from fbc2c.datagen import (FunctionDataset, Grf1dConfig, _cholesky_with_jitter,
                            derivative_1d, gen_highd_poisson, highd_profile,
                            make_darcy1d, make_darcy1d_multiresolution,
@@ -270,3 +276,14 @@ def test_function_dataset_validation():
         FunctionDataset(grid, grid, np.zeros((2, 10)), np.zeros((3, 10)), {})
     with pytest.raises(ConfigurationError):
         FunctionDataset(grid, grid, np.zeros((2, 9)), np.zeros((2, 10)), {})
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only make_darcy1d_multiresolution needs it, and it imports it itself
+    src = str(pathlib.Path(fbc2c.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, fbc2c; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

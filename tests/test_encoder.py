@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbc2c import encoder
 from fbc2c.basis import (ActivationKind, Partition, RfmBasis, VectorBasis,
                          WindowKind, build_rfm, build_vector_rfm,
                          uniform_fem_basis)
 from fbc2c.encoder import (CoefficientMatrix, CutMode, LeastSquaresEncoder,
                            Ridge, TruncatedSvd, diagnostics,
                            effective_rank_of_singular_values, encode,
-                           encode_vector, projection_error)
+                           encode_vector, projection_error, shared_factors)
 from fbc2c.errors import ConfigurationError, DataError, RankDeficiencyError
 
 
@@ -63,6 +64,70 @@ def test_unregularized_solve_judges_condition_of_design_not_gram():
     # cond(Phi) = 1e7 is solvable; cond(Phi^T Phi) = 1e14 would be refused
     enc = LeastSquaresEncoder(np.diag([1.0, 1e-7]), Ridge(0.0))
     assert enc.encode_values(np.array([2.0, 3.0])) == pytest.approx([2.0, 3e7], rel=1e-14)
+
+
+@pytest.mark.parametrize("config, rank, sigma_min, cond", [
+    (TruncatedSvd(0.3), 2, 2.0, 2.0),
+    (Ridge(0.0), 4, 0.5, 8.0),
+    (TruncatedSvd(2.0), 0, 0.0, np.inf),
+], ids=["cut", "ridge0", "nothing_kept"])
+def test_encoder_reports_kept_spectrum(config, rank, sigma_min, cond):
+    # singular values 4, 2, 1, 0.5; a relative cut of 0.3 keeps those >= 1.2
+    phi = np.zeros((6, 4))
+    phi[:4] = np.diag([2.0, 0.5, 4.0, 1.0])
+    enc = LeastSquaresEncoder(phi, config)
+    assert enc.kept_rank == rank
+    assert enc.sigma_max == 4.0
+    assert enc.sigma_min_kept == sigma_min
+    assert enc.condition == cond
+
+
+def test_encoders_share_a_factorization_only_inside_a_scope(svd_calls):
+    rng = np.random.default_rng(7)
+    phi = rng.standard_normal((12, 5))
+    f = rng.standard_normal((3, 12))
+    LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
+    LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
+    assert len(svd_calls) == 2
+    with shared_factors():
+        LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
+        with shared_factors():                  # a nested scope shares the outer one
+            ridge = LeastSquaresEncoder(phi.copy(), Ridge(0.1))
+        LeastSquaresEncoder(phi[:, ::-1], TruncatedSvd(1e-3))
+    assert len(svd_calls) == 4
+    alone = LeastSquaresEncoder(phi, Ridge(0.1))
+    assert len(svd_calls) == 5                  # the scope's factors are gone
+    assert np.array_equal(ridge.encode_values(f), alone.encode_values(f))
+
+
+def test_shared_factors_are_read_only():
+    phi = np.random.default_rng(8).standard_normal((10, 4))
+    with shared_factors():
+        factors = encoder._thin_svd(phi)
+        again = encoder._thin_svd(phi.copy())
+    assert all(a is b for a, b in zip(factors, again))
+    assert not any(a.flags.writeable for a in factors)
+    with pytest.raises(ValueError):
+        factors[0][0, 0] = 1.0
+
+
+def test_shared_factors_confirm_a_digest_match_exactly(monkeypatch):
+    class SameDigest:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def digest(self):
+            return b"same"
+
+    monkeypatch.setattr(encoder.hashlib, "blake2b", SameDigest)
+    first, second = np.random.default_rng(9).standard_normal((2, 8, 3))
+    f = np.ones(8)
+    with shared_factors():
+        LeastSquaresEncoder(first, Ridge(0.0))
+        shared = LeastSquaresEncoder(second, Ridge(0.0))
+    alone = LeastSquaresEncoder(second, Ridge(0.0))
+    assert shared.sigma_max == alone.sigma_max
+    assert np.array_equal(shared.encode_values(f), alone.encode_values(f))
 
 
 def test_dimension_mismatch_rejected():

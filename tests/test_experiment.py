@@ -110,6 +110,43 @@ def test_sweep_reuses_dataset_and_orders_rows(tmp_path):
         sweep_cutoff(_darcy_config(p2c=True), [1e-2])
 
 
+def _poisson_config():
+    box = [[0.0, 1.0], [0.0, 1.0]]
+    return ExperimentConfig(
+        dataset=DatasetSpec(kind="poisson2d", n=9, m_train=12, m_test=6, seed=3),
+        input_basis=BasisSpec(kind="rfm", partitions=[2, 2], features_per_partition=6,
+                              range_bound=3.0, seed=1, bounds=box),
+        output_basis=BasisSpec(kind="rfm", partitions=[2, 2], features_per_partition=4,
+                               range_bound=3.0, seed=2, bounds=box),
+        output_encode=EncodeSpec(method="tsvd", cut=1e-8),
+        net=NetSpec(hidden=16, seed=5),
+        train=TrainConfig(epochs=10, seed=6, eval_interval=5),
+    )
+
+
+def test_sweep_factors_each_design_once_per_call(svd_calls):
+    cfg = _poisson_config()
+    cuts = [1e-6, 1e-4, 1e-2]
+    data = prepare_data(cfg.dataset)
+    table = sweep_cutoff(cfg, cuts, prepared=data)
+    # the input design (train and test share the 9x9 grid) and the output design
+    assert svd_calls == [(81, 24), (81, 16)]
+
+    # each member run on its own, with no shared factors: three SVDs per run
+    svd_calls.clear()
+    for cut, row in zip(cuts, table.rows):
+        member = dataclasses.replace(cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
+        report = run.__wrapped__(member, prepared=data).report
+        assert (row.erank, row.variance_entropy, row.final_test_error) == (
+            report.erank, report.variance_entropy, report.final_test_error)
+    assert len(svd_calls) == 3 * len(cuts)
+
+    # nothing outlives a call: the next sweep factors again
+    svd_calls.clear()
+    assert sweep_cutoff(cfg, cuts, prepared=data).rows == table.rows
+    assert len(svd_calls) == 2
+
+
 def test_evaluate_on_reproduces_test_error(darcy_result):
     mean, per = evaluate_on(darcy_result, darcy_result.data.test)
     assert mean == pytest.approx(darcy_result.report.final_test_error, rel=1e-12)
