@@ -7,8 +7,8 @@ sensitivity, output-space projection floor, and resolution transfer.
 """
 
 from .basis import (ActivationKind, FemBasis1D, Partition, RfmBasis, VectorBasis,
-                    WindowKind, build_rfm, build_vector_rfm, design_matrix,
-                    eval_window, uniform_fem_basis)
+                    WindowKind, build_rfm, build_vector_rfm, eval_window,
+                    uniform_fem_basis)
 from .container import read_container, write_container
 from .datagen import (FunctionDataset, Grf1dConfig, gen_highd_poisson,
                       make_darcy1d, make_highd_poisson, make_multi_output_1d,

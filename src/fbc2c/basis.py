@@ -426,6 +426,7 @@ class VectorBasis:
         return h.hexdigest()[:16]
 
     def design_matrix(self, points) -> np.ndarray:
+        """The (C*n, m) component-major stack of the component design matrices."""
         return np.concatenate([b.design_matrix(points) for b in self.components], axis=0)
 
 
@@ -450,11 +451,3 @@ def build_vector_rfm(n_components: int,
                       window_kind, activation, seed=child_seed, bounds=bounds)
         )
     return VectorBasis(tuple(comps))
-
-
-def design_matrix(basis, points) -> np.ndarray:
-    """Evaluate any basis at points: entry (i, j) = phi_j(x_i).
-
-    For a VectorBasis the result is the (C*n, m) component-major stack.
-    """
-    return basis.design_matrix(points)

@@ -10,6 +10,7 @@ and scalar-vs-vector-output studies on top of it.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -18,8 +19,7 @@ import scipy.linalg
 
 from . import datagen
 from .basis import VectorBasis
-from .config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
-                     config_hash, config_to_dict, dump_config)
+from .config import DatasetSpec, EncodeSpec, ExperimentConfig, config_hash, dump_config
 from .container import write_container
 from .encoder import (LeastSquaresEncoder, ProjectionError, diagnostics,
                       projection_error_from_design, shared_factors)
@@ -316,15 +316,8 @@ def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None =
     rows = []
     results = []
     for cut in cuts:
-        member = ExperimentConfig(
-            dataset=config.dataset, output_basis=config.output_basis,
-            train=config.train, input_basis=config.input_basis,
-            input_encode=EncodeSpec(method="tsvd", cut=float(cut),
-                                    cut_mode=config.input_encode.cut_mode),
-            output_encode=config.output_encode, net=config.net, p2c=False,
-            input_mode=config.input_mode, output_mode=config.output_mode,
-            standardize_inputs=config.standardize_inputs,
-        )
+        member = dataclasses.replace(config, input_encode=EncodeSpec(
+            method="tsvd", cut=float(cut), cut_mode=config.input_encode.cut_mode))
         result = run(member, prepared=data)
         rows.append(SweepRow(
             cut=float(cut),
@@ -386,14 +379,10 @@ def compare_vector_scalar(config: ExperimentConfig,
     data = prepared if prepared is not None else prepare_data(config.dataset)
     variants = {}
     for mode in ("scalar", "vector"):
-        member = ExperimentConfig(
-            dataset=config.dataset, output_basis=config.output_basis,
-            train=config.train, input_basis=config.input_basis,
-            input_encode=config.input_encode, output_encode=config.output_encode,
-            net=config.net, p2c=config.p2c,
+        member = dataclasses.replace(
+            config,
             input_mode=mode if data.train.input_components > 1 else config.input_mode,
             output_mode=mode if data.train.output_components > 1 else config.output_mode,
-            standardize_inputs=config.standardize_inputs,
         )
         variants[mode] = run(member, prepared=data)
     return VectorScalarComparison(scalar=variants["scalar"], vector=variants["vector"])

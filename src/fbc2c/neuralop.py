@@ -6,6 +6,10 @@ Training minimizes the relative loss: the batch mean of
 ||Psi b - u||_2 / ||u||_2 on the output sample grid.  Gradients are exact;
 samples with exactly zero residual contribute zero (subgradient choice at
 the norm's kink).
+
+The net, its gradient and Adam's moments share one flat float64 layout
+(see ``OperatorNet``), so a training step updates the net in place; the
+gradient is one buffer per ``ReconstructionLoss``, overwritten every call.
 """
 
 from __future__ import annotations
@@ -18,52 +22,46 @@ import numpy as np
 from .errors import ConfigurationError, DataError, TrainingDiverged
 
 
-@dataclass
 class OperatorNet:
-    """Parameters of the coefficient map; hidden activation is tanh."""
+    """Parameters of the coefficient map; hidden activation is tanh.
 
-    hidden_weights: np.ndarray   # (H, m1)
-    hidden_biases: np.ndarray    # (H,)
-    output_weights: np.ndarray   # (m2, H)
-    seed: int = 0
+    ``parameters`` is the flat vector [hidden_weights (H, m1), hidden_biases
+    (H,), output_weights (m2, H)], each block row-major, as checkpoints store
+    it.  The three named arrays are views that write through to it.  A
+    contiguous float64 vector is wrapped, not copied.
+    """
 
-    @property
-    def input_dim(self) -> int:
-        return self.hidden_weights.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.hidden_weights.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.output_weights.shape[0]
+    def __init__(self, parameters: np.ndarray, input_dim: int, hidden_dim: int,
+                 output_dim: int, seed: int = 0):
+        parameters = np.ascontiguousarray(parameters, dtype=np.float64)
+        n_xi = hidden_dim * input_dim
+        expected = n_xi + hidden_dim + output_dim * hidden_dim
+        if parameters.shape != (expected,):
+            raise ConfigurationError(
+                f"flat parameter vector has shape {parameters.shape}, expected ({expected},)"
+            )
+        self.parameters = parameters
+        self.input_dim, self.hidden_dim, self.output_dim = input_dim, hidden_dim, output_dim
+        self.seed = seed
+        self.hidden_weights = parameters[:n_xi].reshape(hidden_dim, input_dim)
+        self.hidden_biases = parameters[n_xi: n_xi + hidden_dim]
+        self.output_weights = parameters[n_xi + hidden_dim:].reshape(output_dim, hidden_dim)
 
     @property
     def n_parameters(self) -> int:
-        return self.hidden_weights.size + self.hidden_biases.size + self.output_weights.size
+        return self.parameters.size
 
     def copy(self) -> "OperatorNet":
-        return OperatorNet(self.hidden_weights.copy(), self.hidden_biases.copy(),
-                           self.output_weights.copy(), self.seed)
+        return OperatorNet(self.parameters.copy(), self.input_dim, self.hidden_dim,
+                           self.output_dim, self.seed)
 
     def flat_parameters(self) -> np.ndarray:
-        """Concatenation [hidden_weights, hidden_biases, output_weights]."""
-        return np.concatenate([
-            self.hidden_weights.ravel(), self.hidden_biases.ravel(),
-            self.output_weights.ravel(),
-        ])
+        """A copy of the flat vector [hidden_weights, hidden_biases, output_weights]."""
+        return self.parameters.copy()
 
     @staticmethod
     def from_flat(flat: np.ndarray, m1: int, hidden: int, m2: int, seed: int = 0) -> "OperatorNet":
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = hidden * m1 + hidden + m2 * hidden
-        if flat.size != expected:
-            raise ConfigurationError(f"flat parameter vector has {flat.size} entries, expected {expected}")
-        xi = flat[: hidden * m1].reshape(hidden, m1).copy()
-        eta = flat[hidden * m1: hidden * m1 + hidden].copy()
-        c = flat[hidden * m1 + hidden:].reshape(m2, hidden).copy()
-        return OperatorNet(xi, eta, c, seed)
+        return OperatorNet(np.array(flat, dtype=np.float64), m1, hidden, m2, seed)
 
 
 def init_net(m1: int, hidden: int, m2: int, seed: int = 0) -> OperatorNet:
@@ -71,48 +69,61 @@ def init_net(m1: int, hidden: int, m2: int, seed: int = 0) -> OperatorNet:
     if min(m1, hidden, m2) < 1:
         raise ConfigurationError("all network dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    xi = rng.uniform(-1.0, 1.0, size=(hidden, m1)) / np.sqrt(m1)
-    c = rng.uniform(-1.0, 1.0, size=(m2, hidden)) / np.sqrt(hidden)
-    eta = np.zeros(hidden)
-    return OperatorNet(xi, eta, c, int(seed))
+    net = OperatorNet(np.zeros(hidden * (m1 + 1 + m2)), m1, hidden, m2, int(seed))
+    net.hidden_weights[:] = rng.uniform(-1.0, 1.0, size=(hidden, m1)) / np.sqrt(m1)
+    net.output_weights[:] = rng.uniform(-1.0, 1.0, size=(m2, hidden)) / np.sqrt(hidden)
+    return net
+
+
+def _check_inputs(net: OperatorNet, inputs: np.ndarray, what: str = "network inputs") -> np.ndarray:
+    """Network input rows as a float64 (M, m1) array of finite values."""
+    a = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if a.shape[1] != net.input_dim:
+        raise ConfigurationError(
+            f"{what} have {a.shape[1]} columns, network expects {net.input_dim}"
+        )
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"{what} contain NaN or Inf")
+    return a
+
+
+def _forward(net: OperatorNet, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and output coefficients of checked input rows."""
+    hidden = np.tanh(a @ net.hidden_weights.T + net.hidden_biases)
+    return hidden, hidden @ net.output_weights.T
 
 
 def forward(net: OperatorNet, inputs: np.ndarray) -> np.ndarray:
     """Row-wise application of the coefficient map, (M, m1) -> (M, m2)."""
-    a = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if a.shape[1] != net.input_dim:
-        raise ConfigurationError(
-            f"inputs have {a.shape[1]} columns, network expects {net.input_dim}"
-        )
-    if not np.all(np.isfinite(a)):
-        raise DataError("network inputs contain NaN or Inf")
-    hidden = np.tanh(a @ net.hidden_weights.T + net.hidden_biases)
-    return hidden @ net.output_weights.T
+    return _forward(net, _check_inputs(net, inputs))[1]
 
 
-def relative_loss(coeff_batch: np.ndarray, psi: np.ndarray, targets: np.ndarray):
-    """Mean over samples of ||Psi b - u|| / ||u||; also per-sample values."""
-    b = np.atleast_2d(np.asarray(coeff_batch, dtype=np.float64))
-    u = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+def _check_targets(psi: np.ndarray, targets: np.ndarray):
+    """(psi, u, per-sample ||u||) once psi fits the targets and no target is zero."""
     psi = np.asarray(psi, dtype=np.float64)
-    if psi.shape != (u.shape[1], b.shape[1]):
+    u = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if psi.ndim != 2 or u.shape[1] != psi.shape[0]:
         raise ConfigurationError(
-            f"basis evaluation matrix has shape {psi.shape}, expected ({u.shape[1]}, {b.shape[1]})"
+            f"targets have {u.shape[1]} points, basis evaluation matrix has shape {psi.shape}"
         )
     unorm = np.linalg.norm(u, axis=1)
     if np.any(unorm == 0):
         bad = np.flatnonzero(unorm == 0).tolist()
         raise DataError(f"target samples with zero norm at indices {bad}")
+    return psi, u, unorm
+
+
+def relative_loss(coeff_batch: np.ndarray, psi: np.ndarray, targets: np.ndarray):
+    """Mean over samples of ||Psi b - u|| / ||u||; also per-sample values."""
+    psi, u, unorm = _check_targets(psi, targets)
+    b = np.atleast_2d(np.asarray(coeff_batch, dtype=np.float64))
+    if b.shape[1] != psi.shape[1]:
+        raise ConfigurationError(
+            f"coefficients have {b.shape[1]} columns, basis evaluation matrix has {psi.shape[1]}"
+        )
     resid = b @ psi.T - u
     per_sample = np.linalg.norm(resid, axis=1) / unorm
     return float(per_sample.mean()), per_sample
-
-
-@dataclass
-class Gradients:
-    hidden_weights: np.ndarray
-    hidden_biases: np.ndarray
-    output_weights: np.ndarray
 
 
 # A Gram-formula rho^2 no larger than 16 eps times the magnitude of its terms
@@ -135,19 +146,13 @@ class ReconstructionLoss:
     of |b.Gb| + 2|b.w| + ||u||^2 are therefore recomputed from the direct
     residual r = Psi b - u: rho = ||r|| and the gradient uses Psi^T r.  This
     keeps a reference to the targets; all other rows take the Gram path.
+
+    ``loss_and_grads`` returns its gradient in a buffer this object owns and
+    overwrites on every call; copy it to keep it.
     """
 
     def __init__(self, psi: np.ndarray, targets: np.ndarray):
-        psi = np.asarray(psi, dtype=np.float64)
-        u = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        if psi.ndim != 2 or u.shape[1] != psi.shape[0]:
-            raise ConfigurationError(
-                f"targets have {u.shape[1]} points, basis evaluation matrix has {psi.shape[0]} rows"
-            )
-        unorm = np.linalg.norm(u, axis=1)
-        if np.any(unorm == 0):
-            bad = np.flatnonzero(unorm == 0).tolist()
-            raise DataError(f"target samples with zero norm at indices {bad}")
+        psi, u, unorm = _check_targets(psi, targets)
         self.psi = psi
         self.targets = u
         self.gram = psi.T @ psi
@@ -155,6 +160,7 @@ class ReconstructionLoss:
         self.unorm = unorm
         self.n_samples = u.shape[0]
         self.m2 = psi.shape[1]
+        self._grads = None
 
     def _rho(self, b: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
         """Residual norms rho and the coefficient residuals Psi^T (Psi b - u)."""
@@ -176,14 +182,14 @@ class ReconstructionLoss:
         return rho, d
 
     def loss(self, net: OperatorNet, inputs: np.ndarray, rows=slice(None)) -> float:
-        hidden = np.tanh(inputs @ net.hidden_weights.T + net.hidden_biases)
-        b = hidden @ net.output_weights.T
+        _, b = _forward(net, inputs)
         rho, _ = self._rho(b, rows)
         return float(np.mean(rho / self.unorm[rows]))
 
-    def loss_and_grads(self, net: OperatorNet, inputs: np.ndarray, rows=slice(None)):
-        hidden = np.tanh(inputs @ net.hidden_weights.T + net.hidden_biases)
-        b = hidden @ net.output_weights.T
+    def loss_and_grads(self, net: OperatorNet, inputs: np.ndarray,
+                       rows=slice(None)) -> tuple[float, OperatorNet]:
+        """Batch loss and its gradient as a net of ``net``'s shape (the buffer)."""
+        hidden, b = _forward(net, inputs)
         rho, d = self._rho(b, rows)
         unorm = self.unorm[rows]
         batch = b.shape[0]
@@ -193,21 +199,22 @@ class ReconstructionLoss:
         nz = rho > 0
         weight[nz] = 1.0 / (batch * rho[nz] * unorm[nz])
         d_b = d * weight[:, None]
-        d_c = d_b.T @ hidden
+        g = self._grads
+        shape = (net.input_dim, net.hidden_dim, net.output_dim)
+        if g is None or (g.input_dim, g.hidden_dim, g.output_dim) != shape:
+            g = self._grads = OperatorNet(np.empty(net.n_parameters), *shape)
+        np.matmul(d_b.T, hidden, out=g.output_weights)
         d_hidden = (d_b @ net.output_weights) * (1.0 - hidden ** 2)
-        d_eta = d_hidden.sum(axis=0)
-        d_xi = d_hidden.T @ inputs
-        return loss, Gradients(d_xi, d_eta, d_c)
+        d_hidden.sum(axis=0, out=g.hidden_biases)
+        np.matmul(d_hidden.T, inputs, out=g.hidden_weights)
+        return loss, g
 
 
 def gradient(net: OperatorNet, inputs: np.ndarray, psi: np.ndarray,
-             targets: np.ndarray) -> Gradients:
-    """Exact gradient of the relative loss w.r.t. all parameters."""
-    a = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if not np.all(np.isfinite(a)):
-        raise DataError("network inputs contain NaN or Inf")
-    ws = ReconstructionLoss(psi, targets)
-    _, grads = ws.loss_and_grads(net, a)
+             targets: np.ndarray) -> OperatorNet:
+    """Exact gradient of the relative loss w.r.t. all parameters, as a net."""
+    a = _check_inputs(net, inputs)
+    _, grads = ReconstructionLoss(psi, targets).loss_and_grads(net, a)
     return grads
 
 
@@ -274,23 +281,53 @@ class TrainTrace:
 
 
 class _Adam:
-    def __init__(self, shapes, beta1, beta2, eps):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+    """Adam (Kingma & Ba, ICLR 2015) on one flat parameter vector, in place."""
+
+    def __init__(self, size: int, beta1: float, beta2: float, eps: float):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def step(self, params, grads, lr):
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+        """params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order, in place.
+
+        Fresh parameter-sized temporaries cost about as much as the arithmetic.
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= b1
+        np.multiply(grads, 1.0 - b1, out=step)
+        m += step
+        v *= b2
+        np.multiply(grads, 1.0 - b2, out=step)
+        step *= grads
+        v += step
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, c1, out=step)
+        step *= lr
+        step /= denom
+        params -= step
+
+
+def _check_dataset(net: OperatorNet, inputs, targets, psi, what: str):
+    """Checked input rows and their ReconstructionLoss for one labelled set."""
+    a = _check_inputs(net, inputs, f"{what} inputs")
+    loss_ws = ReconstructionLoss(psi, targets)
+    if loss_ws.m2 != net.output_dim:
+        raise ConfigurationError(
+            f"basis evaluation matrix has {loss_ws.m2} columns, network outputs {net.output_dim}"
+        )
+    if loss_ws.n_samples != a.shape[0]:
+        raise ConfigurationError(f"{what} input and target sample counts differ")
+    return a, loss_ws
 
 
 def train(net: OperatorNet,
@@ -302,34 +339,25 @@ def train(net: OperatorNet,
           test_targets: np.ndarray | None = None) -> tuple[OperatorNet, TrainTrace]:
     """Train a copy of ``net``; the argument itself is left untouched.
 
-    Deterministic for fixed seeds and thread count: full-batch reductions are
-    single matrix products, and mini-batch order comes from the config seed.
+    The test set, when given, is checked as the training set is, before the
+    first epoch.  Deterministic for fixed seeds and thread count: full-batch
+    reductions are single matrix products, and mini-batch order comes from
+    the config seed.
     """
-    a_train = np.atleast_2d(np.asarray(train_inputs, dtype=np.float64))
-    if not np.all(np.isfinite(a_train)):
-        raise DataError("training inputs contain NaN or Inf")
-    if a_train.shape[1] != net.input_dim:
-        raise ConfigurationError(
-            f"training inputs have {a_train.shape[1]} columns, network expects {net.input_dim}"
-        )
-    loss_ws = ReconstructionLoss(psi, train_targets)
-    if loss_ws.m2 != net.output_dim:
-        raise ConfigurationError(
-            f"basis evaluation matrix has {loss_ws.m2} columns, network outputs {net.output_dim}"
-        )
-    if loss_ws.n_samples != a_train.shape[0]:
-        raise ConfigurationError("input and target sample counts differ")
+    a_train, loss_ws = _check_dataset(net, train_inputs, train_targets, psi, "training")
+    if (test_inputs is None) != (test_targets is None):
+        raise ConfigurationError("test_inputs and test_targets must be given together")
     test_ws = None
-    a_test = None
     if test_inputs is not None:
-        a_test = np.atleast_2d(np.asarray(test_inputs, dtype=np.float64))
-        test_ws = ReconstructionLoss(psi, test_targets)
+        a_test, test_ws = _check_dataset(net, test_inputs, test_targets, psi, "test")
 
     net = net.copy()
-    params = [net.hidden_weights, net.hidden_biases, net.output_weights]
-    adam = _Adam([p.shape for p in params], config.beta1, config.beta2, config.eps)
+    adam = _Adam(net.n_parameters, config.beta1, config.beta2, config.eps)
     rng = np.random.default_rng(config.seed)
     n_samples = a_train.shape[0]
+    batch_size = config.batch_size
+    full_batch = batch_size is None or batch_size >= n_samples
+    batches = [slice(None)]     # full batch: every row, no permutation drawn
 
     train_hist = np.empty(config.epochs)
     lr_hist = np.empty(config.epochs)
@@ -340,8 +368,12 @@ def train(net: OperatorNet,
     for epoch in range(config.epochs):
         lr = learning_rate(epoch, config)
         lr_hist[epoch] = lr
-        if config.batch_size is None or config.batch_size >= n_samples:
-            loss, grads = loss_ws.loss_and_grads(net, a_train)
+        if not full_batch:
+            order = rng.permutation(n_samples)
+            batches = [order[i: i + batch_size] for i in range(0, n_samples, batch_size)]
+        batch_losses = []
+        for rows in batches:
+            loss, grads = loss_ws.loss_and_grads(net, a_train[rows], rows=rows)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"training loss became non-finite at epoch {epoch}",
@@ -349,26 +381,10 @@ def train(net: OperatorNet,
                     trace=_finish_trace(train_hist[:epoch], lr_hist[:epoch],
                                         test_epochs, test_hist, started),
                 )
-            adam.step(params, [grads.hidden_weights, grads.hidden_biases,
-                               grads.output_weights], lr)
-        else:
-            order = rng.permutation(n_samples)
-            batch_losses = []
-            for start in range(0, n_samples, config.batch_size):
-                rows = order[start: start + config.batch_size]
-                loss, grads = loss_ws.loss_and_grads(net, a_train[rows], rows=rows)
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"training loss became non-finite at epoch {epoch}",
-                        epoch=epoch, checkpoint=net.copy(),
-                        trace=_finish_trace(train_hist[:epoch], lr_hist[:epoch],
-                                            test_epochs, test_hist, started),
-                    )
-                adam.step(params, [grads.hidden_weights, grads.hidden_biases,
-                                   grads.output_weights], lr)
-                batch_losses.append(loss)
-            loss = float(np.mean(batch_losses))
-        train_hist[epoch] = loss
+            adam.step(net.parameters, grads.parameters, lr)
+            batch_losses.append(loss)
+        # the mean of one loss is that loss, bit for bit
+        train_hist[epoch] = np.mean(batch_losses)
         if test_ws is not None and (epoch % config.eval_interval == 0
                                     or epoch == config.epochs - 1):
             test_epochs.append(epoch)

@@ -3,8 +3,7 @@ import pytest
 
 from fbc2c.basis import (ActivationKind, FemBasis1D, Partition, RfmBasis,
                          VectorBasis, WindowKind, build_rfm, build_vector_rfm,
-                         design_matrix, eval_window, uniform_fem_basis,
-                         window_values)
+                         eval_window, uniform_fem_basis, window_values)
 from fbc2c.errors import ConfigurationError, DomainError
 
 
@@ -215,7 +214,7 @@ def test_fem_rejects_bad_nodes():
 def test_vector_basis_stacks_component_blocks():
     vb = build_vector_rfm(2, 1, [2], 3, 2.0, seed=13, bounds=[[0.0, 1.0]])
     pts = np.linspace(0, 1, 20)
-    stacked = design_matrix(vb, pts)
+    stacked = vb.design_matrix(pts)
     assert stacked.shape == (40, 6)
     top = vb.components[0].design_matrix(pts)
     bottom = vb.components[1].design_matrix(pts)

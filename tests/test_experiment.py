@@ -228,6 +228,23 @@ def test_compare_vector_scalar_single_component_degenerates():
     assert comparison.parameter_difference == 0
 
 
+def test_study_members_change_only_the_studied_field():
+    quick = TrainConfig(epochs=2, seed=6)
+    odd = dict(standardize_inputs=False, net=NetSpec(hidden=7, seed=11), train=quick)
+    cfg = _darcy_config(input_encode=EncodeSpec(method="tsvd", cut=1e-2, cut_mode="absolute"),
+                        **odd)
+    sweep = sweep_cutoff(cfg, [1e-6, 1e-3], keep_results=True)
+    for cut, member in zip([1e-6, 1e-3], sweep.results):
+        assert member.config == dataclasses.replace(
+            cfg, input_encode=EncodeSpec(method="tsvd", cut=cut, cut_mode="absolute"))
+
+    multi = _multi_config(**odd)
+    comparison = compare_vector_scalar(multi)
+    # single-component inputs keep their mode; the two-component outputs switch
+    assert comparison.scalar.config == dataclasses.replace(multi, output_mode="scalar")
+    assert comparison.vector.config == dataclasses.replace(multi, output_mode="vector")
+
+
 def test_prepare_data_highd_splits():
     prepared = prepare_data(DatasetSpec(kind="highd_poisson", d=3, n_points=50, seed=2))
     assert prepared.train.n_samples == 8

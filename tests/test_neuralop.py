@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbc2c.errors import ConfigurationError, DataError, TrainingDiverged
-from fbc2c.neuralop import (OperatorNet, ReconstructionLoss, TrainConfig,
+from fbc2c.neuralop import (OperatorNet, ReconstructionLoss, TrainConfig, _Adam,
                             forward, gradient, init_net, learning_rate,
                             relative_loss, train)
 
@@ -21,6 +21,84 @@ def test_init_scale_respects_fan_in():
     net = init_net(100, 400, 7, seed=1)
     assert np.max(np.abs(net.hidden_weights)) <= 1.0 / np.sqrt(100)
     assert np.max(np.abs(net.output_weights)) <= 1.0 / np.sqrt(400)
+
+
+def test_named_arrays_are_views_of_the_flat_parameters():
+    net = init_net(3, 4, 2, seed=0)
+    net.hidden_weights[1, 2] = 7.0
+    net.hidden_biases[3] = 8.0
+    net.output_weights[1, 0] = 9.0
+    assert net.parameters[1 * 3 + 2] == 7.0
+    assert net.parameters[12 + 3] == 8.0
+    assert net.parameters[12 + 4 + 1 * 4 + 0] == 9.0
+    net.parameters[:] = np.arange(net.n_parameters)
+    assert np.array_equal(net.hidden_weights, np.arange(12).reshape(4, 3))
+    assert np.array_equal(net.hidden_biases, np.arange(12, 16))
+    assert np.array_equal(net.output_weights, np.arange(16, 24).reshape(2, 4))
+
+
+def test_copy_and_flat_parameters_are_independent():
+    net = init_net(3, 4, 2, seed=0)
+    before = net.parameters.copy()
+    twin, flat = net.copy(), net.flat_parameters()
+    net.parameters[:] = 0.0
+    assert np.array_equal(twin.parameters, before)
+    assert np.array_equal(flat, before)
+    twin.hidden_weights[:] = 1.0
+    flat[:] = 2.0
+    assert np.all(net.parameters == 0.0)
+    assert (twin.input_dim, twin.hidden_dim, twin.output_dim, twin.seed) == (3, 4, 2, 0)
+
+
+@pytest.mark.parametrize("size", [23, 25])
+def test_wrong_size_parameter_vector_is_rejected(size):
+    # (3, 4, 2) has 12 + 4 + 8 = 24 parameters
+    with pytest.raises(ConfigurationError, match="expected"):
+        OperatorNet(np.zeros(size), 3, 4, 2)
+    with pytest.raises(ConfigurationError, match="expected"):
+        OperatorNet.from_flat(np.zeros(size), 3, 4, 2)
+
+
+def test_adam_on_the_flat_vector_matches_the_per_array_update():
+    rng = np.random.default_rng(8)
+    shapes = [(5, 3), (5,), (2, 5)]
+    params = [rng.standard_normal(s) for s in shapes]
+    flat = np.concatenate([p.ravel() for p in params])
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    adam = _Adam(flat.size, b1, b2, eps)
+    for t, lr in enumerate([1e-3, 3e-4, 2.5e-2, 1e-6, 7e-3], start=1):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        c1 = 1.0 - b1 ** t
+        c2 = 1.0 - b2 ** t
+        # reference: the per-array Adam expression
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+        adam.step(flat, np.concatenate([g.ravel() for g in grads]), lr)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+
+
+def test_loss_and_grads_overwrites_one_gradient_buffer():
+    rng = np.random.default_rng(2)
+    net = init_net(3, 4, 2, seed=1)
+    a = rng.standard_normal((6, 3))
+    psi = rng.standard_normal((7, 2))
+    u = rng.standard_normal((6, 7))
+    ws = ReconstructionLoss(psi, u)
+    _, first = ws.loss_and_grads(net, a)
+    rows = np.array([4, 1])
+    _, second = ws.loss_and_grads(net, a[rows], rows=rows)
+    assert second is first
+    _, fresh = ReconstructionLoss(psi, u).loss_and_grads(net, a[rows], rows=rows)
+    assert np.array_equal(second.parameters, fresh.parameters)
+    wider = init_net(3, 5, 2, seed=1)
+    _, other = ws.loss_and_grads(wider, a)
+    assert other.hidden_weights.shape == (5, 3)
 
 
 def test_zero_output_weights_kill_forward():
@@ -270,6 +348,30 @@ def test_train_shape_validation():
     bad[0, 0] = np.inf
     with pytest.raises(DataError):
         train(net, bad, u, psi, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("case", ["width", "sample_count", "inputs_only", "non_finite"])
+def test_train_checks_the_test_set_before_training(case, monkeypatch):
+    a, psi, u = _identity_problem()
+    net = init_net(4, 8, 4, seed=2)
+    test_a, test_u = a[:6].copy(), u[:6]
+    expected = ConfigurationError
+    if case == "width":
+        test_a = test_a[:, :3]
+    elif case == "sample_count":
+        test_u = u[:5]
+    elif case == "inputs_only":
+        test_u = None
+    else:
+        test_a[2, 1] = np.nan
+        expected = DataError
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started before the test set was checked")
+
+    monkeypatch.setattr(ReconstructionLoss, "loss_and_grads", no_training)
+    with pytest.raises(expected, match="test"):
+        train(net, a, u, psi, TrainConfig(epochs=3), test_inputs=test_a, test_targets=test_u)
 
 
 def test_divergence_aborts_with_checkpoint(monkeypatch):
