@@ -294,7 +294,11 @@ def build_rfm(dim: int,
     activation = ActivationKind(activation)
     if bounds is None:
         bounds = np.column_stack([-np.ones(dim), np.ones(dim)])
-    bounds = np.asarray(bounds, dtype=np.float64).reshape(dim, 2)
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if bounds.size != 2 * dim:
+        raise ConfigurationError(
+            f"bounds: got {bounds.size} values for a {dim}-dimensional box, expected {2 * dim}")
+    bounds = bounds.reshape(dim, 2)
     if not np.all(bounds[:, 1] > bounds[:, 0]):
         raise ConfigurationError("bounding box must have hi > lo in every dimension")
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import datagen
 from .basis import ActivationKind, WindowKind, build_rfm, uniform_fem_basis
-from .config import load_config
+from .config import EncodeSpec, load_config
 from .container import read_container, write_container
-from .encoder import (CutMode, Ridge, TruncatedSvd, diagnostics, encode)
+from .encoder import diagnostics, encode
 from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
                      RankDeficiencyError, SolverError, TrainingDiverged)
 from .experiment import eval_resolutions, run, sweep_cutoff
@@ -70,17 +70,12 @@ def _basis_from_args(args, dim: int):
         )
     bounds = None
     if args.bounds:
-        flat = [float(v) for v in args.bounds.split(",")]
-        bounds = np.asarray(flat).reshape(dim, 2)
+        bounds = [float(v) for v in args.bounds.split(",")]
+        if len(bounds) == 2:
+            bounds = bounds * dim
     return build_rfm(dim, partitions, args.features, args.range_bound,
                      WindowKind(args.window), ActivationKind(args.activation),
                      args.basis_seed, bounds)
-
-
-def _encode_config_from_args(args):
-    if args.method == "ridge":
-        return Ridge(lam=args.lam)
-    return TruncatedSvd(cut=args.cut, cut_mode=CutMode(args.cut_mode))
 
 
 def _cmd_encode(args) -> int:
@@ -92,7 +87,8 @@ def _cmd_encode(args) -> int:
         raise ConfigurationError("side: inline encoding covers scalar components only")
     dim = 1 if points.ndim == 1 else points.shape[1]
     basis = _basis_from_args(args, dim)
-    coeffs = encode(basis, points, values, _encode_config_from_args(args))
+    config = EncodeSpec(args.method, args.lam, args.cut, args.cut_mode).to_config()
+    coeffs = encode(basis, points, values, config)
     diag = diagnostics(coeffs)
     write_container(args.output,
                     arrays={"coefficients": coeffs.values,
@@ -184,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", choices=["smooth", "characteristic"], default="smooth")
     p.add_argument("--activation", choices=["tanh", "sin"], default="tanh")
     p.add_argument("--basis-seed", type=int, default=0)
-    p.add_argument("--bounds", default="0,1", help="comma-separated lo,hi per dim")
+    p.add_argument("--bounds", default="0,1", help="comma-separated lo,hi per dim, or one pair for all")
     p.add_argument("--fem-nodes", type=int, default=33)
     p.add_argument("--method", choices=["ridge", "tsvd"], default="tsvd")
     p.add_argument("--lam", type=float, default=0.0)

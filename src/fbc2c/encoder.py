@@ -7,20 +7,16 @@ Ridge is the Tikhonov filter s / (s^2 + lam * n); the truncated SVD is 1/s
 on the kept values and 0 elsewhere.  The filtered factors are applied to all
 samples of a batch by matrix multiplication.
 
-Inside a ``shared_factors()`` scope, which ``experiment.run`` and
-``experiment.sweep_cutoff`` open for the length of one call, every encoder
-built on the same design matrix reuses one SVD and only computes its own
-filter: a cutoff sweep factors its input and output designs once, not once
-per cut and per dataset.  Outside a scope every encoder factors its design.
+An encoder exposes its factors as ``svd``; passing them to another encoder
+on the same design (``LeastSquaresEncoder(design, config, svd=enc.svd)``)
+re-filters them for a new config without factoring again.  The caller owns
+that reuse: ``experiment.run`` keeps one factorization per design matrix.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import csv
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -72,46 +68,8 @@ class TruncatedSvd:
 # condition estimate beyond which an unregularized solve is refused
 _COND_LIMIT = 1.0 / (100.0 * np.finfo(np.float64).eps)
 
-# Thin SVDs shared by the encoders of one shared_factors() scope, keyed on
-# (shape, blake2b digest of the design's bytes); each entry keeps a copy of
-# its design so that a hit is confirmed exactly.  None outside a scope.
-_FACTORS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "fbc2c_shared_factors", default=None)
-
-
-@contextlib.contextmanager
-def shared_factors():
-    """Share one thin SVD per distinct design matrix until the scope ends.
-
-    Entering a scope while one is already open does nothing, so nested calls
-    (the member runs of a sweep) share the outer scope's factors.  Nothing
-    is kept once the outermost scope exits.  Usable as a decorator.
-    """
-    if _FACTORS.get() is not None:
-        yield
-        return
-    token = _FACTORS.set({})
-    try:
-        yield
-    finally:
-        _FACTORS.reset(token)
-
-
-def _thin_svd(design: np.ndarray):
-    """(u, s, vt) of ``design``, from the open scope's memo when it has them."""
-    memo = _FACTORS.get()
-    if memo is None:
-        return np.linalg.svd(design, full_matrices=False)
-    design = np.ascontiguousarray(design)
-    key = (design.shape, hashlib.blake2b(design, digest_size=16).digest())
-    hit = memo.get(key)
-    if hit is not None and np.array_equal(hit[0], design):
-        return hit[1]
-    factors = np.linalg.svd(design, full_matrices=False)
-    for array in factors:
-        array.flags.writeable = False
-    memo[key] = (design.copy(), factors)
-    return factors
+# rows per product in encode_values; every batch is cut into tiles of this height
+_TILE_ROWS = 64
 
 
 class LeastSquaresEncoder:
@@ -121,13 +79,16 @@ class LeastSquaresEncoder:
     vector-valued design matrix this is rows / n_components, and it is what
     scales the ridge penalty.
 
+    ``svd`` is the thin SVD ``(u, s, vt)`` of ``design``, computed here when
+    not given; it is exposed as ``svd`` for other encoders on the same design.
+
     ``kept_rank``, ``sigma_max``, ``sigma_min_kept`` and ``condition``
     describe the filter: a singular value is kept where its filter factor is
     nonzero (every positive one for a ridge, those at or above the threshold
     for a cut).
     """
 
-    def __init__(self, design: np.ndarray, config, n_points: int | None = None):
+    def __init__(self, design: np.ndarray, config, n_points: int | None = None, svd=None):
         design = np.asarray(design, dtype=np.float64)
         if design.ndim != 2 or design.size == 0:
             raise ConfigurationError(f"design matrix must be 2-D and nonempty, got shape {design.shape}")
@@ -136,7 +97,12 @@ class LeastSquaresEncoder:
         self.n_points = int(n_points) if n_points is not None else design.shape[0]
         if not isinstance(config, (Ridge, TruncatedSvd)):
             raise ConfigurationError(f"unknown encode config {config!r}")
-        u, s, vt = _thin_svd(design)
+        if svd is None:
+            svd = np.linalg.svd(design, full_matrices=False)
+        u, s, vt = svd
+        if u.shape[0] != design.shape[0] or vt.shape[1] != design.shape[1]:
+            raise ConfigurationError(
+                f"svd factors {u.shape}, {vt.shape} do not fit a design matrix of shape {design.shape}")
         if isinstance(config, Ridge):
             if config.lam == 0.0:
                 # cond(Phi); fewer nonzero singular values than columns is inf
@@ -157,26 +123,22 @@ class LeastSquaresEncoder:
             filt = np.zeros_like(s)
             keep = (s >= threshold) & (s > 0)
             filt[keep] = 1.0 / s[keep]
-        self._svd = (u, filt, vt)
-        self._s = s
-
-    @property
-    def m(self) -> int:
-        return self.design.shape[1]
+        self.svd = (u, s, vt)
+        self._filt = filt
 
     @property
     def kept_rank(self) -> int:
         """Number of singular values with a nonzero filter factor."""
-        return int(np.count_nonzero(self._svd[1]))
+        return int(np.count_nonzero(self._filt))
 
     @property
     def sigma_max(self) -> float:
-        return float(self._s[0])
+        return float(self.svd[1][0])
 
     @property
     def sigma_min_kept(self) -> float:
         """Smallest kept singular value; 0.0 when none is kept."""
-        kept = self._s[self._svd[1] != 0.0]
+        kept = self.svd[1][self._filt != 0.0]
         return float(kept[-1]) if kept.size else 0.0
 
     @property
@@ -186,7 +148,13 @@ class LeastSquaresEncoder:
         return self.sigma_max / low if low > 0.0 else np.inf
 
     def encode_values(self, values: np.ndarray) -> np.ndarray:
-        """Encode a batch of sampled functions, shape (M, n) -> (M, m)."""
+        """Encode a batch of sampled functions, shape (M, n) -> (M, m).
+
+        Both products run on zero-padded tiles of ``_TILE_ROWS`` rows, one
+        matrix multiply each, so a row encodes to the same bits alone, in any
+        batch and in any order on a BLAS that picks its kernel by operand
+        shape (OpenBLAS does); no BLAS promises it.
+        """
         values = np.asarray(values, dtype=np.float64)
         squeeze = values.ndim == 1
         if squeeze:
@@ -196,9 +164,18 @@ class LeastSquaresEncoder:
                 f"sample vectors have {values.shape[1]} entries, design matrix has "
                 f"{self.design.shape[0]} rows"
             )
-        u, filt, vt = self._svd
-        coeffs = ((values @ u) * filt) @ vt
-        return coeffs[0] if squeeze else coeffs
+        u, _, vt = self.svd
+        rows = values.shape[0]
+        padded = np.zeros((-(-rows // _TILE_ROWS) * _TILE_ROWS, values.shape[1]))
+        padded[:rows] = values
+        inner = np.empty((padded.shape[0], u.shape[1]))
+        coeffs = np.empty((padded.shape[0], vt.shape[1]))
+        for start in range(0, rows, _TILE_ROWS):
+            tile = slice(start, start + _TILE_ROWS)
+            np.matmul(padded[tile], u, out=inner[tile])
+            inner[tile] *= self._filt
+            np.matmul(inner[tile], vt, out=coeffs[tile])
+        return coeffs[0] if squeeze else coeffs[:rows]
 
 
 @dataclass
@@ -322,9 +299,10 @@ class ProjectionError:
 
 
 def projection_error_from_design(design: np.ndarray, targets: np.ndarray, config,
-                                 n_points: int | None = None) -> ProjectionError:
+                                 n_points: int | None = None, svd=None) -> ProjectionError:
+    """Projection error against a design matrix; ``svd`` is its thin SVD if known."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    enc = LeastSquaresEncoder(design, config, n_points=n_points)
+    enc = LeastSquaresEncoder(design, config, n_points=n_points, svd=svd)
     coeffs = np.atleast_2d(enc.encode_values(targets))
     resid = coeffs @ design.T - targets
     rnorm = np.linalg.norm(resid, axis=1)

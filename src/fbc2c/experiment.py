@@ -1,16 +1,18 @@
 """End-to-end orchestration: encode, train, evaluate, and the paper-style studies.
 
 ``run`` executes one full pipeline and returns a RunResult whose report
-carries the test error, the output-space projection floor, and the input
-coefficient diagnostics.  ``sweep_cutoff``, ``eval_resolutions`` and
-``compare_vector_scalar`` drive the cutoff sensitivity, resolution transfer,
-and scalar-vs-vector-output studies on top of it.
+carries the test error, the output-space projection floor, the input
+coefficient diagnostics and the kept rank and condition of both encoders.
+``sweep_cutoff``, ``eval_resolutions`` and ``compare_vector_scalar`` drive
+the cutoff sensitivity, resolution transfer, and scalar-vs-vector-output
+studies on top of it.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -20,20 +22,26 @@ import scipy.linalg
 from . import datagen
 from .basis import VectorBasis
 from .config import DatasetSpec, EncodeSpec, ExperimentConfig, config_hash, dump_config
-from .container import write_container
+from .container import read_container, write_container
 from .encoder import (LeastSquaresEncoder, ProjectionError, diagnostics,
-                      projection_error_from_design, shared_factors)
+                      projection_error_from_design, write_diagnostics_csv)
 from .errors import ConfigurationError
 from .neuralop import OperatorNet, forward, init_net, relative_loss, train
 
 
 @dataclass
 class PreparedData:
-    """Datasets built once so sweeps can reuse them across member runs."""
+    """Datasets built once so sweeps can reuse them across member runs.
+
+    ``run`` fills ``designs``, which maps what builds a design matrix on the
+    training grid, ``("input" | "output", repr(basis spec), mode)``, to
+    ``(design, svd)``: the runs on one PreparedData factor each design once.
+    """
 
     train: datagen.FunctionDataset
     test: datagen.FunctionDataset
     extra: dict = field(default_factory=dict)
+    designs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -104,42 +112,36 @@ def _reconstruction_matrix(basis, points: np.ndarray, c_out: int) -> np.ndarray:
     return scipy.linalg.block_diag(*([psi] * c_out))
 
 
-def _output_system(config: ExperimentConfig, dataset: datagen.FunctionDataset):
-    """Build the output basis and its reconstruction matrix: (basis, psi_eff)."""
-    c_out = dataset.output_components
-    if c_out == 1 or config.output_mode == "scalar":
-        basis = config.output_basis.build()
-    else:
-        basis = config.output_basis.build(n_components=c_out)
-    return basis, _reconstruction_matrix(basis, dataset.output_points, c_out)
+def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
+    """(basis, encoder) of the "input" or "output" side on the training grid.
+
+    The design and its SVD are built once per ``data``, in ``data.designs``.
+    Single-component data always takes the scalar basis.
+    """
+    spec = getattr(config, f"{side}_basis")
+    components = getattr(data.train, f"{side}_components")
+    points = getattr(data.train, f"{side}_points")
+    mode = getattr(config, f"{side}_mode") if components > 1 else "scalar"
+    basis = spec.build(n_components=components) if mode == "vector" else spec.build()
+    key = (side, repr(spec), mode)
+    design, svd = data.designs.get(key, (None, None))
+    if design is None:  # an input design is never block-diagonal
+        design = _reconstruction_matrix(basis, points, components if side == "output" else 1)
+    enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode").to_config(),
+                              n_points=points.shape[0], svd=svd)
+    data.designs[key] = (design, enc.svd)
+    return basis, enc
 
 
-def _input_features(config: ExperimentConfig, basis, dataset: datagen.FunctionDataset):
-    """Network input rows for one dataset: coefficients, or raw values for P2C."""
+def _input_features(config: ExperimentConfig, enc, dataset: datagen.FunctionDataset):
+    """Network input rows for one dataset: coefficients from ``enc``, or raw values for P2C."""
     values = dataset.inputs
     if config.p2c:
         return _stack_components(values)
-    c_in = dataset.input_components
-    pts = dataset.input_points
-    if c_in == 1:
-        enc = LeastSquaresEncoder(basis.design_matrix(pts), config.input_encode.to_config())
-        return np.atleast_2d(enc.encode_values(values))
-    if config.input_mode == "vector":
-        enc = LeastSquaresEncoder(basis.design_matrix(pts),
-                                  config.input_encode.to_config(), n_points=pts.shape[0])
-        return np.atleast_2d(enc.encode_values(_stack_components(values)))
-    enc = LeastSquaresEncoder(basis.design_matrix(pts), config.input_encode.to_config())
-    blocks = [np.atleast_2d(enc.encode_values(values[:, c, :])) for c in range(c_in)]
-    return np.concatenate(blocks, axis=1)
-
-
-def _build_input_basis(config: ExperimentConfig, dataset: datagen.FunctionDataset):
-    if config.p2c:
-        return None
-    c_in = dataset.input_components
-    if c_in > 1 and config.input_mode == "vector":
-        return config.input_basis.build(n_components=c_in)
-    return config.input_basis.build()
+    if dataset.input_components > 1 and config.input_mode == "scalar":
+        blocks = [enc.encode_values(values[:, c, :]) for c in range(values.shape[1])]
+        return np.concatenate(blocks, axis=1)
+    return enc.encode_values(_stack_components(values))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,10 @@ class RunReport:
     projection: ProjectionError
     erank: float | None
     variance_entropy: float | None
+    input_kept_rank: int | None
+    input_condition: float | None
+    output_kept_rank: int
+    output_condition: float
     input_dim: int
     output_dim: int
     hidden_dim: int
@@ -165,17 +171,24 @@ class RunReport:
             f"config_hash = {self.config_hash}",
             f"final_test_relative_error = {self.final_test_error!r}",
             f"mean_projection_error = {self.projection.mean!r}",
+        ]
+        if self.erank is not None:
+            lines += [
+                f"input_coefficient_erank = {self.erank!r}",
+                f"input_variance_entropy = {self.variance_entropy!r}",
+                f"input_kept_rank = {self.input_kept_rank}",
+                f"input_condition = {self.input_condition!r}",
+            ]
+        return lines + [
             f"projection_zero_norm_count = {self.projection.zero_norm_count}",
+            f"output_kept_rank = {self.output_kept_rank}",
+            f"output_condition = {self.output_condition!r}",
             f"input_dim = {self.input_dim}",
             f"output_dim = {self.output_dim}",
             f"hidden_dim = {self.hidden_dim}",
             f"n_parameters = {self.n_parameters}",
             f"wall_seconds = {self.wall_seconds:.3f}",
         ]
-        if self.erank is not None:
-            lines.insert(3, f"input_coefficient_erank = {self.erank!r}")
-            lines.insert(4, f"input_variance_entropy = {self.variance_entropy!r}")
-        return lines
 
 
 @dataclass
@@ -192,32 +205,36 @@ class RunResult:
     input_scaler: InputScaler | None = None
 
 
-@shared_factors()
 def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = None) -> RunResult:
     """Execute one experiment: build, encode, train, evaluate, report.
 
-    Encoders built on equal design matrices share one SVD for the length of
-    the call (see ``encoder.shared_factors``).
+    The test split must share the training grid.  Each side's design matrix
+    is built and factored once per ``PreparedData`` (see its ``designs``).
     """
     started = time.perf_counter()
     data = prepared if prepared is not None else prepare_data(config.dataset)
     train_ds, test_ds = data.train, data.test
+    for name in ("input_points", "output_points"):
+        if not np.array_equal(getattr(train_ds, name), getattr(test_ds, name)):
+            raise ConfigurationError(
+                f"test {name}: the test split is not on the training grid; run encodes and "
+                f"reconstructs it through the training design, use evaluate_on for another grid")
 
-    out_basis, psi_eff = _output_system(config, train_ds)
+    in_basis = in_enc = erank = entropy = None
+    if not config.p2c:
+        in_basis, in_enc = _side_encoder(config, data, "input")
+    out_basis, out_enc = _side_encoder(config, data, "output")
+    psi_eff = out_enc.design
     m_out = psi_eff.shape[1]
     u_train = _stack_components(train_ds.outputs)
     u_test = _stack_components(test_ds.outputs)
 
-    in_basis = _build_input_basis(config, train_ds)
-    a_train = _input_features(config, in_basis, train_ds)
-    a_test = _input_features(config, in_basis, test_ds)
-
-    erank = entropy = None
-    if not config.p2c:
+    a_train = _input_features(config, in_enc, train_ds)
+    a_test = _input_features(config, in_enc, test_ds)
+    if in_enc is not None:
         # diagnostics describe the raw coefficient representation
         diag = diagnostics(a_train)
-        erank = diag.effective_rank
-        entropy = diag.variance_entropy
+        erank, entropy = diag.effective_rank, diag.variance_entropy
 
     scaler = None
     if config.standardize_inputs:
@@ -230,15 +247,18 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
                        test_inputs=a_test, test_targets=u_test)
 
     final_err, per_sample = relative_loss(forward(net, a_test), psi_eff, u_test)
-    proj = projection_error_from_design(psi_eff, u_test,
-                                        config.output_encode.to_config(),
-                                        n_points=test_ds.output_points.shape[0])
+    proj = projection_error_from_design(psi_eff, u_test, config.output_encode.to_config(),
+                                        n_points=out_enc.n_points, svd=out_enc.svd)
     report = RunReport(
         final_test_error=final_err,
         test_error_per_sample=per_sample,
         projection=proj,
         erank=erank,
         variance_entropy=entropy,
+        input_kept_rank=None if in_enc is None else in_enc.kept_rank,
+        input_condition=None if in_enc is None else in_enc.condition,
+        output_kept_rank=out_enc.kept_rank,
+        output_condition=out_enc.condition,
         input_dim=a_train.shape[1],
         output_dim=m_out,
         hidden_dim=config.net.hidden,
@@ -262,7 +282,10 @@ def evaluate_on(result: RunResult, dataset: datagen.FunctionDataset):
     dataset's output points.  P2C runs require matching input dimension.
     """
     config = result.config
-    a = _input_features(config, result.input_basis, dataset)
+    pts = dataset.input_points
+    enc = None if config.p2c else LeastSquaresEncoder(
+        result.input_basis.design_matrix(pts), config.input_encode.to_config(), n_points=pts.shape[0])
+    a = _input_features(config, enc, dataset)
     if a.shape[1] != result.net.input_dim:
         raise ConfigurationError(
             f"network expects {result.net.input_dim} inputs, dataset encodes to {a.shape[1]}"
@@ -300,13 +323,13 @@ class SweepResult:
                                  repr(row.variance_entropy), repr(row.final_test_error)])
 
 
-@shared_factors()
 def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None = None,
                  keep_results: bool = False) -> SweepResult:
     """One run per input-side cutoff, reusing the dataset and all seeds.
 
-    The member runs share one SVD per distinct design matrix: a cut only
-    changes the filter on the input design's singular values.
+    The member runs share one PreparedData, so each design matrix is built
+    and factored once: a cut only changes the filter on the input design's
+    singular values.
     """
     if len(cuts) < 1:
         raise ConfigurationError("sweep needs at least one cut value")
@@ -394,8 +417,6 @@ def compare_vector_scalar(config: ExperimentConfig,
 
 def write_artifacts(result: RunResult, outdir) -> None:
     """Per-run directory: report, traces CSV, diagnostics CSV, checkpoint, config."""
-    import pathlib
-
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     report, trace, config = result.report, result.trace, result.config
@@ -413,7 +434,6 @@ def write_artifacts(result: RunResult, outdir) -> None:
                              repr(test_val) if test_val != "" else "",
                              repr(float(trace.lr[epoch]))])
 
-    from .encoder import write_diagnostics_csv
     write_diagnostics_csv(out / "diagnostics.csv", [(
         config.input_encode.cut_or_lambda,
         report.erank if report.erank is not None else float("nan"),
@@ -435,8 +455,6 @@ def write_artifacts(result: RunResult, outdir) -> None:
 
 
 def load_checkpoint(path) -> OperatorNet:
-    from .container import read_container
-
     arrays, meta = read_container(path)
     return OperatorNet.from_flat(arrays["parameters"], meta["input_dim"],
                                  meta["hidden_dim"], meta["output_dim"],

@@ -99,13 +99,16 @@ def forward(net: OperatorNet, inputs: np.ndarray) -> np.ndarray:
 
 
 def _check_targets(psi: np.ndarray, targets: np.ndarray):
-    """(psi, u, per-sample ||u||) once psi fits the targets and no target is zero."""
+    """(psi, u, per-sample ||u||) once psi fits the targets and every target is finite and nonzero."""
     psi = np.asarray(psi, dtype=np.float64)
     u = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if psi.ndim != 2 or u.shape[1] != psi.shape[0]:
         raise ConfigurationError(
             f"targets have {u.shape[1]} points, basis evaluation matrix has shape {psi.shape}"
         )
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        raise DataError(f"target samples with NaN or Inf at indices {np.flatnonzero(~finite).tolist()}")
     unorm = np.linalg.norm(u, axis=1)
     if np.any(unorm == 0):
         bad = np.flatnonzero(unorm == 0).tolist()

@@ -21,6 +21,10 @@ def test_build_rfm_total_count():
     dict(dim=1, partitions_per_dim=[1], features_per_partition=0, range_bound=3.0),
     dict(dim=2, partitions_per_dim=[2], features_per_partition=1, range_bound=3.0),
     dict(dim=0, partitions_per_dim=[], features_per_partition=1, range_bound=3.0),
+    dict(dim=2, partitions_per_dim=[2, 2], features_per_partition=1, range_bound=3.0,
+         bounds=[[0.0, 1.0]]),
+    dict(dim=1, partitions_per_dim=[2], features_per_partition=1, range_bound=3.0,
+         bounds=[0.0, 1.0, 2.0]),
 ])
 def test_build_rfm_rejects_bad_config(kwargs):
     with pytest.raises(ConfigurationError):

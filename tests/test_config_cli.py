@@ -133,6 +133,24 @@ def test_cli_encode_and_diagnose(tmp_path, capsys):
     assert "erank" in capsys.readouterr().out
 
 
+def test_cli_encode_on_2d_data(tmp_path, capsys):
+    data = tmp_path / "data.fbc"
+    main(["gen", "--problem", "poisson2d", "--n", "5", "--train", "3", "--test", "2",
+          "--seed", "1", "-o", str(data)])
+    args = ["encode", str(data), "--partitions", "2,2", "--features", "3"]
+    # the default --bounds 0,1 is one lo,hi pair for both dimensions
+    assert main(args + ["-o", str(tmp_path / "one_pair.fbc")]) == 0
+    assert main(args + ["--bounds", "0,1,0,1", "-o", str(tmp_path / "per_dim.fbc")]) == 0
+    one_pair, _ = read_container(tmp_path / "one_pair.fbc")
+    per_dim, _ = read_container(tmp_path / "per_dim.fbc")
+    assert one_pair["coefficients"].shape == (5, 12)
+    assert np.array_equal(one_pair["coefficients"], per_dim["coefficients"])
+    capsys.readouterr()
+    assert main(args + ["--bounds", "0,1,0", "-o", str(tmp_path / "bad.fbc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and "bounds" in err
+
+
 def test_cli_diagnose_rank_one(tmp_path, capsys):
     path = tmp_path / "rank1.fbc"
     row = np.linspace(1, 2, 6)

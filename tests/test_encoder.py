@@ -10,7 +10,7 @@ from fbc2c.basis import (ActivationKind, Partition, RfmBasis, VectorBasis,
 from fbc2c.encoder import (CoefficientMatrix, CutMode, LeastSquaresEncoder,
                            Ridge, TruncatedSvd, diagnostics,
                            effective_rank_of_singular_values, encode,
-                           encode_vector, projection_error, shared_factors)
+                           encode_vector, projection_error)
 from fbc2c.errors import ConfigurationError, DataError, RankDeficiencyError
 
 
@@ -82,52 +82,28 @@ def test_encoder_reports_kept_spectrum(config, rank, sigma_min, cond):
     assert enc.condition == cond
 
 
-def test_encoders_share_a_factorization_only_inside_a_scope(svd_calls):
+def test_encoder_given_an_svd_encodes_as_a_fresh_one(svd_calls):
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((12, 5))
     f = rng.standard_normal((3, 12))
-    LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
-    LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
-    assert len(svd_calls) == 2
-    with shared_factors():
-        LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
-        with shared_factors():                  # a nested scope shares the outer one
-            ridge = LeastSquaresEncoder(phi.copy(), Ridge(0.1))
-        LeastSquaresEncoder(phi[:, ::-1], TruncatedSvd(1e-3))
-    assert len(svd_calls) == 4
-    alone = LeastSquaresEncoder(phi, Ridge(0.1))
-    assert len(svd_calls) == 5                  # the scope's factors are gone
-    assert np.array_equal(ridge.encode_values(f), alone.encode_values(f))
+    first = LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
+    configs = (TruncatedSvd(1e-3), TruncatedSvd(0.5), Ridge(0.1), Ridge(0.0))
+    for config in configs:
+        reused = LeastSquaresEncoder(phi, config, svd=first.svd)
+        fresh = LeastSquaresEncoder(phi, config)
+        assert all(a is b for a, b in zip(reused.svd, first.svd))
+        assert np.array_equal(reused.encode_values(f), fresh.encode_values(f))
+        assert (reused.kept_rank, reused.condition) == (fresh.kept_rank, fresh.condition)
+    assert len(svd_calls) == 1 + len(configs)    # only the fresh encoders factor
 
 
-def test_shared_factors_are_read_only():
+def test_encoder_refuses_an_svd_of_another_shape():
     phi = np.random.default_rng(8).standard_normal((10, 4))
-    with shared_factors():
-        factors = encoder._thin_svd(phi)
-        again = encoder._thin_svd(phi.copy())
-    assert all(a is b for a, b in zip(factors, again))
-    assert not any(a.flags.writeable for a in factors)
-    with pytest.raises(ValueError):
-        factors[0][0, 0] = 1.0
-
-
-def test_shared_factors_confirm_a_digest_match_exactly(monkeypatch):
-    class SameDigest:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def digest(self):
-            return b"same"
-
-    monkeypatch.setattr(encoder.hashlib, "blake2b", SameDigest)
-    first, second = np.random.default_rng(9).standard_normal((2, 8, 3))
-    f = np.ones(8)
-    with shared_factors():
-        LeastSquaresEncoder(first, Ridge(0.0))
-        shared = LeastSquaresEncoder(second, Ridge(0.0))
-    alone = LeastSquaresEncoder(second, Ridge(0.0))
-    assert shared.sigma_max == alone.sigma_max
-    assert np.array_equal(shared.encode_values(f), alone.encode_values(f))
+    svd = LeastSquaresEncoder(phi, Ridge(0.1)).svd
+    with pytest.raises(ConfigurationError, match="svd factors"):
+        LeastSquaresEncoder(phi[:, :3], Ridge(0.1), svd=svd)
+    with pytest.raises(ConfigurationError, match="svd factors"):
+        LeastSquaresEncoder(phi[:9], Ridge(0.1), svd=svd)
 
 
 def test_dimension_mismatch_rejected():

@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fbc2c.basis import RfmBasis
 from fbc2c.config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
                           NetSpec, config_to_dict)
+from fbc2c.encoder import LeastSquaresEncoder
 from fbc2c.errors import ConfigurationError
 from fbc2c.experiment import (compare_vector_scalar, eval_resolutions,
                               evaluate_on, load_checkpoint, prepare_data, run,
-                              sweep_cutoff)
+                              sweep_cutoff, write_artifacts)
 from fbc2c.neuralop import TrainConfig
 
 
@@ -44,6 +46,39 @@ def test_run_report_fields_populated(darcy_result):
     assert report.n_parameters == darcy_result.net.n_parameters
     assert report.wall_seconds > 0
     assert len(report.config_hash) == 16
+
+
+def test_run_reports_both_encoders(darcy_result, tmp_path):
+    cfg, report = darcy_result.config, darcy_result.report
+    train_ds = darcy_result.data.train
+    design = darcy_result.input_basis.design_matrix(train_ds.input_points)
+    inputs = LeastSquaresEncoder(design, cfg.input_encode.to_config())
+    outputs = LeastSquaresEncoder(darcy_result.psi, cfg.output_encode.to_config())
+    assert (report.input_kept_rank, report.input_condition) == (
+        inputs.kept_rank, inputs.condition)
+    assert (report.output_kept_rank, report.output_condition) == (
+        outputs.kept_rank, outputs.condition)
+    assert 0 < report.input_kept_rank < report.input_dim
+    write_artifacts(darcy_result, tmp_path)
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    for name in ("input_kept_rank", "input_condition", "output_kept_rank", "output_condition"):
+        assert f"{name} = {getattr(report, name)!r}" in lines
+
+    p2c = run(_darcy_config(p2c=True, train=TrainConfig(epochs=1, seed=6))).report
+    assert (p2c.input_kept_rank, p2c.input_condition) == (None, None)
+    assert p2c.output_kept_rank == report.output_kept_rank
+    assert not any(line.startswith("input_") and "rank" in line for line in p2c.summary_lines())
+
+
+@pytest.mark.parametrize("field", ["input_points", "output_points"])
+def test_run_refuses_a_test_split_on_another_grid(field):
+    cfg = _darcy_config()
+    data = prepare_data(cfg.dataset)
+    moved = getattr(data.test, field) * 0.99
+    data.test = dataclasses.replace(data.test, **{field: moved})
+    with pytest.raises(ConfigurationError, match=f"test {field}.*evaluate_on"):
+        run(cfg, prepared=data)
+    assert data.designs == {}                   # refused before any design was built
 
 
 def test_run_is_deterministic_except_wall_clock():
@@ -124,27 +159,37 @@ def _poisson_config():
     )
 
 
-def test_sweep_factors_each_design_once_per_call(svd_calls):
+def test_sweep_factors_each_design_once_per_call(svd_calls, monkeypatch):
+    design_calls = []
+    design_matrix = RfmBasis.design_matrix
+
+    def counting(self, points):
+        design_calls.append(np.shape(points))
+        return design_matrix(self, points)
+
+    monkeypatch.setattr(RfmBasis, "design_matrix", counting)
     cfg = _poisson_config()
     cuts = [1e-6, 1e-4, 1e-2]
     data = prepare_data(cfg.dataset)
     table = sweep_cutoff(cfg, cuts, prepared=data)
-    # the input design (train and test share the 9x9 grid) and the output design
+    # the input design (train and test share the 9x9 grid), then the output design
     assert svd_calls == [(81, 24), (81, 16)]
+    assert len(design_calls) == 2
 
-    # each member run on its own, with no shared factors: three SVDs per run
+    # each member run on fresh data builds and factors its own two designs
     svd_calls.clear()
     for cut, row in zip(cuts, table.rows):
         member = dataclasses.replace(cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
-        report = run.__wrapped__(member, prepared=data).report
+        report = run(member, prepared=prepare_data(cfg.dataset)).report
         assert (row.erank, row.variance_entropy, row.final_test_error) == (
             report.erank, report.variance_entropy, report.final_test_error)
-    assert len(svd_calls) == 3 * len(cuts)
+    assert len(svd_calls) == 2 * len(cuts)
 
-    # nothing outlives a call: the next sweep factors again
+    # the designs belong to the PreparedData: a second sweep on it factors nothing
     svd_calls.clear()
+    design_calls.clear()
     assert sweep_cutoff(cfg, cuts, prepared=data).rows == table.rows
-    assert len(svd_calls) == 2
+    assert svd_calls == [] and design_calls == []
 
 
 def test_evaluate_on_reproduces_test_error(darcy_result):
@@ -220,6 +265,22 @@ def test_compare_vector_scalar_on_multi_output():
     assert comparison.scalar.report.final_test_error > 0
     assert comparison.vector.report.final_test_error > 0
     assert len(comparison.seconds_per_epoch) == 2
+
+
+def test_compare_vector_scalar_shares_designs_as_fresh_runs_would():
+    cfg = _multi_config()
+    data = prepare_data(cfg.dataset)
+    comparison = compare_vector_scalar(cfg, prepared=data)
+    # one input design for both variants; a block-diagonal and a stacked output design
+    assert sorted((side, mode) for side, _, mode in data.designs) == [
+        ("input", "scalar"), ("output", "scalar"), ("output", "vector")]
+    for member in (comparison.scalar, comparison.vector):
+        fresh = run(member.config)
+        assert np.array_equal(member.report.test_error_per_sample,
+                              fresh.report.test_error_per_sample)
+        assert np.array_equal(member.report.projection.per_sample,
+                              fresh.report.projection.per_sample)
+        assert np.array_equal(member.net.flat_parameters(), fresh.net.flat_parameters())
 
 
 def test_compare_vector_scalar_single_component_degenerates():

@@ -157,6 +157,14 @@ def test_relative_loss_rejects_zero_norm_targets():
         relative_loss(np.ones((2, 2)), np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_relative_loss_rejects_non_finite_targets(bad):
+    targets = np.ones((3, 2))
+    targets[1, 0] = bad
+    with pytest.raises(DataError, match=r"NaN or Inf at indices \[1\]"):
+        relative_loss(np.ones((3, 2)), np.eye(2), targets)
+
+
 def test_reconstruction_commutes_with_batching():
     rng = np.random.default_rng(4)
     net = init_net(5, 8, 4, seed=2)
@@ -372,6 +380,23 @@ def test_train_checks_the_test_set_before_training(case, monkeypatch):
     monkeypatch.setattr(ReconstructionLoss, "loss_and_grads", no_training)
     with pytest.raises(expected, match="test"):
         train(net, a, u, psi, TrainConfig(epochs=3), test_inputs=test_a, test_targets=test_u)
+
+
+def test_train_refuses_non_finite_targets_before_training(monkeypatch):
+    a, psi, u = _identity_problem(m=8)
+    u = u.copy()
+    u[3, 1] = np.nan
+    net = init_net(4, 8, 4, seed=2)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started on non-finite targets")
+
+    monkeypatch.setattr(ReconstructionLoss, "loss_and_grads", no_training)
+    with pytest.raises(DataError, match=r"NaN or Inf at indices \[3\]"):
+        train(net, a, u, psi, TrainConfig(epochs=3))
+    with pytest.raises(DataError, match=r"NaN or Inf at indices \[3\]"):
+        train(net, a[:4], np.ones((4, 4)), psi, TrainConfig(epochs=3),
+              test_inputs=a, test_targets=u)
 
 
 def test_divergence_aborts_with_checkpoint(monkeypatch):
