@@ -11,13 +11,12 @@ Run:  python demos/02_encoding_and_effective_rank.py
 import numpy as np
 
 from fbc2c.basis import build_rfm
-from fbc2c.datagen import Grf1dConfig, sample_grf
+from fbc2c.datagen import sample_grf_at
 from fbc2c.encoder import (LeastSquaresEncoder, Ridge, TruncatedSvd,
                            diagnostics, projection_error)
 
-grid_n = 600
-fields = sample_grf(Grf1dConfig(n=grid_n, seed=11), count=300)
-grid = np.linspace(0.0, 1.0, grid_n)
+grid = np.linspace(0.0, 1.0, 600)
+fields = sample_grf_at(grid, count=300, seed=11)
 
 basis = build_rfm(1, [8], 16, 3.0, seed=5, bounds=[[0.0, 1.0]])
 phi = basis.design_matrix(grid)

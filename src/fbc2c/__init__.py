@@ -10,12 +10,11 @@ from .basis import (ActivationKind, FemBasis1D, Partition, RfmBasis, VectorBasis
                     WindowKind, build_rfm, build_vector_rfm, eval_window,
                     uniform_fem_basis)
 from .container import read_container, write_container
-from .datagen import (FunctionDataset, Grf1dConfig, gen_highd_poisson,
-                      make_darcy1d, make_highd_poisson, make_multi_output_1d,
-                      make_poisson2d, sample_grf, solve_darcy_1d,
-                      solve_poisson_2d_square)
+from .datagen import (FunctionDataset, gen_highd_poisson, make_darcy1d,
+                      make_highd_poisson, make_multi_output_1d, make_poisson2d,
+                      sample_grf_at, solve_darcy_1d, solve_poisson_2d_square)
 from .encoder import (CoefficientMatrix, CutMode, Ridge, TruncatedSvd,
-                      diagnostics, encode, encode_vector, projection_error)
+                      diagnostics, encode, projection_error)
 from .experiment import (compare_vector_scalar, eval_resolutions, evaluate_on,
                          run, sweep_cutoff)
 from .neuralop import (OperatorNet, TrainConfig, TrainTrace, forward, gradient,

@@ -12,70 +12,48 @@ import sys
 
 import numpy as np
 
-from . import datagen
-from .basis import ActivationKind, WindowKind, build_rfm, uniform_fem_basis
-from .config import EncodeSpec, load_config
+from .config import BasisSpec, DatasetSpec, EncodeSpec, load_config
 from .container import read_container, write_container
 from .encoder import diagnostics, encode
 from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
                      RankDeficiencyError, SolverError, TrainingDiverged)
-from .experiment import eval_resolutions, run, sweep_cutoff
+from .experiment import eval_resolutions, prepare_data, run, sweep_cutoff
 
 
 def _cmd_gen(args) -> int:
-    if args.problem == "darcy1d":
-        train, test = datagen.make_darcy1d(args.n, args.train, args.test, args.seed,
-                                           tol=args.tol)
-    elif args.problem == "poisson2d":
-        train, test = datagen.make_poisson2d(args.n, args.train, args.test, args.seed)
-    elif args.problem == "multi_output_1d":
-        train, test = datagen.make_multi_output_1d(args.n, args.train, args.test, args.seed)
-    elif args.problem == "highd_poisson":
-        train, test, gen2 = datagen.make_highd_poisson(args.dim, args.n, args.seed)
-    else:
-        raise ConfigurationError(f"problem: unknown problem {args.problem!r}")
-    arrays = {
-        "input_points": train.input_points,
-        "output_points": train.output_points,
-        "inputs_train": train.inputs,
-        "outputs_train": train.outputs,
-        "inputs_test": test.inputs,
-        "outputs_test": test.outputs,
-    }
-    meta = {
-        "kind": "function_dataset",
-        "problem": args.problem,
-        "m_train": train.n_samples,
-        "m_test": test.n_samples,
-        "provenance_train": train.provenance,
-        "provenance_test": test.provenance,
-    }
-    if args.problem == "highd_poisson":
-        arrays["inputs_gen2"] = gen2.inputs
-        arrays["outputs_gen2"] = gen2.outputs
-        meta["m_gen2"] = gen2.n_samples
-        meta["provenance_gen2"] = gen2.provenance
+    spec = DatasetSpec(args.problem, n=args.n, m_train=args.train, m_test=args.test,
+                       seed=args.seed, tol=args.tol, d=args.dim, n_points=args.n)
+    data = prepare_data(spec)
+    splits = {"train": data.train, "test": data.test, **data.extra}
+    arrays = {"input_points": data.train.input_points,
+              "output_points": data.train.output_points}
+    meta = {"kind": "function_dataset", "problem": args.problem}
+    for label, ds in splits.items():
+        arrays[f"inputs_{label}"] = ds.inputs
+        arrays[f"outputs_{label}"] = ds.outputs
+        meta[f"m_{label}"] = ds.n_samples
+        meta[f"provenance_{label}"] = ds.provenance
     write_container(args.output, arrays, meta)
-    print(f"wrote {args.output}: {train.n_samples} train + {test.n_samples} test samples")
+    print(f"wrote {args.output}: {data.train.n_samples} train + {data.test.n_samples} test samples")
     return 0
 
 
 def _basis_from_args(args, dim: int):
-    if args.basis == "fem":
-        return uniform_fem_basis(args.fem_nodes)
-    partitions = [int(p) for p in args.partitions.split(",")]
-    if len(partitions) != dim:
-        raise ConfigurationError(
-            f"partitions: got {len(partitions)} counts for a {dim}-dimensional problem"
-        )
-    bounds = None
-    if args.bounds:
-        bounds = [float(v) for v in args.bounds.split(",")]
-        if len(bounds) == 2:
-            bounds = bounds * dim
-    return build_rfm(dim, partitions, args.features, args.range_bound,
-                     WindowKind(args.window), ActivationKind(args.activation),
-                     args.basis_seed, bounds)
+    partitions = bounds = None
+    if args.basis == "rfm":
+        partitions = [int(p) for p in args.partitions.split(",")]
+        if len(partitions) != dim:
+            raise ConfigurationError(
+                f"partitions: got {len(partitions)} counts for a {dim}-dimensional problem"
+            )
+        if args.bounds:
+            bounds = [float(v) for v in args.bounds.split(",")]
+            if len(bounds) == 2:
+                bounds = bounds * dim
+    return BasisSpec(kind=args.basis, partitions=partitions,
+                     features_per_partition=args.features, range_bound=args.range_bound,
+                     window=args.window, activation=args.activation, seed=args.basis_seed,
+                     bounds=bounds, n_nodes=args.fem_nodes).build()
 
 
 def _cmd_encode(args) -> int:

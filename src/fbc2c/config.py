@@ -17,7 +17,13 @@ from .encoder import CutMode, Ridge, TruncatedSvd
 from .errors import ConfigurationError
 from .neuralop import TrainConfig
 
-_DATASET_KINDS = ("darcy1d", "poisson2d", "highd_poisson", "multi_output_1d")
+# the size and sample-count fields each dataset kind reads; each must be >= 1
+_DATASET_SIZES = {
+    "darcy1d": ("n", "m_train", "m_test"),
+    "poisson2d": ("n", "m_train", "m_test", "modes"),
+    "highd_poisson": ("d", "n_points", "n_train", "n_gen1", "n_gen2"),
+    "multi_output_1d": ("n", "m_train", "m_test"),
+}
 
 
 @dataclass
@@ -45,16 +51,16 @@ class DatasetSpec:
     n_gen2: int = 10
 
     def __post_init__(self):
-        if self.kind not in _DATASET_KINDS:
+        if self.kind not in _DATASET_SIZES:
             raise ConfigurationError(
-                f"dataset.kind: unknown kind {self.kind!r}, expected one of {_DATASET_KINDS}"
+                f"dataset.kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_SIZES)}"
             )
-        if self.kind == "highd_poisson":
-            if self.d is None or self.n_points is None:
-                raise ConfigurationError("dataset: highd_poisson needs d and n_points")
-        else:
-            if self.n is None or self.m_train is None or self.m_test is None:
-                raise ConfigurationError(f"dataset: {self.kind} needs n, m_train, m_test")
+        for name in _DATASET_SIZES[self.kind]:
+            value = getattr(self, name)
+            if value is None:
+                raise ConfigurationError(f"dataset.{name}: {self.kind} needs it")
+            if value < 1:
+                raise ConfigurationError(f"dataset.{name}: must be >= 1, got {value}")
 
 
 @dataclass
@@ -135,20 +141,36 @@ class ExperimentConfig:
     output_encode: EncodeSpec = field(default_factory=EncodeSpec)
     net: NetSpec = field(default_factory=NetSpec)
     p2c: bool = False
-    input_mode: str = "scalar"      # "scalar" or "vector" for multi-component inputs
-    output_mode: str = "scalar"
+    output_mode: str = "scalar"     # "scalar" or "vector" for multi-component outputs
     standardize_inputs: bool = True  # per-column train-statistics normalization
 
     def __post_init__(self):
         if not self.p2c and self.input_basis is None:
             raise ConfigurationError("input_basis is required unless p2c is set")
-        for name in ("input_mode", "output_mode"):
-            if getattr(self, name) not in ("scalar", "vector"):
-                raise ConfigurationError(f"{name}: must be 'scalar' or 'vector'")
+        if self.output_mode not in ("scalar", "vector"):
+            raise ConfigurationError("output_mode: must be 'scalar' or 'vector'")
 
 
 # ---------------------------------------------------------------------------
 # dict round-trip
+
+
+# JSON value types per annotation name; an int is a valid float, a bool is neither
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list}
+
+
+def _check_value(annotation: str, value, path: str) -> None:
+    """Refuse a JSON value that fits no type of its field's annotation."""
+    names = [name.strip() for name in annotation.split("|")]
+    if value is None:
+        fits = "None" in names
+    elif isinstance(value, bool):
+        fits = "bool" in names
+    else:
+        fits = any(isinstance(value, _JSON_TYPES[name]) for name in names if name in _JSON_TYPES)
+    if not fits:
+        raise ConfigurationError(
+            f"{path}: expected {annotation}, got {type(value).__name__} {value!r}")
 
 
 def _from_dict(cls, data: dict, path: str):
@@ -166,6 +188,7 @@ def _from_dict(cls, data: dict, path: str):
         if name in nested and value is not None:
             kwargs[name] = _from_dict(nested[name], value, f"{path}.{name}")
         else:
+            _check_value(fields[name].type, value, f"{path}.{name}")
             kwargs[name] = value
     missing = [f.name for f in dataclasses.fields(cls)
                if f.default is dataclasses.MISSING

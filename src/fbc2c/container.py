@@ -48,13 +48,28 @@ def write_container(path, arrays: dict, meta: dict | None = None) -> None:
             fh.write(blob)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_entry(entry, path) -> None:
+    """Refuse an array entry that is not {name: str, dtype, shape: [counts], offset: count}."""
+    if not (isinstance(entry, dict) and {"name", "dtype", "shape", "offset"} <= entry.keys()
+            and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+            and all(_is_count(n) for n in entry["shape"]) and _is_count(entry["offset"])):
+        raise DataError(f"malformed array entry {entry!r} in {path}")
+
+
 def read_container(path) -> tuple[dict, dict]:
     """Read a container; returns (arrays, meta).  Validates the payload tiling."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"bad container magic {magic!r} in {path}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
+        length = fh.read(4)
+        if len(length) != 4:
+            raise DataError(f"truncated container header length in {path}")
+        (header_len,) = struct.unpack("<I", length)
         header_raw = fh.read(header_len)
         if len(header_raw) != header_len:
             raise DataError(f"truncated container header in {path}")
@@ -64,15 +79,19 @@ def read_container(path) -> tuple[dict, dict]:
             raise DataError(f"unreadable container header in {path}: {exc}") from exc
         payload = fh.read()
 
+    if not isinstance(header, dict):
+        raise DataError(f"container header is not an object in {path}")
     entries = header.get("arrays")
     if not isinstance(entries, list) or not entries:
         raise DataError(f"container header lists no arrays in {path}")
+    for entry in entries:
+        _check_entry(entry, path)
     expected_offset = 0
     arrays = {}
     for entry in sorted(entries, key=lambda e: e["offset"]):
-        if entry.get("dtype") != _DTYPE:
-            raise DataError(f"unsupported dtype {entry.get('dtype')!r} in {path}")
-        shape = tuple(int(s) for s in entry["shape"])
+        if entry["dtype"] != _DTYPE:
+            raise DataError(f"unsupported dtype {entry['dtype']!r} in {path}")
+        shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
         if entry["offset"] != expected_offset:
             raise DataError(

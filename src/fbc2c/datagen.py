@@ -12,8 +12,10 @@ Problems covered:
 * A synthetic two-output 1D problem (solution and its derivative) used to
   exercise vector-valued output bases.
 
-Every generator is deterministic per seed and records enough provenance to
-regenerate the data bit-identically.
+Every generator draws one input function per sample, so inputs are (M, n1);
+the GRF-forced ones draw through ``sample_grf_at``, the one field sampler,
+at their own points.  Every generator is deterministic per seed and records
+enough provenance to regenerate the data bit-identically.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .errors import ConfigurationError, DataError, NumericalError, SolverError
 class FunctionDataset:
     """Paired function samples on fixed point sets.
 
-    inputs: (M, n1) for one input component or (M, C_in, n1) for several;
-    outputs likewise.  Provenance must suffice to regenerate the arrays.
+    inputs: (M, n1), one input function per sample; outputs: (M, n2) for one
+    output component or (M, C, n2) for several.  Provenance must suffice to
+    regenerate the arrays.
     """
 
     input_points: np.ndarray
@@ -47,6 +50,9 @@ class FunctionDataset:
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"dataset field {name} contains NaN or Inf")
             object.__setattr__(self, name, arr)
+        if self.inputs.ndim != 2:
+            raise ConfigurationError(
+                f"inputs must be (M, n1) samples of one input function, got shape {self.inputs.shape}")
         if self.inputs.shape[0] != self.outputs.shape[0]:
             raise ConfigurationError("inputs and outputs disagree on sample count")
         if self.inputs.shape[-1] != self.input_points.shape[0]:
@@ -59,39 +65,12 @@ class FunctionDataset:
         return self.inputs.shape[0]
 
     @property
-    def input_components(self) -> int:
-        return 1 if self.inputs.ndim == 2 else self.inputs.shape[1]
-
-    @property
     def output_components(self) -> int:
         return 1 if self.outputs.ndim == 2 else self.outputs.shape[1]
 
 
 # ---------------------------------------------------------------------------
 # Gaussian random field
-
-
-@dataclass
-class Grf1dConfig:
-    """Squared-exponential field on a uniform grid over [0, 1].
-
-    Covariance k(x, x') = amplitude^2 * exp(-|x - x'|^2 / length_scale^2).
-    """
-
-    n: int
-    length_scale: float = 0.04
-    amplitude: float = 1.0
-    jitter: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ConfigurationError("GRF grid needs at least 2 points")
-        if self.length_scale <= 0 or self.amplitude <= 0:
-            raise ConfigurationError("length_scale and amplitude must be positive")
-
-    def points(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n)
 
 
 def squared_exp_covariance(points: np.ndarray, length_scale: float,
@@ -101,7 +80,7 @@ def squared_exp_covariance(points: np.ndarray, length_scale: float,
     return amplitude ** 2 * np.exp(-(diff / length_scale) ** 2)
 
 
-def _cholesky_with_jitter(cov: np.ndarray, jitter: float, jitter_max: float = 1e-6):
+def _cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10, jitter_max: float = 1e-6):
     n = cov.shape[0]
     level = jitter
     while level <= jitter_max * (1 + 1e-12):
@@ -115,20 +94,22 @@ def _cholesky_with_jitter(cov: np.ndarray, jitter: float, jitter_max: float = 1e
 
 
 def sample_grf_at(points: np.ndarray, count: int, seed,
-                  length_scale: float = 0.04, amplitude: float = 1.0,
-                  jitter: float = 1e-10) -> np.ndarray:
-    """Draw ``count`` field realizations jointly at arbitrary points, (M, n)."""
+                  length_scale: float = 0.04, amplitude: float = 1.0) -> np.ndarray:
+    """Draw ``count`` field realizations jointly at arbitrary points, (M, n).
+
+    Squared-exponential covariance
+    k(x, x') = amplitude^2 * exp(-|x - x'|^2 / length_scale^2); the Cholesky
+    factor takes a diagonal jitter from 1e-10, raised tenfold up to 1e-6
+    while the factorization fails.
+    """
+    if not (length_scale > 0 and amplitude > 0):
+        raise ConfigurationError(
+            f"length_scale and amplitude must be positive, got {length_scale} and {amplitude}")
     pts = np.asarray(points, dtype=np.float64).ravel()
     cov = squared_exp_covariance(pts, length_scale, amplitude)
-    chol = _cholesky_with_jitter(cov, jitter)
+    chol = _cholesky_with_jitter(cov)
     z = np.random.default_rng(seed).standard_normal((pts.size, count))
     return (chol @ z).T
-
-
-def sample_grf(config: Grf1dConfig, count: int) -> np.ndarray:
-    """Draw ``count`` realizations on the config grid, shape (count, n)."""
-    return sample_grf_at(config.points(), count, config.seed,
-                         config.length_scale, config.amplitude, config.jitter)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Coefficient estimation against a fixed basis, plus quality diagnostics.
 
+``encode`` is the one entry point for sampled functions, on a scalar or a
+vector-valued basis; ``projection_error`` takes the same inputs.
+
 One SVD, two filters: every design matrix is factored once by a thin SVD,
 and the encode config only chooses the filter applied to its singular
 values (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
@@ -194,40 +197,44 @@ class CoefficientMatrix:
         return self.values.shape[1]
 
 
-def encode(basis, points, values, config) -> CoefficientMatrix:
-    """Project sampled functions onto a scalar basis.
+def _design_and_rows(basis, points, values):
+    """(design matrix at ``points``, points per component, sample rows).
 
-    values: (M, n) or (n,) function samples at ``points``.
+    A VectorBasis stacks its C component blocks into a (C*n, m) design, and
+    its (M, C, n) or (C, n) samples are stacked component-major into rows of
+    C*n values to match; the points per component is n.  A scalar basis
+    takes (M, n) or (n,) samples as they are.
     """
-    phi = basis.design_matrix(points)
-    enc = LeastSquaresEncoder(phi, config)
-    coeffs = np.atleast_2d(enc.encode_values(values))
-    return CoefficientMatrix(values=coeffs, basis_id=basis.identity())
-
-
-def encode_vector(vbasis: VectorBasis, points, values, config) -> CoefficientMatrix:
-    """Project multi-component samples onto a vector-valued basis.
-
-    values: (M, C, n) with C matching the basis component count.  The solve
-    runs on the stacked (C*n, m) design matrix; the ridge penalty scales
-    with n, matching the per-point normalization of the data term.
-    """
+    design = basis.design_matrix(points)
     values = np.asarray(values, dtype=np.float64)
+    if not isinstance(basis, VectorBasis):
+        return design, design.shape[0], values
     if values.ndim == 2:
         values = values[None, :, :]
-    if values.ndim != 3 or values.shape[1] != vbasis.n_components:
+    if values.ndim != 3 or values.shape[1] != basis.n_components:
         raise ConfigurationError(
-            f"expected values of shape (M, {vbasis.n_components}, n), got {values.shape}"
+            f"expected values of shape (M, {basis.n_components}, n), got {values.shape}"
         )
-    stacked = vbasis.design_matrix(points)
-    n = stacked.shape[0] // vbasis.n_components
+    n = design.shape[0] // basis.n_components
     if values.shape[2] != n:
         raise ConfigurationError(
             f"samples have {values.shape[2]} points per component, design matrix has {n}"
         )
-    enc = LeastSquaresEncoder(stacked, config, n_points=n)
-    coeffs = np.atleast_2d(enc.encode_values(values.reshape(values.shape[0], -1)))
-    return CoefficientMatrix(values=coeffs, basis_id=vbasis.identity())
+    return design, n, values.reshape(values.shape[0], -1)
+
+
+def encode(basis, points, values, config) -> CoefficientMatrix:
+    """Project sampled functions onto a scalar or a vector-valued basis.
+
+    values: (M, n) or (n,) function samples at ``points`` for a scalar
+    basis; (M, C, n) or (C, n) for a VectorBasis of C components, whose
+    solve runs on the stacked design with the ridge penalty scaled by n,
+    matching the per-point normalization of the data term.
+    """
+    design, n, rows = _design_and_rows(basis, points, values)
+    enc = LeastSquaresEncoder(design, config, n_points=n)
+    coeffs = np.atleast_2d(enc.encode_values(rows))
+    return CoefficientMatrix(values=coeffs, basis_id=basis.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +329,11 @@ def projection_error_from_design(design: np.ndarray, targets: np.ndarray, config
 def projection_error(basis, points, targets, config) -> ProjectionError:
     """Relative L2 error of the regularized best fit in the basis span.
 
-    For a VectorBasis, targets are (M, C, n) and the norm runs over the
-    stacked component values.
+    Targets take the shapes ``encode`` takes; for a VectorBasis the norm
+    runs over the stacked component values.
     """
-    if isinstance(basis, VectorBasis):
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 2:
-            targets = targets[None, :, :]
-        design = basis.design_matrix(points)
-        n = design.shape[0] // basis.n_components
-        return projection_error_from_design(
-            design, targets.reshape(targets.shape[0], -1), config, n_points=n
-        )
-    return projection_error_from_design(basis.design_matrix(points), targets, config)
+    design, n, rows = _design_and_rows(basis, points, targets)
+    return projection_error_from_design(design, rows, config, n_points=n)
 
 
 def write_diagnostics_csv(path, rows) -> None:

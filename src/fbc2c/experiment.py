@@ -116,17 +116,18 @@ def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
     """(basis, encoder) of the "input" or "output" side on the training grid.
 
     The design and its SVD are built once per ``data``, in ``data.designs``.
-    Single-component data always takes the scalar basis.
+    Inputs have one component; single-component outputs always take the
+    scalar basis.
     """
     spec = getattr(config, f"{side}_basis")
-    components = getattr(data.train, f"{side}_components")
+    components = data.train.output_components if side == "output" else 1
     points = getattr(data.train, f"{side}_points")
-    mode = getattr(config, f"{side}_mode") if components > 1 else "scalar"
+    mode = config.output_mode if components > 1 else "scalar"
     basis = spec.build(n_components=components) if mode == "vector" else spec.build()
     key = (side, repr(spec), mode)
     design, svd = data.designs.get(key, (None, None))
-    if design is None:  # an input design is never block-diagonal
-        design = _reconstruction_matrix(basis, points, components if side == "output" else 1)
+    if design is None:
+        design = _reconstruction_matrix(basis, points, components)
     enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode").to_config(),
                               n_points=points.shape[0], svd=svd)
     data.designs[key] = (design, enc.svd)
@@ -135,13 +136,7 @@ def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
 
 def _input_features(config: ExperimentConfig, enc, dataset: datagen.FunctionDataset):
     """Network input rows for one dataset: coefficients from ``enc``, or raw values for P2C."""
-    values = dataset.inputs
-    if config.p2c:
-        return _stack_components(values)
-    if dataset.input_components > 1 and config.input_mode == "scalar":
-        blocks = [enc.encode_values(values[:, c, :]) for c in range(values.shape[1])]
-        return np.concatenate(blocks, axis=1)
-    return enc.encode_values(_stack_components(values))
+    return dataset.inputs if config.p2c else enc.encode_values(dataset.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +391,14 @@ def compare_vector_scalar(config: ExperimentConfig,
                           prepared: PreparedData | None = None) -> VectorScalarComparison:
     """Scalar-valued vs vector-valued construction on identical data.
 
-    With single-component data the two constructions coincide and the paired
-    reports come out identical.
+    The two differ only in the output basis.  With single-component outputs
+    they coincide and the paired reports come out identical.
     """
     data = prepared if prepared is not None else prepare_data(config.dataset)
     variants = {}
     for mode in ("scalar", "vector"):
         member = dataclasses.replace(
-            config,
-            input_mode=mode if data.train.input_components > 1 else config.input_mode,
-            output_mode=mode if data.train.output_components > 1 else config.output_mode,
-        )
+            config, output_mode=mode if data.train.output_components > 1 else config.output_mode)
         variants[mode] = run(member, prepared=data)
     return VectorScalarComparison(scalar=variants["scalar"], vector=variants["vector"])
 

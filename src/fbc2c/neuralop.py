@@ -98,21 +98,21 @@ def forward(net: OperatorNet, inputs: np.ndarray) -> np.ndarray:
     return _forward(net, _check_inputs(net, inputs))[1]
 
 
-def _check_targets(psi: np.ndarray, targets: np.ndarray):
+def _check_targets(psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
     """(psi, u, per-sample ||u||) once psi fits the targets and every target is finite and nonzero."""
     psi = np.asarray(psi, dtype=np.float64)
     u = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if psi.ndim != 2 or u.shape[1] != psi.shape[0]:
         raise ConfigurationError(
-            f"targets have {u.shape[1]} points, basis evaluation matrix has shape {psi.shape}"
+            f"{what} have {u.shape[1]} points, basis evaluation matrix has shape {psi.shape}"
         )
     finite = np.isfinite(u).all(axis=1)
     if not finite.all():
-        raise DataError(f"target samples with NaN or Inf at indices {np.flatnonzero(~finite).tolist()}")
+        raise DataError(f"{what} with NaN or Inf at indices {np.flatnonzero(~finite).tolist()}")
     unorm = np.linalg.norm(u, axis=1)
     if np.any(unorm == 0):
         bad = np.flatnonzero(unorm == 0).tolist()
-        raise DataError(f"target samples with zero norm at indices {bad}")
+        raise DataError(f"{what} with zero norm at indices {bad}")
     return psi, u, unorm
 
 
@@ -151,11 +151,12 @@ class ReconstructionLoss:
     keeps a reference to the targets; all other rows take the Gram path.
 
     ``loss_and_grads`` returns its gradient in a buffer this object owns and
-    overwrites on every call; copy it to keep it.
+    overwrites on every call; copy it to keep it.  ``what`` names the targets
+    in the errors their checks raise.
     """
 
-    def __init__(self, psi: np.ndarray, targets: np.ndarray):
-        psi, u, unorm = _check_targets(psi, targets)
+    def __init__(self, psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
+        psi, u, unorm = _check_targets(psi, targets, what)
         self.psi = psi
         self.targets = u
         self.gram = psi.T @ psi
@@ -323,7 +324,7 @@ class _Adam:
 def _check_dataset(net: OperatorNet, inputs, targets, psi, what: str):
     """Checked input rows and their ReconstructionLoss for one labelled set."""
     a = _check_inputs(net, inputs, f"{what} inputs")
-    loss_ws = ReconstructionLoss(psi, targets)
+    loss_ws = ReconstructionLoss(psi, targets, f"{what} targets")
     if loss_ws.m2 != net.output_dim:
         raise ConfigurationError(
             f"basis evaluation matrix has {loss_ws.m2} columns, network outputs {net.output_dim}"

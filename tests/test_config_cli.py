@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="highd_poisson", n_points=10)
     with pytest.raises(ConfigurationError):
         DatasetSpec(kind="nope", n=10, m_train=1, m_test=1)
+    with pytest.raises(ConfigurationError, match=r"dataset\.m_test: must be >= 1, got 0"):
+        DatasetSpec(kind="darcy1d", n=10, m_train=1, m_test=0)
+    with pytest.raises(ConfigurationError, match=r"dataset\.n_points"):
+        DatasetSpec(kind="highd_poisson", d=3, n_points=0)
+    # a field the kind does not read is not checked
+    DatasetSpec(kind="highd_poisson", d=3, n_points=5, m_train=0)
+
+
+def test_config_accepts_an_int_for_a_float_field():
+    data = _tiny_config_dict()
+    data["train"]["lr_start"] = 1
+    assert config_from_dict(data).train.lr_start == 1
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +128,18 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "4",
           "--test", "2", "--seed", "1", "-o", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+    # highd_poisson writes its extrapolation split as well
+    highd = tmp_path / "highd.fbc"
+    assert main(["gen", "--problem", "highd_poisson", "--n", "30", "--dim", "3",
+                 "-o", str(highd)]) == 0
+    arrays, meta = read_container(highd)
+    assert (meta["m_train"], meta["m_test"], meta["m_gen2"]) == (8, 2, 10)
+    assert arrays["inputs_gen2"].shape == (10, 30)
+    assert meta["provenance_gen2"]["split"] == "gen2"
+    capsys.readouterr()
+    assert main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "0",
+                 "-o", str(tmp_path / "empty.fbc")]) == 2
+    assert "dataset.m_train" in capsys.readouterr().err
 
 
 def test_cli_encode_and_diagnose(tmp_path, capsys):
@@ -216,3 +241,22 @@ def test_cli_train_writes_artifacts(tmp_path):
     for name in ("report.txt", "traces.csv", "diagnostics.csv",
                  "checkpoint.fbc", "config.json"):
         assert (outdir / name).exists()
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("train", "epochs", "3", r"config\.train\.epochs: expected int"),
+    ("dataset", "n", "50", r"config\.dataset\.n: expected int \| None"),
+    ("dataset", "m_test", 0, r"dataset\.m_test: must be >= 1"),
+    ("net", "hidden", True, r"config\.net\.hidden: expected int, got bool"),
+    ("train", "lr_start", False, r"config\.train\.lr_start: expected float, got bool"),
+], ids=["string_epochs", "string_n", "zero_m_test", "bool_hidden", "bool_lr"])
+def test_cli_refuses_bad_config_values(tmp_path, capsys, section, key, value, field):
+    cfg = _tiny_config_dict()
+    cfg[section][key] = value
+    path = tmp_path / "run.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["train", "-c", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and re.search(field, err)
+    assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from fbc2c.cli import main
 from fbc2c.container import MAGIC, read_container, write_container
 from fbc2c.errors import ConfigurationError, DataError
 
@@ -97,3 +98,31 @@ def test_requires_at_least_one_array(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_container(tmp_path / "absent.fbc")
+
+
+def _header_bytes(header) -> bytes:
+    raw = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 8
+
+
+_ENTRY = {"name": "v", "dtype": "<f8", "shape": [1], "offset": 0}
+
+
+@pytest.mark.parametrize("raw", [
+    MAGIC + b"\x01\x00",
+    _header_bytes(["arrays"]),
+    _header_bytes({"arrays": [[0, 1]], "meta": {}}),
+    _header_bytes({"arrays": [dict(_ENTRY, name=None)]}),
+    _header_bytes({"arrays": [{k: v for k, v in _ENTRY.items() if k != "name"}]}),
+    _header_bytes({"arrays": [dict(_ENTRY, shape=[1.5])]}),
+    _header_bytes({"arrays": [dict(_ENTRY, shape=3)]}),
+    _header_bytes({"arrays": [dict(_ENTRY, offset="0")]}),
+], ids=["short_length", "header_list", "entry_list", "name_null", "no_name",
+        "float_shape", "scalar_shape", "string_offset"])
+def test_malformed_header_raises_data_error(tmp_path, capsys, raw):
+    path = tmp_path / "x.fbc"
+    path.write_bytes(raw)
+    with pytest.raises(DataError):
+        read_container(path)
+    assert main(["diagnose", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error code=2")

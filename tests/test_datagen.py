@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import fbc2c
-from fbc2c.datagen import (FunctionDataset, Grf1dConfig, _cholesky_with_jitter,
+from fbc2c.datagen import (FunctionDataset, _cholesky_with_jitter,
                            derivative_1d, gen_highd_poisson, highd_profile,
                            make_darcy1d, make_darcy1d_multiresolution,
                            make_highd_poisson, make_multi_output_1d,
-                           make_poisson2d, poisson_2d_forcing, sample_grf,
+                           make_poisson2d, poisson_2d_forcing,
                            sample_grf_at, solve_darcy_1d, solve_poisson_1d,
                            solve_poisson_2d_square, squared_exp_covariance,
                            unit_square_grid)
@@ -34,14 +34,13 @@ def test_covariance_diagonal_is_amplitude_squared():
 
 
 def test_grf_monte_carlo_moments():
-    cfg = Grf1dConfig(n=26, seed=123)
-    draws = sample_grf(cfg, 10_000)
+    pts = np.linspace(0, 1, 26)
+    draws = sample_grf_at(pts, 10_000, 123)
     assert draws.shape == (10_000, 26)
     assert np.max(np.abs(draws.mean(axis=0))) < 0.05          # 3 sigma / sqrt(M)
     # empirical covariance at separation 0.04 (one grid step on this grid)
-    pts = cfg.points()
     step = pts[1] - pts[0]
-    k = np.exp(-(step / cfg.length_scale) ** 2)
+    k = np.exp(-(step / 0.04) ** 2)
     emp = np.mean(draws[:, 7] * draws[:, 8]) - draws[:, 7].mean() * draws[:, 8].mean()
     assert emp == pytest.approx(k, abs=0.05)
     emp_var = draws[:, 13].var()
@@ -49,17 +48,20 @@ def test_grf_monte_carlo_moments():
 
 
 def test_grf_deterministic_per_seed():
-    cfg = Grf1dConfig(n=40, seed=9)
-    assert np.array_equal(sample_grf(cfg, 5), sample_grf(cfg, 5))
-    other = sample_grf(Grf1dConfig(n=40, seed=10), 5)
-    assert not np.array_equal(sample_grf(cfg, 5), other)
+    pts = np.linspace(0, 1, 40)
+    assert np.array_equal(sample_grf_at(pts, 5, 9), sample_grf_at(pts, 5, 9))
+    other = sample_grf_at(pts, 5, 10)
+    assert not np.array_equal(sample_grf_at(pts, 5, 9), other)
 
 
 def test_grf_config_validation():
-    with pytest.raises(ConfigurationError):
-        Grf1dConfig(n=1)
-    with pytest.raises(ConfigurationError):
-        Grf1dConfig(n=10, length_scale=0.0)
+    pts = np.linspace(0, 1, 10)
+    for length_scale, amplitude in [(0.0, 1.0), (-0.1, 1.0), (np.nan, 1.0),
+                                    (0.04, 0.0), (0.04, -1.0)]:
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            sample_grf_at(pts, 2, 0, length_scale, amplitude)
+    # one point is a valid draw
+    assert sample_grf_at(pts[:1], 3, 0).shape == (3, 1)
 
 
 def test_jitter_escalation_recovers_mildly_indefinite_matrix():
@@ -269,7 +271,9 @@ def test_multi_output_linearity():
 def test_function_dataset_validation():
     grid = np.linspace(0, 1, 10)
     ok = FunctionDataset(grid, grid, np.zeros((2, 10)), np.zeros((2, 10)), {})
-    assert ok.n_samples == 2 and ok.input_components == 1
+    assert ok.n_samples == 2 and ok.output_components == 1
+    with pytest.raises(ConfigurationError, match=r"inputs must be \(M, n1\)"):
+        FunctionDataset(grid, grid, np.zeros((2, 1, 10)), np.zeros((2, 10)), {})
     with pytest.raises(DataError):
         FunctionDataset(grid, grid, np.full((2, 10), np.nan), np.zeros((2, 10)), {})
     with pytest.raises(ConfigurationError):

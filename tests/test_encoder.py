@@ -10,7 +10,7 @@ from fbc2c.basis import (ActivationKind, Partition, RfmBasis, VectorBasis,
 from fbc2c.encoder import (CoefficientMatrix, CutMode, LeastSquaresEncoder,
                            Ridge, TruncatedSvd, diagnostics,
                            effective_rank_of_singular_values, encode,
-                           encode_vector, projection_error)
+                           projection_error)
 from fbc2c.errors import ConfigurationError, DataError, RankDeficiencyError
 
 
@@ -186,7 +186,7 @@ def test_encode_vector_single_component_reduces_to_encode():
     rng = np.random.default_rng(0)
     values = rng.standard_normal((5, 30))
     scalar = encode(basis, pts, values, Ridge(1e-6)).values
-    vector = encode_vector(vb, pts, values[:, None, :], Ridge(1e-6)).values
+    vector = encode(vb, pts, values[:, None, :], Ridge(1e-6)).values
     assert vector == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_encode_vector_zero_component_padding():
     rng = np.random.default_rng(1)
     comp1 = rng.standard_normal((5, 30))
     stacked = np.stack([comp1, np.zeros_like(comp1)], axis=1)
-    vector = encode_vector(vb, pts, stacked, Ridge(1e-6)).values
+    vector = encode(vb, pts, stacked, Ridge(1e-6)).values
     scalar = encode(basis, pts, comp1, Ridge(1e-6)).values
     assert vector == pytest.approx(scalar, rel=1e-10, abs=1e-12)
 
@@ -208,22 +208,27 @@ def test_encode_vector_matches_dense_stacked_oracle():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((4, 2, 40))
     lam = 1e-4
-    got = encode_vector(vb, pts, values, Ridge(lam)).values
+    got = encode(vb, pts, values, Ridge(lam)).values
     design = vb.design_matrix(pts)
     gram = design.T @ design + lam * 40 * np.eye(design.shape[1])
     expected = np.stack([
         np.linalg.solve(gram, design.T @ v.reshape(-1)) for v in values
     ])
     assert np.max(np.abs(got - expected)) < 1e-10
+    # the projection floor stacks the components the same way
+    flat = values.reshape(4, -1)
+    resid = np.linalg.norm(expected @ design.T - flat, axis=1) / np.linalg.norm(flat, axis=1)
+    assert projection_error(vb, pts, values, Ridge(lam)).per_sample == pytest.approx(resid, rel=1e-8)
 
 
 def test_encode_vector_shape_validation():
     vb = build_vector_rfm(2, 1, [2], 5, 2.5, seed=17)
     pts = np.linspace(-1, 1, 10)
-    with pytest.raises(ConfigurationError):
-        encode_vector(vb, pts, np.zeros((3, 3, 10)), Ridge(0.1))
-    with pytest.raises(ConfigurationError):
-        encode_vector(vb, pts, np.zeros((3, 2, 7)), Ridge(0.1))
+    for check in (encode, projection_error):
+        with pytest.raises(ConfigurationError, match=r"expected values of shape \(M, 2, n\)"):
+            check(vb, pts, np.zeros((3, 3, 10)), Ridge(0.1))
+        with pytest.raises(ConfigurationError, match="7 points per component"):
+            check(vb, pts, np.zeros((3, 2, 7)), Ridge(0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -392,9 +392,9 @@ def test_train_refuses_non_finite_targets_before_training(monkeypatch):
         raise AssertionError("training started on non-finite targets")
 
     monkeypatch.setattr(ReconstructionLoss, "loss_and_grads", no_training)
-    with pytest.raises(DataError, match=r"NaN or Inf at indices \[3\]"):
+    with pytest.raises(DataError, match=r"training targets with NaN or Inf at indices \[3\]"):
         train(net, a, u, psi, TrainConfig(epochs=3))
-    with pytest.raises(DataError, match=r"NaN or Inf at indices \[3\]"):
+    with pytest.raises(DataError, match=r"test targets with NaN or Inf at indices \[3\]"):
         train(net, a[:4], np.ones((4, 4)), psi, TrainConfig(epochs=3),
               test_inputs=a, test_targets=u)
 
