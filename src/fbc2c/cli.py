@@ -38,16 +38,26 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _comma_list(text: str, convert, flag: str) -> list:
+    """The comma-separated values of ``flag``, each passed through ``convert``."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag}: expected comma-separated {convert.__name__} values, got {text!r}"
+        ) from None
+
+
 def _basis_from_args(args, dim: int):
     partitions = bounds = None
     if args.basis == "rfm":
-        partitions = [int(p) for p in args.partitions.split(",")]
+        partitions = _comma_list(args.partitions, int, "--partitions")
         if len(partitions) != dim:
             raise ConfigurationError(
                 f"partitions: got {len(partitions)} counts for a {dim}-dimensional problem"
             )
         if args.bounds:
-            bounds = [float(v) for v in args.bounds.split(",")]
+            bounds = _comma_list(args.bounds, float, "--bounds")
             if len(bounds) == 2:
                 bounds = bounds * dim
     return BasisSpec(kind=args.basis, partitions=partitions,
@@ -91,11 +101,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = load_config(args.config)
+    resolutions = _comma_list(args.resolutions, int, "--resolutions") if args.resolutions else None
     result = run(config, outdir=args.output)
     for line in result.report.summary_lines():
         print(line)
-    if args.resolutions:
-        resolutions = [int(r) for r in args.resolutions.split(",")]
+    if resolutions:
         table = eval_resolutions(result, resolutions)
         for r, err in table.items():
             print(f"resolution {r}: test_relative_error = {err!r}")
@@ -116,7 +126,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    cuts = [float(c) for c in args.cuts.split(",")]
+    cuts = _comma_list(args.cuts, float, "--cuts")
     table = sweep_cutoff(config, cuts)
     print("cut,erank,variance_entropy,final_test_error")
     for row in table.rows:

@@ -107,4 +107,7 @@ def read_container(path) -> tuple[dict, dict]:
         raise DataError(
             f"payload has {len(payload)} bytes, arrays tile only {expected_offset}"
         )
-    return arrays, header.get("meta", {})
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"container header meta is not an object in {path}")
+    return arrays, meta

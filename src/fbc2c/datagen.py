@@ -75,17 +75,29 @@ class FunctionDataset:
 
 def squared_exp_covariance(points: np.ndarray, length_scale: float,
                            amplitude: float) -> np.ndarray:
+    """amplitude^2 * exp(-((x - x') / length_scale)^2), built in one (n, n) buffer."""
     pts = np.asarray(points, dtype=np.float64).ravel()
-    diff = pts[:, None] - pts[None, :]
-    return amplitude ** 2 * np.exp(-(diff / length_scale) ** 2)
+    cov = np.subtract.outer(pts, pts)
+    cov /= length_scale
+    np.square(cov, out=cov)
+    np.negative(cov, out=cov)
+    np.exp(cov, out=cov)
+    cov *= amplitude ** 2
+    return cov
 
 
 def _cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10, jitter_max: float = 1e-6):
-    n = cov.shape[0]
+    """Cholesky factor of cov + level * I for the first level that factors.
+
+    Overwrites the diagonal of ``cov``: it holds the original diagonal plus
+    the last level tried when this returns or raises.
+    """
+    diag = cov.diagonal().copy()
     level = jitter
     while level <= jitter_max * (1 + 1e-12):
+        np.fill_diagonal(cov, diag + level)
         try:
-            return np.linalg.cholesky(cov + level * np.eye(n))
+            return np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             level *= 10.0
     raise NumericalError(
@@ -242,10 +254,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
         if r == solve_n:
             u_r = u_solve
         else:
-            u_r = np.stack([
-                scipy.interpolate.CubicSpline(solve_grid, u_k)(grid)
-                for u_k in u_solve
-            ])
+            u_r = scipy.interpolate.CubicSpline(solve_grid, u_solve, axis=1)(grid)
         datasets[r] = FunctionDataset(
             input_points=grid, output_points=grid, inputs=f_r, outputs=u_r,
             provenance={
@@ -278,6 +287,17 @@ def _sine_mode_tables(alpha_shape, points):
     return sx, sy
 
 
+def _poisson_scale(p: int, q: int) -> np.ndarray:
+    """Solution factor -1 / ((i^2 + j^2) pi^2) of each sine mode; 0 at (0, 0)."""
+    scale = np.zeros((p, q))
+    for i in range(p):
+        for j in range(q):
+            if i == j == 0:
+                continue
+            scale[i, j] = -1.0 / ((i * i + j * j) * np.pi ** 2)
+    return scale
+
+
 def poisson_2d_forcing(alpha: np.ndarray, points: np.ndarray) -> np.ndarray:
     """f(x, y) = sum_ij alpha_ij sin(i pi x) sin(j pi y) at the given points."""
     alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
@@ -293,15 +313,8 @@ def solve_poisson_2d_square(alpha: np.ndarray, points: np.ndarray) -> np.ndarray
     with the (0, 0) mode skipped (it contributes nothing to f either).
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    p, q = alpha.shape
-    scale = np.zeros((p, q))
-    for i in range(p):
-        for j in range(q):
-            if i == j == 0:
-                continue
-            scale[i, j] = -1.0 / ((i * i + j * j) * np.pi ** 2)
     sx, sy = _sine_mode_tables(alpha.shape, points)
-    return np.einsum("ij,in,jn->n", alpha * scale, sx, sy)
+    return np.einsum("ij,in,jn->n", alpha * _poisson_scale(*alpha.shape), sx, sy)
 
 
 def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
@@ -309,12 +322,16 @@ def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
     """Sine-forced Poisson dataset on the unit square; coefficients U[-1, 1]."""
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     pts = unit_square_grid(points_per_side)
+    # the sums of poisson_2d_forcing and solve_poisson_2d_square, one einsum
+    # per sample, with the mode tables and scale built once, not per sample
+    sx, sy = _sine_mode_tables((modes, modes), pts)
+    scale = _poisson_scale(modes, modes)
     out = []
     for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
         rng = np.random.default_rng(child)
         alphas = rng.uniform(-1.0, 1.0, size=(count, modes, modes))
-        f = np.stack([poisson_2d_forcing(a, pts) for a in alphas])
-        u = np.stack([solve_poisson_2d_square(a, pts) for a in alphas])
+        f = np.stack([np.einsum("ij,in,jn->n", a, sx, sy) for a in alphas])
+        u = np.stack([np.einsum("ij,in,jn->n", a * scale, sx, sy) for a in alphas])
         out.append(FunctionDataset(
             input_points=pts, output_points=pts, inputs=f, outputs=u,
             provenance={

@@ -284,41 +284,56 @@ class TrainTrace:
     wall_seconds: float = 0.0
 
 
+# Elements per pass of the Adam step: its six float64 vectors (parameters,
+# gradient, two moments, two scratch blocks) then take ~1.5 MB, which fits
+# one core's 2 MB L2.  16k blocks measured slower on the 82k-parameter net.
+_BLOCK = 32_768
+
+
 class _Adam:
     """Adam (Kingma & Ba, ICLR 2015) on one flat parameter vector, in place."""
 
     def __init__(self, size: int, beta1: float, beta2: float, eps: float):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._step = np.empty(size)
-        self._denom = np.empty(size)
+        self._step = np.empty(min(size, _BLOCK))
+        self._denom = np.empty(min(size, _BLOCK))
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order, in place.
 
-        Fresh parameter-sized temporaries cost about as much as the arithmetic.
+        The in-place passes run block by block, ``_BLOCK`` elements at a
+        time, so each block's vectors stay in cache across all of them
+        instead of every pass streaming the whole vectors from memory.  Each
+        element sees the same operations in the same order either way, so
+        the result does not depend on the block size.  The scratch vectors
+        are one block long.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = self.beta1, self.beta2, self.eps
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        m, v, step, denom = self.m, self.v, self._step, self._denom
-        m *= b1
-        np.multiply(grads, 1.0 - b1, out=step)
-        m += step
-        v *= b2
-        np.multiply(grads, 1.0 - b2, out=step)
-        step *= grads
-        v += step
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        np.divide(m, c1, out=step)
-        step *= lr
-        step /= denom
-        params -= step
+        for lo in range(0, params.size, _BLOCK):
+            hi = lo + _BLOCK
+            g = grads[lo:hi]
+            m, v = self.m[lo:hi], self.v[lo:hi]
+            step, denom = self._step[:g.size], self._denom[:g.size]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=step)
+            m += step
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=step)
+            step *= g
+            v += step
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            np.divide(m, c1, out=step)
+            step *= lr
+            step /= denom
+            params[lo:hi] -= step
 
 
 def _check_dataset(net: OperatorNet, inputs, targets, psi, what: str):

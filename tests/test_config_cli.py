@@ -204,6 +204,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error code=4")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("encode", "--partitions", "x"),
+    ("encode", "--bounds", "0,y"),
+    ("sweep", "--cuts", "1e-2,z"),
+    ("eval", "--resolutions", "40,1.5"),
+], ids=["partitions", "bounds", "cuts", "resolutions"])
+def test_cli_refuses_malformed_comma_lists(tmp_path, capsys, command, flag, value):
+    if command == "encode":
+        source = tmp_path / "data.fbc"
+        main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
+              "-o", str(source)])
+        args = ["encode", str(source), "-o", str(tmp_path / "c.fbc")]
+    else:
+        source = tmp_path / "run.json"
+        with open(source, "w") as fh:
+            json.dump(_tiny_config_dict(), fh)
+        args = [command, "-c", str(source)]
+    capsys.readouterr()
+    assert main(args + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and flag in err and repr(value) in err
+
+
 def test_cli_eval_prints_report(tmp_path, capsys):
     cfg = _tiny_config_dict()
     path = tmp_path / "run.json"

@@ -117,8 +117,9 @@ _ENTRY = {"name": "v", "dtype": "<f8", "shape": [1], "offset": 0}
     _header_bytes({"arrays": [dict(_ENTRY, shape=[1.5])]}),
     _header_bytes({"arrays": [dict(_ENTRY, shape=3)]}),
     _header_bytes({"arrays": [dict(_ENTRY, offset="0")]}),
+    _header_bytes({"arrays": [_ENTRY], "meta": [1, 2]}),
 ], ids=["short_length", "header_list", "entry_list", "name_null", "no_name",
-        "float_shape", "scalar_shape", "string_offset"])
+        "float_shape", "scalar_shape", "string_offset", "meta_list"])
 def test_malformed_header_raises_data_error(tmp_path, capsys, raw):
     path = tmp_path / "x.fbc"
     path.write_bytes(raw)

@@ -33,6 +33,14 @@ def test_covariance_diagonal_is_amplitude_squared():
     assert cov[i, j] == pytest.approx(np.exp(-(d / 0.04) ** 2))
 
 
+def test_covariance_equals_the_dense_expression_bitwise():
+    pts = np.random.default_rng(4).uniform(0, 1, 57)
+    for length_scale, amplitude in [(0.04, 1.0), (0.3, 1.7), (0.1, 0.25)]:
+        diff = pts[:, None] - pts[None, :]
+        dense = amplitude ** 2 * np.exp(-(diff / length_scale) ** 2)
+        assert np.array_equal(squared_exp_covariance(pts, length_scale, amplitude), dense)
+
+
 def test_grf_monte_carlo_moments():
     pts = np.linspace(0, 1, 26)
     draws = sample_grf_at(pts, 10_000, 123)
@@ -70,6 +78,23 @@ def test_jitter_escalation_recovers_mildly_indefinite_matrix():
     assert np.all(np.isfinite(chol))
     with pytest.raises(NumericalError):
         _cholesky_with_jitter(np.diag([1.0, -1.0]), 1e-10)
+
+
+def test_escalated_jitter_factor_equals_the_dense_shift_bitwise():
+    # eigenvalue -5e-8: the levels 1e-10, 1e-9 and 1e-8 fail, the fourth factors
+    q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((6, 6)))
+    cov = (q * [2.0, 1.0, 0.5, 0.1, 1e-3, -5e-8]) @ q.T
+    cov = 0.5 * (cov + cov.T)
+    level = 1e-10
+    for _ in range(3):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov + level * np.eye(6))
+        level *= 10.0
+    work = cov.copy()
+    chol = _cholesky_with_jitter(work)
+    assert np.array_equal(chol, np.linalg.cholesky(cov + level * np.eye(6)))
+    # the documented side effect: the argument's diagonal carries the level used
+    assert np.array_equal(work, cov + level * np.eye(6))
 
 
 def test_grf_joint_sampling_handles_near_duplicate_points():
@@ -149,6 +174,16 @@ def test_multiresolution_targets_are_consistent():
         make_darcy1d_multiresolution([], count=2, seed=0)
 
 
+def test_multiresolution_spline_matches_one_spline_per_sample():
+    import scipy.interpolate
+
+    data = make_darcy1d_multiresolution([25, 400], count=3, seed=2, solve_n=400)
+    solve_grid = data[400].output_points
+    per_sample = np.stack([scipy.interpolate.CubicSpline(solve_grid, u)(data[25].output_points)
+                           for u in data[400].outputs])
+    assert np.array_equal(data[25].outputs, per_sample)
+
+
 # ---------------------------------------------------------------------------
 # 2D Poisson on the square
 
@@ -202,6 +237,17 @@ def test_make_poisson2d_dataset():
     pts = train.output_points
     boundary = (pts[:, 0] == 0) | (pts[:, 0] == 1) | (pts[:, 1] == 0) | (pts[:, 1] == 1)
     assert np.max(np.abs(train.outputs[:, boundary])) < 1e-12
+
+
+def test_make_poisson2d_splits_equal_the_per_sample_functions():
+    seed, modes = 7, 4
+    splits = make_poisson2d(7, 5, 3, seed=seed, modes=modes)
+    for ds, child in zip(splits, np.random.SeedSequence(seed).spawn(2)):
+        alphas = np.random.default_rng(child).uniform(-1.0, 1.0, (ds.n_samples, modes, modes))
+        pts = ds.input_points
+        assert np.array_equal(ds.inputs, np.stack([poisson_2d_forcing(a, pts) for a in alphas]))
+        assert np.array_equal(ds.outputs,
+                              np.stack([solve_poisson_2d_square(a, pts) for a in alphas]))
 
 
 # ---------------------------------------------------------------------------

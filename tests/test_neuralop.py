@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbc2c.errors import ConfigurationError, DataError, TrainingDiverged
-from fbc2c.neuralop import (OperatorNet, ReconstructionLoss, TrainConfig, _Adam,
+from fbc2c.neuralop import (_BLOCK, OperatorNet, ReconstructionLoss, TrainConfig, _Adam,
                             forward, gradient, init_net, learning_rate,
                             relative_loss, train)
 
@@ -59,9 +59,9 @@ def test_wrong_size_parameter_vector_is_rejected(size):
         OperatorNet.from_flat(np.zeros(size), 3, 4, 2)
 
 
-def test_adam_on_the_flat_vector_matches_the_per_array_update():
-    rng = np.random.default_rng(8)
-    shapes = [(5, 3), (5,), (2, 5)]
+def _assert_adam_matches_per_array_update(shapes, seed):
+    """Five steps of ``_Adam`` on the concatenated arrays against per-array Adam."""
+    rng = np.random.default_rng(seed)
     params = [rng.standard_normal(s) for s in shapes]
     flat = np.concatenate([p.ravel() for p in params])
     m = [np.zeros(s) for s in shapes]
@@ -81,6 +81,20 @@ def test_adam_on_the_flat_vector_matches_the_per_array_update():
             p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
         adam.step(flat, np.concatenate([g.ravel() for g in grads]), lr)
         assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+    return adam
+
+
+def test_adam_on_the_flat_vector_matches_the_per_array_update():
+    _assert_adam_matches_per_array_update([(5, 3), (5,), (2, 5)], seed=8)
+
+
+def test_blocked_adam_matches_the_per_array_update_across_blocks():
+    # 2 * _BLOCK + 7 elements: two full blocks and a ragged tail, split into
+    # arrays that straddle the block boundaries
+    adam = _assert_adam_matches_per_array_update([(_BLOCK + 5,), (5, (_BLOCK - 3) // 5), (5,)],
+                                                 seed=9)
+    assert adam.m.size == 2 * _BLOCK + 7
+    assert adam._step.size <= _BLOCK and adam._denom.size <= _BLOCK
 
 
 def test_loss_and_grads_overwrites_one_gradient_buffer():
