@@ -5,7 +5,9 @@ Problems covered:
 * 1D nonlinear Darcy flow d/dx(a(u) du/dx) = f with a(u) = 0.2 + u^2 and
   homogeneous Dirichlet conditions, forced by a squared-exponential Gaussian
   random field; solved by damped Newton on a conservative second-order
-  finite-difference scheme.
+  finite-difference scheme, all samples of a chunk iterating together with
+  one banded solve per iteration (``solve_darcy_batch``), and each
+  sample's solution independent of the batch it is solved in.
 * 2D Poisson on the unit square with a truncated sine-expansion forcing,
   solved exactly through the eigenfunction identity.
 * High-dimensional Poisson with a scaled analytic solution.
@@ -20,6 +22,7 @@ enough provenance to regenerate the data bit-identically.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,11 +131,25 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
 # 1D nonlinear Darcy solver
 
 
-def _darcy_residual(u: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+# Rows per Newton chunk are _NEWTON_BLOCK // n (at least 1): a chunk's
+# (rows, n) working arrays stay near 32768 elements, so batching the rows
+# does not raise the solve's peak memory.
+_NEWTON_BLOCK = 32_768
+
+
+def _interface_coefficients(u: np.ndarray) -> np.ndarray:
+    """Arithmetic means of a(u) = 0.2 + u^2 at the cell interfaces, along the last axis."""
     a = 0.2 + u ** 2
-    a_mid = 0.5 * (a[:-1] + a[1:])
+    return 0.5 * (a[..., :-1] + a[..., 1:])
+
+
+def _darcy_residual(u: np.ndarray, f: np.ndarray, h: float,
+                    a_mid: np.ndarray | None = None) -> np.ndarray:
+    """Interior residual of the scheme along the last axis, one row per sample."""
+    if a_mid is None:
+        a_mid = _interface_coefficients(u)
     flux = a_mid * np.diff(u) / h
-    return np.diff(flux) / h - f[1:-1]
+    return np.diff(flux) / h - f[..., 1:-1]
 
 
 def solve_darcy_1d(f: np.ndarray, tol: float = 1e-10, max_iter: int = 100,
@@ -145,62 +162,114 @@ def solve_darcy_1d(f: np.ndarray, tol: float = 1e-10, max_iter: int = 100,
     residual evaluation has a float64 rounding floor of roughly
     eps * max|a| * max|u| / h^2, which on fine grids can sit slightly above
     a very tight tol; if the line search stagnates there the solve is
-    accepted as long as the residual is within 1e3 * tol.
+    accepted as long as the residual is within 1e3 * tol.  This is the
+    one-row call of ``solve_darcy_batch``.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
-    n = f.size
+    return solve_darcy_batch(f[None], tol, max_iter, max_halvings)[0]
+
+
+def solve_darcy_batch(forcings: np.ndarray, tol: float = 1e-10, max_iter: int = 100,
+                      max_halvings: int = 30) -> np.ndarray:
+    """Solve the Darcy problem of ``solve_darcy_1d`` for each row of ``forcings``, (M, n).
+
+    All rows of a chunk iterate together: residuals and Jacobian bands are
+    evaluated on (rows, n) arrays along axis 1, and each Newton iteration
+    makes one ``scipy.linalg.solve_banded`` call on the (3, rows * (n - 2))
+    stack of the rows' tridiagonal systems, with zero coupling entries
+    between consecutive blocks.  LAPACK's ``gtsv`` eliminates with factor
+    0 / d = 0 across such a zero coupling and never pivots there, so each
+    block gets exactly the arithmetic of its own solve; step halving and
+    stagnation acceptance are per row, and a row leaves the chunk once it
+    is done.  A row's solution is therefore bit-identical whatever batch it
+    is solved in.  Chunks hold ``_NEWTON_BLOCK // n`` rows (at least one).
+
+    Raises ``SolverError`` for the lowest row index that fails, naming it
+    and carrying that row's residual history.
+    """
+    forcings = np.atleast_2d(np.asarray(forcings, dtype=np.float64))
+    if forcings.ndim != 2:
+        raise ConfigurationError(
+            f"Darcy forcings must be (M, n) rows, got shape {forcings.shape}")
+    n = forcings.shape[1]
     if n < 3:
         raise ConfigurationError("Darcy grid needs at least 3 points")
-    if not np.all(np.isfinite(f)):
+    if not np.all(np.isfinite(forcings)):
         raise DataError("Darcy forcing contains NaN or Inf")
+    solutions = np.zeros_like(forcings)
+    chunk = max(1, _NEWTON_BLOCK // n)
+    for lo in range(0, forcings.shape[0], chunk):
+        _newton_chunk(forcings[lo:lo + chunk], solutions[lo:lo + chunk], lo,
+                      tol, max_iter, max_halvings)
+    return solutions
+
+
+def _newton_chunk(f: np.ndarray, out: np.ndarray, first_row: int, tol: float,
+                  max_iter: int, max_halvings: int) -> None:
+    """Damped Newton on the rows of ``f`` together, writing each solution into ``out``."""
+    rows, n = f.shape
     h = 1.0 / (n - 1)
-    u = np.zeros(n)
-    history = []
-    for _ in range(max_iter):
-        res = _darcy_residual(u, f, h)
-        rnorm = float(np.max(np.abs(res))) if res.size else 0.0
-        history.append(rnorm)
-        if rnorm < tol:
-            return u
-        a = 0.2 + u ** 2
-        a_mid = 0.5 * (a[:-1] + a[1:])
-        ui = u[1:-1]
-        main = (ui * (u[2:] - 2.0 * ui + u[:-2]) - a_mid[1:] - a_mid[:-1]) / h ** 2
-        upper = (a_mid[1:-1] + u[2:-1] * (u[2:-1] - u[1:-2])) / h ** 2
-        lower = (a_mid[1:-1] - u[1:-2] * (u[2:-1] - u[1:-2])) / h ** 2
-        ab = np.zeros((3, n - 2))
-        ab[0, 1:] = upper
-        ab[1, :] = main
-        ab[2, :-1] = lower
-        delta = scipy.linalg.solve_banded((1, 1), ab, -res)
-        step = 1.0
-        improved = False
-        for _ in range(max_halvings):
-            trial = u.copy()
-            trial[1:-1] += step * delta
-            trial_norm = np.max(np.abs(_darcy_residual(trial, f, h)))
-            if trial_norm < rnorm:
-                improved = True
+    u = np.zeros_like(f)
+    active = np.arange(rows)    # chunk rows still iterating, in the order of u and f
+    norms = []                  # per iteration, the residual norm of every chunk row
+    failures = {}               # chunk row -> (message, its number of iterations)
+    for it in range(max_iter):
+        a_mid = _interface_coefficients(u)
+        res = _darcy_residual(u, f, h, a_mid)
+        rnorm = np.max(np.abs(res), axis=1)
+        norms.append(np.full(rows, np.nan))
+        norms[-1][active] = rnorm
+        converged = rnorm < tol
+        if converged.any():
+            out[active[converged]] = u[converged]
+            keep = ~converged
+            u, f, active, rnorm, res, a_mid = (
+                u[keep], f[keep], active[keep], rnorm[keep], res[keep], a_mid[keep])
+            if not active.size:
                 break
-            step *= 0.5
-        if not improved:
-            # stagnation at the rounding floor of the residual evaluation
-            if rnorm < 1e3 * tol:
-                return u
-            raise SolverError(
-                f"Darcy Newton stagnated at residual {rnorm:.3e} (tol {tol:g})",
-                residual_history=history,
-            )
-        u[1:-1] += step * delta
-    raise SolverError(
-        f"Darcy Newton iteration did not reach tol {tol:g} in {max_iter} iterations",
-        residual_history=history,
-    )
-
-
-def solve_darcy_batch(forcings: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    forcings = np.atleast_2d(np.asarray(forcings, dtype=np.float64))
-    return np.stack([solve_darcy_1d(f, tol=tol) for f in forcings])
+        ui = u[:, 1:-1]
+        du = u[:, 2:-1] - u[:, 1:-2]
+        ab = np.zeros((3, active.size, n - 2))
+        ab[0, :, 1:] = (a_mid[:, 1:-1] + u[:, 2:-1] * du) / h ** 2
+        ab[1] = (ui * (u[:, 2:] - 2.0 * ui + u[:, :-2]) - a_mid[:, 1:] - a_mid[:, :-1]) / h ** 2
+        ab[2, :, :-1] = (a_mid[:, 1:-1] - u[:, 1:-2] * du) / h ** 2
+        delta = scipy.linalg.solve_banded((1, 1), ab.reshape(3, -1), -res.ravel(),
+                                          overwrite_ab=True, overwrite_b=True)
+        delta = delta.reshape(active.size, n - 2)
+        # halve each row's step while it does not lower that row's residual
+        step = np.ones(active.size)
+        searching = np.arange(active.size)
+        for _ in range(max_halvings):
+            trial = u[searching]
+            trial[:, 1:-1] += step[searching, None] * delta[searching]
+            trial_norm = np.max(np.abs(_darcy_residual(trial, f[searching], h)), axis=1)
+            lower = trial_norm < rnorm[searching]
+            searching = searching[~lower]
+            if not searching.size:
+                break
+            step[searching] *= 0.5
+        improved = np.ones(active.size, dtype=bool)
+        improved[searching] = False
+        # stagnation at the rounding floor of the residual evaluation
+        accepted = ~improved & (rnorm < 1e3 * tol)
+        out[active[accepted]] = u[accepted]
+        for r in active[~improved & ~accepted]:
+            failures[r] = (f"Darcy Newton stagnated at residual {norms[-1][r]:.3e} (tol {tol:g})",
+                           it + 1)
+        if searching.size:
+            u, f, active, step, delta = (
+                u[improved], f[improved], active[improved], step[improved], delta[improved])
+            if not active.size:
+                break
+        u[:, 1:-1] += step[:, None] * delta
+    for r in active:
+        failures[r] = (f"Darcy Newton iteration did not reach tol {tol:g} in {max_iter} iterations",
+                       max_iter)
+    if failures:
+        r = min(failures)
+        message, iterations = failures[r]
+        raise SolverError(f"row {first_row + r}: {message}",
+                          residual_history=[float(x[r]) for x in norms[:iterations]])
 
 
 def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
@@ -259,7 +328,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
             input_points=grid, output_points=grid, inputs=f_r, outputs=u_r,
             provenance={
                 "generator": "darcy1d_multires", "n": r, "count": count,
-                "seed": seed if isinstance(seed, int) else list(seed),
+                "seed": int(seed) if isinstance(seed, numbers.Integral) else list(seed),
                 "solve_n": solve_n,
                 "length_scale": length_scale, "amplitude": amplitude,
                 "solver_tol": tol,

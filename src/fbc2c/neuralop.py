@@ -14,6 +14,7 @@ gradient is one buffer per ``ReconstructionLoss``, overwritten every call.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -291,7 +292,17 @@ _BLOCK = 32_768
 
 
 class _Adam:
-    """Adam (Kingma & Ba, ICLR 2015) on one flat parameter vector, in place."""
+    """Adam on one flat parameter vector, in place, in Kingma & Ba's efficient form.
+
+    With bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t, the
+    textbook update lr * (m / c1) / (sqrt(v / c2) + eps) equals
+    alpha * m / (sqrt(v) + eps_hat) with the two scalars
+    alpha = lr * sqrt(c2) / c1 and eps_hat = eps * sqrt(c2) (Kingma & Ba,
+    ICLR 2015, Sec. 2, last paragraph).  That form needs one vector
+    division per step instead of three.  The moments m and v are computed
+    exactly as in the textbook form; the update is exact in real arithmetic
+    but rounds differently in the last bits.
+    """
 
     def __init__(self, size: int, beta1: float, beta2: float, eps: float):
         self.m = np.zeros(size)
@@ -302,7 +313,7 @@ class _Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
-        """params -= lr * (m / c1) / (sqrt(v / c2) + eps), in that order, in place.
+        """params -= (m / (sqrt(v) + eps_hat)) * alpha, in that order, in place.
 
         The in-place passes run block by block, ``_BLOCK`` elements at a
         time, so each block's vectors stay in cache across all of them
@@ -312,9 +323,11 @@ class _Adam:
         are one block long.
         """
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        root_c2 = math.sqrt(1.0 - b2 ** self.t)
+        alpha = lr * root_c2 / c1
+        eps_hat = self.eps * root_c2
         for lo in range(0, params.size, _BLOCK):
             hi = lo + _BLOCK
             g = grads[lo:hi]
@@ -327,12 +340,10 @@ class _Adam:
             np.multiply(g, 1.0 - b2, out=step)
             step *= g
             v += step
-            np.divide(v, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            np.divide(m, c1, out=step)
-            step *= lr
-            step /= denom
+            np.sqrt(v, out=denom)
+            denom += eps_hat
+            np.divide(m, denom, out=step)
+            step *= alpha
             params[lo:hi] -= step
 
 

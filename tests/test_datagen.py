@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import fbc2c
-from fbc2c.datagen import (FunctionDataset, _cholesky_with_jitter,
-                           derivative_1d, gen_highd_poisson, highd_profile,
-                           make_darcy1d, make_darcy1d_multiresolution,
+from fbc2c.datagen import (_NEWTON_BLOCK, FunctionDataset, _cholesky_with_jitter,
+                           _darcy_residual, derivative_1d, gen_highd_poisson,
+                           highd_profile, make_darcy1d, make_darcy1d_multiresolution,
                            make_highd_poisson, make_multi_output_1d,
-                           make_poisson2d, poisson_2d_forcing,
-                           sample_grf_at, solve_darcy_1d, solve_poisson_1d,
+                           make_poisson2d, poisson_2d_forcing, sample_grf_at,
+                           solve_darcy_1d, solve_darcy_batch, solve_poisson_1d,
                            solve_poisson_2d_square, squared_exp_covariance,
                            unit_square_grid)
 from fbc2c.errors import (ConfigurationError, DataError, NumericalError,
@@ -152,6 +152,42 @@ def test_darcy_reports_residual_history_on_failure():
     assert len(info.value.residual_history) >= 1
 
 
+def test_darcy_batch_rows_do_not_depend_on_their_batch():
+    n = 2000
+    assert _NEWTON_BLOCK // n == 16
+    grid = np.linspace(0.0, 1.0, n)
+    draws = sample_grf_at(grid, 20, seed=0)
+    # 22 rows in two chunks; the all-zero row converges at iteration 0, and
+    # at n = 2000 rows 1, 4 and 8 (and 5x row 0) end on the line search's
+    # stagnation at the residual's rounding floor, accepted above tol
+    forcings = np.vstack([draws, np.zeros(n), 5.0 * draws[0]])
+    batch = solve_darcy_batch(forcings)
+    single = np.stack([solve_darcy_batch(f[None])[0] for f in forcings])
+    assert np.array_equal(batch, single)
+    assert np.all(batch[20] == 0.0)
+    final = np.max(np.abs(_darcy_residual(batch, forcings, 1.0 / (n - 1))), axis=1)
+    assert np.all(final[[1, 4, 8, 21]] >= 1e-10) and np.all(final < 1e-7)
+    # a one-chunk batch against the one-sample solver
+    small = forcings[[3, 20, 0], ::8]
+    assert np.array_equal(solve_darcy_batch(small), np.stack([solve_darcy_1d(f) for f in small]))
+
+
+def test_darcy_batch_failure_names_the_failing_row():
+    f = 100.0 * np.sin(np.pi * np.linspace(0, 1, 64))
+    forcings = np.zeros((5, 64))
+    forcings[2] = f
+    with pytest.raises(SolverError, match="row 2") as info:
+        solve_darcy_batch(forcings, tol=1e-10, max_iter=1)
+    with pytest.raises(SolverError) as alone:
+        solve_darcy_1d(f, tol=1e-10, max_iter=1)
+    assert info.value.residual_history == alone.value.residual_history
+    assert len(info.value.residual_history) == 1
+    # with a later row failing too, the error is still about the lowest one
+    forcings[4] = -f
+    with pytest.raises(SolverError, match="row 2"):
+        solve_darcy_batch(forcings, tol=1e-10, max_iter=1)
+
+
 def test_make_darcy1d_splits_and_provenance():
     train, test = make_darcy1d(64, 4, 3, seed=5)
     assert train.n_samples == 4 and test.n_samples == 3
@@ -172,6 +208,13 @@ def test_multiresolution_targets_are_consistent():
     assert np.max(np.abs(d50.outputs)) > 0
     with pytest.raises(ConfigurationError):
         make_darcy1d_multiresolution([], count=2, seed=0)
+
+
+def test_multiresolution_records_a_numpy_integer_seed():
+    data = make_darcy1d_multiresolution([40], 2, np.int64(3), solve_n=50)
+    assert data[40].provenance["seed"] == 3 and type(data[40].provenance["seed"]) is int
+    same = make_darcy1d_multiresolution([40], 2, 3, solve_n=50)
+    assert np.array_equal(data[40].outputs, same[40].outputs)
 
 
 def test_multiresolution_spline_matches_one_spline_per_sample():

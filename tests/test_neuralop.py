@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,9 +62,15 @@ def test_wrong_size_parameter_vector_is_rejected(size):
 
 
 def _assert_adam_matches_per_array_update(shapes, seed):
-    """Five steps of ``_Adam`` on the concatenated arrays against per-array Adam."""
+    """Five steps of ``_Adam`` on the concatenated arrays against per-array Adam.
+
+    The per-array reference is the efficient form in the step's own op
+    order, so parameters and moments must match bit for bit; the textbook
+    expression is run alongside and must agree to rounding.
+    """
     rng = np.random.default_rng(seed)
     params = [rng.standard_normal(s) for s in shapes]
+    textbook = [p.copy() for p in params]
     flat = np.concatenate([p.ravel() for p in params])
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
@@ -72,15 +80,22 @@ def _assert_adam_matches_per_array_update(shapes, seed):
         grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
-        # reference: the per-array Adam expression
-        for p, g, mi, vi in zip(params, grads, m, v):
+        alpha = lr * math.sqrt(c2) / c1
+        eps_hat = eps * math.sqrt(c2)
+        # reference: the per-array Adam expression in Kingma & Ba's efficient form
+        for p, q, g, mi, vi in zip(params, textbook, grads, m, v):
             mi *= b1
             mi += (1.0 - b1) * g
             vi *= b2
             vi += (1.0 - b2) * g * g
-            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+            p -= (mi / (np.sqrt(vi) + eps_hat)) * alpha
+            q -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
         adam.step(flat, np.concatenate([g.ravel() for g in grads]), lr)
         assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+        assert np.array_equal(adam.m, np.concatenate([mi.ravel() for mi in m]))
+        assert np.array_equal(adam.v, np.concatenate([vi.ravel() for vi in v]))
+    np.testing.assert_allclose(flat, np.concatenate([q.ravel() for q in textbook]),
+                               rtol=1e-12, atol=0)
     return adam
 
 
