@@ -16,8 +16,13 @@ Problems covered:
 
 Every generator draws one input function per sample, so inputs are (M, n1);
 the GRF-forced ones draw through ``sample_grf_at``, the one field sampler,
-at their own points.  Every generator is deterministic per seed and records
-enough provenance to regenerate the data bit-identically.
+at their own points.  It factors the covariance in place with a blocked
+Cholesky whose trailing updates skip negligible rows, so it holds little
+more than the one (n, n) covariance buffer, and up to 512 points it draws
+exactly the fields of a dense ``np.linalg.cholesky`` factor.  Every
+generator checks its seed before drawing anything (a non-negative integer
+or a sequence of them), is deterministic per seed, and records enough
+provenance to regenerate the data bit-identically.
 """
 
 from __future__ import annotations
@@ -72,6 +77,25 @@ class FunctionDataset:
         return 1 if self.outputs.ndim == 2 else self.outputs.shape[1]
 
 
+def _seed_provenance(seed):
+    """The value a generator records for ``seed``, checked before it draws anything.
+
+    A non-negative integer (any ``numbers.Integral``) is recorded as an int
+    and a sequence of non-negative integers as a list of ints; the
+    generator seeds its ``SeedSequence`` with that value, so the record
+    regenerates the data.  Anything else (``None``, which would draw fresh
+    OS entropy, a float, a string) raises ``ConfigurationError``.
+    """
+    if isinstance(seed, numbers.Integral):
+        if seed >= 0:
+            return int(seed)
+    elif isinstance(seed, Sequence) and not isinstance(seed, (str, bytes)):
+        if all(isinstance(s, numbers.Integral) and s >= 0 for s in seed):
+            return [int(s) for s in seed]
+    raise ConfigurationError(
+        f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+
+
 # ---------------------------------------------------------------------------
 # Gaussian random field
 
@@ -89,23 +113,101 @@ def squared_exp_covariance(points: np.ndarray, length_scale: float,
     return cov
 
 
-def _cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10, jitter_max: float = 1e-6):
-    """Cholesky factor of cov + level * I for the first level that factors.
+# Rows per block of the GRF factor.  Up to this many points the factor is
+# one np.linalg.cholesky call, so every grid of at most 512 points (all the
+# training grids) draws the fields a dense factor draws, bit for bit.
+_CHOL_BLOCK = 512
 
-    Overwrites the diagonal of ``cov``: it holds the original diagonal plus
-    the last level tried when this returns or raises.
+
+def _cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10, jitter_max: float = 1e-6):
+    """Cholesky factor of cov + level * I for the first level that factors, in place.
+
+    ``cov`` is a symmetric (n, n) float64 array; the factor is
+    written into its lower triangle, its strict upper triangle is zeroed,
+    and ``cov`` itself is returned.  Levels start at ``jitter`` and rise
+    tenfold up to ``jitter_max``; a failure in any diagonal block retries
+    the whole factor at the next level.  Until the factor succeeds only the
+    diagonal and the lower triangle are written, so a retry restores the
+    lower triangle from the untouched strict upper one and the diagonal
+    from a saved copy, without a second (n, n) buffer.  When this raises
+    ``NumericalError``, ``cov`` holds the original matrix plus the last
+    level tried on its diagonal.
+
+    The factor is right-looking and blocked (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 4.2) in blocks of ``_CHOL_BLOCK`` rows:
+    ``np.linalg.cholesky`` on each diagonal block, a triangular solve for
+    the panel below it, and the trailing update only for panel rows up to
+    the last one with an entry above tol = eps * sqrt(max diag) / n.  Each
+    term that skip drops is a product L_ic L_jc with |L_ic| <= tol and
+    |L_jc| <= sqrt(max diag), so the at most n of them that meet in one
+    entry of L L^T move it by at most eps * max diag, below the rounding
+    any Cholesky factor carries, (n + 1) * eps / 2 * max diag (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3).
+    Together, max|L L^T - (cov + level * I)| <= (n + 2) * eps * max diag.
+    For n <= _CHOL_BLOCK the factor is exactly
+    ``np.linalg.cholesky(cov + level * I)``.
     """
+    n = cov.shape[0]
     diag = cov.diagonal().copy()
     level = jitter
     while level <= jitter_max * (1 + 1e-12):
         np.fill_diagonal(cov, diag + level)
         try:
-            return np.linalg.cholesky(cov)
+            _blocked_cholesky(cov, np.finfo(np.float64).eps * np.sqrt(np.max(diag + level)) / n)
         except np.linalg.LinAlgError:
+            _restore_lower_triangle(cov)
+            np.fill_diagonal(cov, diag + level)
             level *= 10.0
+            continue
+        for r0 in range(0, n, _CHOL_BLOCK):
+            r1 = min(r0 + _CHOL_BLOCK, n)
+            cov[r0:r1, r0:r1][~np.tri(r1 - r0, dtype=bool)] = 0.0
+            cov[r0:r1, r1:] = 0.0
+        return cov
     raise NumericalError(
         f"covariance factorization failed with jitter escalated to {jitter_max:g}"
     )
+
+
+def _blocked_cholesky(a: np.ndarray, tol: float) -> None:
+    """Lower Cholesky factor of ``a`` into its lower triangle, skipping negligible rows.
+
+    Reads and writes only the diagonal and the strict lower triangle; the
+    trailing update stops after the last panel row with an entry above
+    ``tol`` (see ``_cholesky_with_jitter``).  Raises ``LinAlgError`` when a
+    diagonal block is not positive definite.
+    """
+    n = a.shape[0]
+    for r0 in range(0, n, _CHOL_BLOCK):
+        r1 = min(r0 + _CHOL_BLOCK, n)
+        l11 = np.linalg.cholesky(a[r0:r1, r0:r1])
+        np.copyto(a[r0:r1, r0:r1], l11, where=np.tri(r1 - r0, dtype=bool))
+        if r1 == n:
+            return
+        panel = a[r1:, r0:r1]
+        panel[...] = scipy.linalg.solve_triangular(
+            l11, panel.T, lower=True, overwrite_b=True, check_finite=False).T
+        big = np.flatnonzero((panel.max(axis=1) > tol) | (panel.min(axis=1) < -tol))
+        if not big.size:
+            continue
+        # a[r1 + i, r1 + j] -= panel[i] . panel[j] for j <= i <= big[-1],
+        # by block rows, masked so nothing above the diagonal is written
+        rows = big[-1] + 1
+        for i0 in range(0, rows, _CHOL_BLOCK):
+            i1 = min(i0 + _CHOL_BLOCK, rows)
+            trailing = a[r1 + i0:r1 + i1, r1:r1 + i1]
+            np.subtract(trailing, panel[i0:i1] @ panel[:i1].T, out=trailing,
+                        where=np.tri(i1 - i0, i1, i0, dtype=bool))
+
+
+def _restore_lower_triangle(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of ``a`` onto its strict lower triangle."""
+    n = a.shape[0]
+    for r0 in range(0, n, _CHOL_BLOCK):
+        r1 = min(r0 + _CHOL_BLOCK, n)
+        a[r0:r1, :r0] = a[:r0, r0:r1].T
+        block = a[r0:r1, r0:r1]
+        np.copyto(block, block.T.copy(), where=np.tri(r1 - r0, k=-1, dtype=bool))
 
 
 def sample_grf_at(points: np.ndarray, count: int, seed,
@@ -113,18 +215,34 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     """Draw ``count`` field realizations jointly at arbitrary points, (M, n).
 
     Squared-exponential covariance
-    k(x, x') = amplitude^2 * exp(-|x - x'|^2 / length_scale^2); the Cholesky
-    factor takes a diagonal jitter from 1e-10, raised tenfold up to 1e-6
-    while the factorization fails.
+    K(x, x') = amplitude^2 * exp(-|x - x'|^2 / length_scale^2).  Its Cholesky
+    factor L is computed in the covariance buffer by a blocked right-looking
+    factorization (``_cholesky_with_jitter``) in blocks of ``_CHOL_BLOCK`` =
+    512 rows, whose trailing update skips the panel rows past the last one
+    with an entry above eps * sqrt(max diag) / n.  The dropped terms move
+    each entry of L L^T by at most eps * max diag, below the factorization's
+    own rounding: max|L L^T - (K + level * I)| <= (n + 2) * eps * max diag.
+    The diagonal jitter level starts at 1e-10 and rises tenfold up to 1e-6
+    while any diagonal block fails to factor, then ``NumericalError`` is
+    raised.  Samples are drawn by row blocks,
+    y[r0:r1] = L[r0:r1, :r1] @ z[:r1], reading only the lower triangle.  Up
+    to 512 points the factor is one ``np.linalg.cholesky`` call and the draw
+    one product, so such grids draw exactly the fields of the dense factor;
+    on larger grids the draws differ from it at rounding level.  The skip
+    tests values, not positions: unsorted points keep the same bound and
+    skip fewer rows.
     """
     if not (length_scale > 0 and amplitude > 0):
         raise ConfigurationError(
             f"length_scale and amplitude must be positive, got {length_scale} and {amplitude}")
     pts = np.asarray(points, dtype=np.float64).ravel()
-    cov = squared_exp_covariance(pts, length_scale, amplitude)
-    chol = _cholesky_with_jitter(cov)
+    chol = _cholesky_with_jitter(squared_exp_covariance(pts, length_scale, amplitude))
     z = np.random.default_rng(seed).standard_normal((pts.size, count))
-    return (chol @ z).T
+    draws = np.empty_like(z)
+    for r0 in range(0, pts.size, _CHOL_BLOCK):
+        r1 = min(r0 + _CHOL_BLOCK, pts.size)
+        draws[r0:r1] = chol[r0:r1, :r1] @ z[:r1]
+    return draws.T
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +394,7 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
                  length_scale: float = 0.04, amplitude: float = 1.0,
                  tol: float = 1e-10):
     """GRF-forced Darcy dataset on a uniform n-point grid; disjoint seeded splits."""
+    seed = _seed_provenance(seed)
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     grid = np.linspace(0.0, 1.0, n)
     out = []
@@ -286,7 +405,7 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
             input_points=grid, output_points=grid, inputs=f, outputs=u,
             provenance={
                 "generator": "darcy1d", "split": label, "n": n, "count": count,
-                "seed": int(seed), "length_scale": length_scale,
+                "seed": seed, "length_scale": length_scale,
                 "amplitude": amplitude, "solver_tol": tol,
             },
         ))
@@ -307,6 +426,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
     # imported by its one user: it is about half the time of `import fbc2c`
     import scipy.interpolate
 
+    seed = _seed_provenance(seed)
     if not resolutions:
         raise ConfigurationError("resolutions list is empty")
     grids = {int(r): np.linspace(0.0, 1.0, int(r)) for r in resolutions}
@@ -328,8 +448,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
             input_points=grid, output_points=grid, inputs=f_r, outputs=u_r,
             provenance={
                 "generator": "darcy1d_multires", "n": r, "count": count,
-                "seed": int(seed) if isinstance(seed, numbers.Integral) else list(seed),
-                "solve_n": solve_n,
+                "seed": seed, "solve_n": solve_n,
                 "length_scale": length_scale, "amplitude": amplitude,
                 "solver_tol": tol,
             },
@@ -389,6 +508,7 @@ def solve_poisson_2d_square(alpha: np.ndarray, points: np.ndarray) -> np.ndarray
 def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
                    modes: int = 5):
     """Sine-forced Poisson dataset on the unit square; coefficients U[-1, 1]."""
+    seed = _seed_provenance(seed)
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     pts = unit_square_grid(points_per_side)
     # the sums of poisson_2d_forcing and solve_poisson_2d_square, one einsum
@@ -406,7 +526,7 @@ def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
             provenance={
                 "generator": "poisson2d", "split": label,
                 "points_per_side": points_per_side, "count": count,
-                "modes": modes, "seed": int(seed),
+                "modes": modes, "seed": seed,
                 "forcing_form": "separable products sin(i pi x) sin(j pi y)",
             },
         ))
@@ -454,6 +574,7 @@ def make_highd_poisson(d: int, n_points: int, seed: int, n_train: int = 8,
     Training amplitudes are uniform draws from [-1, 1]; Gen1 holds out fresh
     amplitudes from the same range, Gen2 extrapolates to [1, 2].
     """
+    seed = _seed_provenance(seed)
     pts_seed, a_train_seed, gen1_seed, gen2_seed = np.random.SeedSequence(seed).spawn(4)
     pts = uniform_points(d, n_points, pts_seed)
     a_train = np.random.default_rng(a_train_seed).uniform(-1.0, 1.0, n_train)
@@ -466,7 +587,7 @@ def make_highd_poisson(d: int, n_points: int, seed: int, n_train: int = 8,
             input_points=pts, output_points=pts, inputs=f, outputs=u,
             provenance={
                 "generator": "highd_poisson", "split": label, "d": d,
-                "n_points": n_points, "seed": int(seed),
+                "n_points": n_points, "seed": seed,
                 "alphas": alphas.tolist(),
             },
         ))
@@ -511,6 +632,7 @@ def derivative_1d(u: np.ndarray, h: float) -> np.ndarray:
 def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
                          length_scale: float = 0.04, amplitude: float = 1.0):
     """GRF-forced linear Poisson with two output components [u, u']."""
+    seed = _seed_provenance(seed)
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     grid = np.linspace(0.0, 1.0, n)
     h = grid[1] - grid[0]
@@ -524,7 +646,7 @@ def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
             outputs=np.stack([u, du], axis=1),
             provenance={
                 "generator": "multi_output_1d", "split": label, "n": n,
-                "count": count, "seed": int(seed),
+                "count": count, "seed": seed,
                 "length_scale": length_scale, "amplitude": amplitude,
             },
         ))

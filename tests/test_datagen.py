@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fbc2c
+from fbc2c import datagen
 from fbc2c.datagen import (_NEWTON_BLOCK, FunctionDataset, _cholesky_with_jitter,
                            _darcy_residual, derivative_1d, gen_highd_poisson,
                            highd_profile, make_darcy1d, make_darcy1d_multiresolution,
@@ -93,8 +94,96 @@ def test_escalated_jitter_factor_equals_the_dense_shift_bitwise():
     work = cov.copy()
     chol = _cholesky_with_jitter(work)
     assert np.array_equal(chol, np.linalg.cholesky(cov + level * np.eye(6)))
-    # the documented side effect: the argument's diagonal carries the level used
-    assert np.array_equal(work, cov + level * np.eye(6))
+    # the documented side effect: the factor is computed in the argument's buffer
+    assert np.shares_memory(chol, work)
+
+
+def _dense_jitter_level(cov):
+    level = 1e-10
+    while True:
+        try:
+            np.linalg.cholesky(cov + level * np.eye(len(cov)))
+            return level
+        except np.linalg.LinAlgError:
+            level *= 10.0
+
+
+@pytest.mark.parametrize("n", [1, 26, 512])
+def test_grf_up_to_one_block_draws_the_dense_factor_bitwise(n):
+    pts = np.linspace(0, 1, n)
+    cov = squared_exp_covariance(pts, 0.04, 1.0)
+    z = np.random.default_rng(8).standard_normal((n, 4))
+    dense = (np.linalg.cholesky(cov + 1e-10 * np.eye(n)) @ z).T
+    assert np.array_equal(sample_grf_at(pts, 4, 8), dense)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_blocked_grf_factor_meets_its_backward_error_bound(order):
+    n = 1500
+    pts = np.linspace(0, 1, n)
+    if order == "shuffled":
+        pts = np.random.default_rng(2).permutation(pts)
+    cov = squared_exp_covariance(pts, 0.04, 1.0)
+    level = _dense_jitter_level(cov)
+    shifted = cov + level * np.eye(n)
+    chol = _cholesky_with_jitter(cov.copy())
+    # the bound the docstring of _cholesky_with_jitter states
+    bound = (n + 2) * np.finfo(np.float64).eps * np.max(np.diagonal(shifted))
+    assert np.max(np.abs(chol @ chol.T - shifted)) <= bound
+    assert np.array_equal(chol, np.tril(chol))
+    z = np.random.default_rng(9).standard_normal((n, 5))
+    dense = (np.linalg.cholesky(shifted) @ z).T
+    assert np.max(np.abs(sample_grf_at(pts, 5, 9) - dense)) < 1e-3
+
+
+def _matrix_indefinite_in_its_last_block(last_eigenvalue):
+    # congruence of block-diag(S1, S2) by a unit lower-triangular C: the
+    # leading 1024 rows stay positive definite, and S2 carries one negative
+    # eigenvalue into the third block of 512 rows
+    n, head = 1200, 1024
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((n - head, n - head)))
+    eigenvalues = np.linspace(1.0, 2.0, n - head)
+    eigenvalues[-1] = last_eigenvalue
+    d = np.zeros((n, n))
+    d[:head, :head] = squared_exp_covariance(np.linspace(0, 1, head), 0.2, 1.0) + 0.1 * np.eye(head)
+    d[head:, head:] = (q * eigenvalues) @ q.T
+    c = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) * (0.3 / np.sqrt(n))
+    a = c @ d @ c.T
+    return 0.5 * (a + a.T)
+
+
+def test_jitter_escalates_from_a_later_block_to_the_dense_level():
+    a = _matrix_indefinite_in_its_last_block(-5e-8)
+    n = len(a)
+    np.linalg.cholesky(a[:1024, :1024] + 1e-10 * np.eye(1024))
+    level = _dense_jitter_level(a)
+    assert level > 1e-9
+    chol = _cholesky_with_jitter(a.copy())
+    assert np.max(np.abs(chol @ chol.T - (a + level * np.eye(n)))) <= 1e-12
+    # no level up to 1e-6 fixes -1e-3; the failed attempts leave the
+    # argument holding the matrix again, with the last level on its diagonal
+    a = _matrix_indefinite_in_its_last_block(-1e-3)
+    work = a.copy()
+    with pytest.raises(NumericalError):
+        _cholesky_with_jitter(work)
+    last = 1e-10
+    for _ in range(4):
+        last *= 10.0
+    assert np.array_equal(work, a + last * np.eye(n))
+
+
+def test_grf_sampler_peak_memory_stays_near_the_covariance():
+    import tracemalloc
+
+    n = 2000
+    tracemalloc.start()
+    try:
+        sample_grf_at(np.linspace(0, 1, n), 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_grf_joint_sampling_handles_near_duplicate_points():
@@ -215,6 +304,34 @@ def test_multiresolution_records_a_numpy_integer_seed():
     assert data[40].provenance["seed"] == 3 and type(data[40].provenance["seed"]) is int
     same = make_darcy1d_multiresolution([40], 2, 3, solve_n=50)
     assert np.array_equal(data[40].outputs, same[40].outputs)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "3", -1, [3, None], [2, -1]])
+def test_generators_refuse_an_unrecordable_seed_before_drawing(monkeypatch, seed):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a field before checking the seed")
+
+    monkeypatch.setattr(datagen, "sample_grf_at", no_draw)
+    for make in (lambda: make_darcy1d(20, 2, 2, seed),
+                 lambda: make_darcy1d_multiresolution([20], 2, seed, solve_n=30),
+                 lambda: make_multi_output_1d(20, 2, 2, seed),
+                 lambda: make_poisson2d(4, 2, 2, seed),
+                 lambda: make_highd_poisson(2, 10, seed)):
+        with pytest.raises(ConfigurationError, match="seed"):
+            make()
+
+
+def test_darcy_generators_record_integer_and_list_seeds_alike():
+    for seed, recorded in [(np.int64(3), 3), ([np.int64(3), 5], [3, 5])]:
+        train, _ = make_darcy1d(40, 2, 1, seed)
+        multi = make_darcy1d_multiresolution([40], 2, seed, solve_n=50)[40]
+        for data, make in ((train, lambda s: make_darcy1d(40, 2, 1, s)[0]),
+                           (multi, lambda s: make_darcy1d_multiresolution([40], 2, s, solve_n=50)[40])):
+            kept = data.provenance["seed"]
+            assert kept == recorded and type(kept) is type(recorded)
+            assert all(type(s) is int for s in (kept if isinstance(kept, list) else [kept]))
+            # the record regenerates the data
+            assert np.array_equal(make(data.provenance["seed"]).inputs, data.inputs)
 
 
 def test_multiresolution_spline_matches_one_spline_per_sample():
