@@ -17,7 +17,8 @@ from .container import read_container, write_container
 from .encoder import diagnostics, encode
 from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
                      RankDeficiencyError, SolverError, TrainingDiverged)
-from .experiment import eval_resolutions, prepare_data, run, sweep_cutoff
+from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, run,
+                         sweep_cutoff)
 
 
 def _cmd_gen(args) -> int:
@@ -100,13 +101,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = load_config(args.config)
     resolutions = _comma_list(args.resolutions, int, "--resolutions") if args.resolutions else None
-    result = run(config, outdir=args.output)
-    for line in result.report.summary_lines():
-        print(line)
+    trained = load_run(args.run_dir)
+    error, _ = evaluate_on(trained, prepare_data(trained.config.dataset).test)
+    print(f"final_test_relative_error = {error!r}")
     if resolutions:
-        table = eval_resolutions(result, resolutions)
+        table = eval_resolutions(trained, resolutions)
         for r, err in table.items():
             print(f"resolution {r}: test_relative_error = {err!r}")
     return 0
@@ -182,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="artifact directory")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="run a config and print report metrics")
-    p.add_argument("-c", "--config", required=True)
-    p.add_argument("-o", "--output", default=None, help="optional artifact directory")
+    p = sub.add_parser("eval", help="evaluate a trained run directory on its test split")
+    p.add_argument("run_dir", help="directory that train wrote")
     p.add_argument("--resolutions", default=None,
                    help="comma-separated grid sizes for resolution transfer")
     p.set_defaults(func=_cmd_eval)
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, DataError) as exc:
         print(f"error code=2 kind=config msg={exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"error code=3 kind=missing-file msg={exc}", file=sys.stderr)
         return 3
     except (RankDeficiencyError, SolverError, NumericalError, TrainingDiverged) as exc:

@@ -142,7 +142,6 @@ class ExperimentConfig:
     net: NetSpec = field(default_factory=NetSpec)
     p2c: bool = False
     output_mode: str = "scalar"     # "scalar" or "vector" for multi-component outputs
-    standardize_inputs: bool = True  # per-column train-statistics normalization
 
     def __post_init__(self):
         if not self.p2c and self.input_basis is None:

@@ -3,6 +3,9 @@
 ``run`` executes one full pipeline and returns a RunResult whose report
 carries the test error, the output-space projection floor, the input
 coefficient diagnostics and the kept rank and condition of both encoders.
+Its net maps raw input coefficients (raw values for P2C) to output
+coefficients, and the bases are rebuilt from config seeds, so the config and
+net that a run directory stores (``load_run``) are all ``evaluate_on`` needs.
 ``sweep_cutoff``, ``eval_resolutions`` and ``compare_vector_scalar`` drive
 the cutoff sensitivity, resolution transfer, and scalar-vs-vector-output
 studies on top of it.
@@ -21,11 +24,11 @@ import scipy.linalg
 
 from . import datagen
 from .basis import VectorBasis
-from .config import DatasetSpec, EncodeSpec, ExperimentConfig, config_hash, dump_config
+from .config import DatasetSpec, EncodeSpec, ExperimentConfig, config_hash, dump_config, load_config
 from .container import read_container, write_container
 from .encoder import (LeastSquaresEncoder, ProjectionError, diagnostics,
                       projection_error_from_design, write_diagnostics_csv)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .neuralop import OperatorNet, forward, init_net, relative_loss, train
 
 
@@ -42,30 +45,6 @@ class PreparedData:
     test: datagen.FunctionDataset
     extra: dict = field(default_factory=dict)
     designs: dict = field(default_factory=dict)
-
-
-@dataclass
-class InputScaler:
-    """Per-column affine normalization fitted on the training inputs.
-
-    Stabilizes training when encoded coefficients carry wildly different
-    scales across directions (small singular values amplify); applied
-    identically to coefficient and raw-value inputs so the P2C/C2C pipelines
-    still differ only in what the input vector is.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    @staticmethod
-    def fit(features: np.ndarray) -> "InputScaler":
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        floor = 1e-12 * max(float(std.max(initial=0.0)), 1e-300)
-        return InputScaler(mean=mean, scale=np.where(std > floor, std, 1.0))
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mean) / self.scale
 
 
 def prepare_data(spec: DatasetSpec) -> PreparedData:
@@ -112,19 +91,23 @@ def _reconstruction_matrix(basis, points: np.ndarray, c_out: int) -> np.ndarray:
     return scipy.linalg.block_diag(*([psi] * c_out))
 
 
+def _side_basis(config: ExperimentConfig, side: str, components: int):
+    """(basis, mode) of the "input" or "output" side; single-component sides are scalar."""
+    spec = getattr(config, f"{side}_basis")
+    mode = config.output_mode if components > 1 else "scalar"
+    return (spec.build(n_components=components) if mode == "vector" else spec.build()), mode
+
+
 def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
     """(basis, encoder) of the "input" or "output" side on the training grid.
 
     The design and its SVD are built once per ``data``, in ``data.designs``.
-    Inputs have one component; single-component outputs always take the
-    scalar basis.
+    Inputs have one component.
     """
-    spec = getattr(config, f"{side}_basis")
     components = data.train.output_components if side == "output" else 1
     points = getattr(data.train, f"{side}_points")
-    mode = config.output_mode if components > 1 else "scalar"
-    basis = spec.build(n_components=components) if mode == "vector" else spec.build()
-    key = (side, repr(spec), mode)
+    basis, mode = _side_basis(config, side, components)
+    key = (side, repr(getattr(config, f"{side}_basis")), mode)
     design, svd = data.designs.get(key, (None, None))
     if design is None:
         design = _reconstruction_matrix(basis, points, components)
@@ -187,17 +170,23 @@ class RunReport:
 
 
 @dataclass
-class RunResult:
-    report: RunReport
-    net: OperatorNet
-    trace: object
+class TrainedMap:
+    """A config and its net, which maps raw input coefficients to output coefficients."""
+
     config: ExperimentConfig
+    net: OperatorNet
+
+
+@dataclass
+class RunResult(TrainedMap):
+    """A TrainedMap with its run's report, bases, training-grid ``psi`` and data."""
+
+    report: RunReport
+    trace: object
     input_basis: object
     output_basis: object
     psi: np.ndarray
     data: PreparedData
-    input_coefficients: np.ndarray
-    input_scaler: InputScaler | None = None
 
 
 def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = None) -> RunResult:
@@ -231,15 +220,17 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
         diag = diagnostics(a_train)
         erank, entropy = diag.effective_rank, diag.variance_entropy
 
-    scaler = None
-    if config.standardize_inputs:
-        scaler = InputScaler.fit(a_train)
-        a_train = scaler.apply(a_train)
-        a_test = scaler.apply(a_test)
-
+    # Train on standardized columns (small singular values amplify coefficient
+    # scales), then fold the map into the first layer: W' = W / scale, b' = b - W' mean.
+    mean = a_train.mean(axis=0)
+    std = a_train.std(axis=0)
+    floor = 1e-12 * max(float(std.max(initial=0.0)), 1e-300)
+    scale = np.where(std > floor, std, 1.0)
     net0 = init_net(a_train.shape[1], config.net.hidden, m_out, config.net.seed)
-    net, trace = train(net0, a_train, u_train, psi_eff, config.train,
-                       test_inputs=a_test, test_targets=u_test)
+    net, trace = train(net0, (a_train - mean) / scale, u_train, psi_eff, config.train,
+                       test_inputs=(a_test - mean) / scale, test_targets=u_test)
+    net.hidden_weights /= scale
+    net.hidden_biases -= net.hidden_weights @ mean
 
     final_err, per_sample = relative_loss(forward(net, a_test), psi_eff, u_test)
     proj = projection_error_from_design(psi_eff, u_test, config.output_encode.to_config(),
@@ -261,35 +252,28 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
         wall_seconds=time.perf_counter() - started,
         config_hash=config_hash(config),
     )
-    result = RunResult(report=report, net=net, trace=trace, config=config,
-                       input_basis=in_basis, output_basis=out_basis, psi=psi_eff,
-                       data=data, input_coefficients=a_train, input_scaler=scaler)
+    result = RunResult(config=config, net=net, report=report, trace=trace,
+                       input_basis=in_basis, output_basis=out_basis, psi=psi_eff, data=data)
     if outdir is not None:
         write_artifacts(result, outdir)
     return result
 
 
-def evaluate_on(result: RunResult, dataset: datagen.FunctionDataset):
-    """Mean and per-sample relative error of a trained run on another dataset.
+def evaluate_on(result: TrainedMap, dataset: datagen.FunctionDataset):
+    """Mean and per-sample relative error of a trained map on a dataset.
 
-    The input side is re-encoded against the run's input basis at the
-    dataset's own points; the reconstruction matrix is re-evaluated at the
-    dataset's output points.  P2C runs require matching input dimension.
+    Both bases are rebuilt from the config and evaluated at the dataset's own
+    points; on a run's test split this repeats the run's evaluation bit for bit.
     """
     config = result.config
     pts = dataset.input_points
     enc = None if config.p2c else LeastSquaresEncoder(
-        result.input_basis.design_matrix(pts), config.input_encode.to_config(), n_points=pts.shape[0])
-    a = _input_features(config, enc, dataset)
-    if a.shape[1] != result.net.input_dim:
-        raise ConfigurationError(
-            f"network expects {result.net.input_dim} inputs, dataset encodes to {a.shape[1]}"
-        )
-    if result.input_scaler is not None:
-        a = result.input_scaler.apply(a)
-    psi = _reconstruction_matrix(result.output_basis, dataset.output_points,
-                                 dataset.output_components)
-    return relative_loss(forward(result.net, a), psi, _stack_components(dataset.outputs))
+        config.input_basis.build().design_matrix(pts), config.input_encode.to_config(),
+        n_points=pts.shape[0])
+    out_basis, _ = _side_basis(config, "output", dataset.output_components)
+    psi = _reconstruction_matrix(out_basis, dataset.output_points, dataset.output_components)
+    return relative_loss(forward(result.net, _input_features(config, enc, dataset)), psi,
+                         _stack_components(dataset.outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +430,32 @@ def write_artifacts(result: RunResult, outdir) -> None:
     dump_config(config, out / "config.json")
 
 
-def load_checkpoint(path) -> OperatorNet:
-    arrays, meta = read_container(path)
+def _checkpoint_net(arrays: dict, meta: dict, path) -> OperatorNet:
+    """The net a checkpoint container holds; refuses a missing array or dimension."""
+    if "parameters" not in arrays:
+        raise DataError(f"checkpoint {path} has no 'parameters' array")
+    for key in ("input_dim", "hidden_dim", "output_dim"):
+        value = meta.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DataError(f"checkpoint {path}: meta {key} must be a positive integer, "
+                            f"got {value!r}")
     return OperatorNet.from_flat(arrays["parameters"], meta["input_dim"],
                                  meta["hidden_dim"], meta["output_dim"],
                                  meta.get("net_seed", 0))
+
+
+def load_checkpoint(path) -> OperatorNet:
+    return _checkpoint_net(*read_container(path), path)
+
+
+def load_run(run_dir) -> TrainedMap:
+    """A run directory's ``config.json`` and ``checkpoint.fbc``; refused unless their hashes agree."""
+    run_dir = pathlib.Path(run_dir)
+    config = load_config(run_dir / "config.json")
+    checkpoint = run_dir / "checkpoint.fbc"
+    arrays, meta = read_container(checkpoint)
+    if meta.get("config_hash") != config_hash(config):
+        raise ConfigurationError(
+            f"config.json in {run_dir} hashes to {config_hash(config)}, but the checkpoint "
+            f"was trained under config_hash {meta.get('config_hash')!r}")
+    return TrainedMap(config, _checkpoint_net(arrays, meta, checkpoint))

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -216,27 +217,101 @@ def test_cli_refuses_malformed_comma_lists(tmp_path, capsys, command, flag, valu
         main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
               "-o", str(source)])
         args = ["encode", str(source), "-o", str(tmp_path / "c.fbc")]
-    else:
+    elif command == "sweep":
         source = tmp_path / "run.json"
         with open(source, "w") as fh:
             json.dump(_tiny_config_dict(), fh)
         args = [command, "-c", str(source)]
+    else:
+        # the list is refused before the run directory is read
+        args = [command, str(tmp_path / "run")]
     capsys.readouterr()
     assert main(args + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error code=2") and flag in err and repr(value) in err
 
 
-def test_cli_eval_prints_report(tmp_path, capsys):
-    cfg = _tiny_config_dict()
-    path = tmp_path / "run.json"
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run directory written by ``fbc2c train`` on the tiny config."""
+    path = tmp_path_factory.mktemp("cfg") / "run.json"
     with open(path, "w") as fh:
-        json.dump(cfg, fh)
-    code = main(["eval", "-c", str(path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "final_test_relative_error" in out
-    assert "mean_projection_error" in out
+        json.dump(_tiny_config_dict(), fh)
+    outdir = tmp_path_factory.mktemp("run") / "artifacts"
+    assert main(["train", "-c", str(path), "-o", str(outdir)]) == 0
+    return outdir
+
+
+def _copy_run(trained_run, tmp_path):
+    outdir = tmp_path / "run"
+    shutil.copytree(trained_run, outdir)
+    return outdir
+
+
+def test_cli_eval_trains_nothing(trained_run, tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("eval must not train")
+
+    monkeypatch.setattr("fbc2c.experiment.train", no_training)
+    capsys.readouterr()
+    assert main(["eval", str(trained_run), "--resolutions", "40,120"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    reported = [line for line in (trained_run / "report.txt").read_text().splitlines()
+                if line.startswith("final_test_relative_error = ")]
+    assert len(reported) == 1 and out[0] == reported[0]
+    assert [line.split(":")[0] for line in out[1:]] == ["resolution 40", "resolution 120"]
+
+
+@pytest.mark.parametrize("drop_array, meta_edit, key", [
+    (True, {}, "parameters"),
+    (False, {"input_dim": None}, "input_dim"),
+    (False, {"hidden_dim": 16.0}, "hidden_dim"),
+    (False, {"output_dim": True}, "output_dim"),
+], ids=["no_parameters", "no_input_dim", "float_hidden_dim", "bool_output_dim"])
+def test_cli_eval_refuses_malformed_checkpoint(trained_run, tmp_path, capsys,
+                                               drop_array, meta_edit, key):
+    outdir = _copy_run(trained_run, tmp_path)
+    arrays, meta = read_container(outdir / "checkpoint.fbc")
+    if drop_array:
+        arrays = {"weights": arrays.pop("parameters")}
+    for name, value in meta_edit.items():
+        if value is None:
+            del meta[name]
+        else:
+            meta[name] = value
+    write_container(outdir / "checkpoint.fbc", arrays, meta)
+    capsys.readouterr()
+    assert main(["eval", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and key in err
+
+
+def test_cli_eval_refuses_a_config_edited_after_training(trained_run, tmp_path, capsys):
+    outdir = _copy_run(trained_run, tmp_path)
+    trained_hash = read_container(outdir / "checkpoint.fbc")[1]["config_hash"]
+    config = load_config(outdir / "config.json")
+    config.train.epochs += 1
+    dump_config(config, outdir / "config.json")
+    capsys.readouterr()
+    assert main(["eval", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2")
+    assert trained_hash in err and config_hash(config) in err
+
+
+@pytest.mark.parametrize("missing", ["directory", "not_a_directory", "config.json",
+                                     "checkpoint.fbc"])
+def test_cli_eval_missing_run_files_exit_3(trained_run, tmp_path, capsys, missing):
+    outdir = _copy_run(trained_run, tmp_path)
+    if missing == "directory":
+        shutil.rmtree(outdir)
+    elif missing == "not_a_directory":
+        outdir = outdir / "report.txt"
+    else:
+        (outdir / missing).unlink()
+    capsys.readouterr()
+    assert main(["eval", str(outdir)]) == 3
+    assert capsys.readouterr().err.startswith("error code=3")
 
 
 def test_cli_sweep_prints_table(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fbc2c.config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
 from fbc2c.encoder import LeastSquaresEncoder
 from fbc2c.errors import ConfigurationError
 from fbc2c.experiment import (compare_vector_scalar, eval_resolutions,
-                              evaluate_on, load_checkpoint, prepare_data, run,
+                              evaluate_on, load_checkpoint, load_run, prepare_data, run,
                               sweep_cutoff, write_artifacts)
 from fbc2c.neuralop import TrainConfig
 
@@ -198,6 +198,14 @@ def test_evaluate_on_reproduces_test_error(darcy_result):
     assert np.array_equal(per, darcy_result.report.test_error_per_sample)
 
 
+def test_run_directory_evaluates_to_its_reported_error(tmp_path):
+    result = run(_darcy_config(), outdir=tmp_path)
+    trained = load_run(tmp_path)
+    mean, per = evaluate_on(trained, prepare_data(trained.config.dataset).test)
+    assert mean == result.report.final_test_error
+    assert np.array_equal(per, result.report.test_error_per_sample)
+
+
 def test_eval_resolutions_basic(darcy_result):
     table = eval_resolutions(darcy_result, [40, 120])
     assert set(table) == {40, 120}
@@ -291,7 +299,8 @@ def test_compare_vector_scalar_single_component_degenerates():
 
 def test_study_members_change_only_the_studied_field():
     quick = TrainConfig(epochs=2, seed=6)
-    odd = dict(standardize_inputs=False, net=NetSpec(hidden=7, seed=11), train=quick)
+    odd = dict(output_encode=EncodeSpec(method="ridge", lam=1e-6),
+               net=NetSpec(hidden=7, seed=11), train=quick)
     cfg = _darcy_config(input_encode=EncodeSpec(method="tsvd", cut=1e-2, cut_mode="absolute"),
                         **odd)
     sweep = sweep_cutoff(cfg, [1e-6, 1e-3], keep_results=True)
