@@ -12,8 +12,8 @@ import numpy as np
 
 from fbc2c.basis import build_rfm
 from fbc2c.datagen import sample_grf_at
-from fbc2c.encoder import (LeastSquaresEncoder, Ridge, TruncatedSvd,
-                           diagnostics, projection_error)
+from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
+                           projection_error)
 
 grid = np.linspace(0.0, 1.0, 600)
 fields = sample_grf_at(grid, count=300, seed=11)
@@ -27,16 +27,16 @@ print("  sigma_i / sigma_1 =", np.array2string(spectrum[:24:4] / spectrum[0],
 
 print("\ncutoff   kept  erank   variance-entropy   fit-residual")
 for cut in (1e-6, 1e-4, 1e-2, 1e-1):
-    enc = LeastSquaresEncoder(phi, TruncatedSvd(cut))
+    enc = LeastSquaresEncoder(phi, EncodeSpec(cut=cut))
     coeffs = enc.encode_values(fields)
     d = diagnostics(coeffs)
     kept = int(np.sum(spectrum >= cut * spectrum[0]))
-    resid = projection_error(basis, grid, fields, TruncatedSvd(cut)).mean
+    resid = projection_error(basis, grid, fields, EncodeSpec(cut=cut)).mean
     print(f"{cut:7.0e}  {kept:4d}  {d.effective_rank:6.2f}   "
           f"{d.variance_entropy:12.2f}   {resid:12.3e}")
 
 print("\nridge gives the same kind of control through its penalty:")
 for lam in (1e-10, 1e-6, 1e-2):
-    coeffs = LeastSquaresEncoder(phi, Ridge(lam)).encode_values(fields)
+    coeffs = LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(fields)
     print(f"  lam {lam:7.0e}: coefficient norm {np.linalg.norm(coeffs, axis=1).mean():9.2f}, "
           f"erank {diagnostics(coeffs).effective_rank:6.2f}")

@@ -13,8 +13,7 @@ from .container import read_container, write_container
 from .datagen import (FunctionDataset, gen_highd_poisson, make_darcy1d,
                       make_highd_poisson, make_multi_output_1d, make_poisson2d,
                       sample_grf_at, solve_darcy_1d, solve_poisson_2d_square)
-from .encoder import (CoefficientMatrix, CutMode, Ridge, TruncatedSvd,
-                      diagnostics, encode, projection_error)
+from .encoder import EncodeSpec, diagnostics, encode, projection_error
 from .experiment import (compare_vector_scalar, eval_resolutions, evaluate_on,
                          run, sweep_cutoff)
 from .neuralop import (OperatorNet, TrainConfig, TrainTrace, forward, gradient,

@@ -2,7 +2,9 @@
 
 Subcommands: gen, encode, train, eval, diagnose, sweep.  Exit codes:
 0 success, 2 bad configuration (message names the field), 3 missing file,
-4 numerical failure.  Errors print one machine-parsable line to stderr.
+4 numerical failure.  Configs and encode flags are checked as their specs
+are built, before any data is read or generated.  Errors print one
+machine-parsable line to stderr.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .config import BasisSpec, DatasetSpec, EncodeSpec, load_config
+from .config import BasisSpec, DatasetSpec, load_config
 from .container import read_container, write_container
-from .encoder import diagnostics, encode
+from .encoder import EncodeSpec, diagnostics, encode
 from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
                      RankDeficiencyError, SolverError, TrainingDiverged)
 from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, run,
@@ -68,6 +70,7 @@ def _basis_from_args(args, dim: int):
 
 
 def _cmd_encode(args) -> int:
+    spec = EncodeSpec(args.method, args.lam, args.cut, args.cut_mode)
     arrays, meta = read_container(args.dataset)
     side = "inputs" if args.side == "input" else "outputs"
     points = arrays[f"{args.side}_points"]
@@ -76,18 +79,17 @@ def _cmd_encode(args) -> int:
         raise ConfigurationError("side: inline encoding covers scalar components only")
     dim = 1 if points.ndim == 1 else points.shape[1]
     basis = _basis_from_args(args, dim)
-    config = EncodeSpec(args.method, args.lam, args.cut, args.cut_mode).to_config()
-    coeffs = encode(basis, points, values, config)
+    coeffs = encode(basis, points, values, spec)
     diag = diagnostics(coeffs)
     write_container(args.output,
-                    arrays={"coefficients": coeffs.values,
+                    arrays={"coefficients": coeffs,
                             "singular_values": diag.singular_values,
                             "per_basis_variance": diag.per_basis_variance},
-                    meta={"kind": "coefficients", "basis_id": coeffs.basis_id,
+                    meta={"kind": "coefficients", "basis_id": basis.identity(),
                           "erank": diag.effective_rank,
                           "variance_entropy": diag.variance_entropy,
                           "source": str(args.dataset)})
-    print(f"wrote {args.output}: coefficients {coeffs.values.shape}, "
+    print(f"wrote {args.output}: coefficients {coeffs.shape}, "
           f"erank {diag.effective_rank:.3f}")
     return 0
 

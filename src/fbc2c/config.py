@@ -2,7 +2,11 @@
 
 Every run is described by an ExperimentConfig; the resolved form (defaults
 applied) is re-emitted next to run artifacts so results can be reproduced
-exactly.  Unknown keys are rejected with their field path.
+exactly.  Each section checks its fields when it is built, so a bad value is
+refused on load, before any data is generated.  Unknown keys, values of the
+wrong JSON type and refused values are reported with their field path
+(``config.input_basis.window: ...``).  The encode sections are
+``encoder.EncodeSpec``, which the encoders take as they are.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .basis import ActivationKind, WindowKind, build_rfm, build_vector_rfm, uniform_fem_basis
-from .encoder import CutMode, Ridge, TruncatedSvd
+from .encoder import EncodeSpec
 from .errors import ConfigurationError
 from .neuralop import TrainConfig
 
@@ -80,11 +84,16 @@ class BasisSpec:
 
     def __post_init__(self):
         if self.kind not in ("rfm", "fem"):
-            raise ConfigurationError(f"basis.kind: unknown kind {self.kind!r}")
+            raise ConfigurationError(f"kind: unknown kind {self.kind!r}, expected 'rfm' or 'fem'")
         if self.kind == "rfm" and (self.partitions is None or self.features_per_partition is None):
-            raise ConfigurationError("basis: rfm needs partitions and features_per_partition")
+            raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
         if self.kind == "fem" and self.n_nodes is None:
-            raise ConfigurationError("basis: fem needs n_nodes")
+            raise ConfigurationError("n_nodes: fem needs n_nodes")
+        for name, kind in (("window", WindowKind), ("activation", ActivationKind)):
+            choices = tuple(k.value for k in kind)
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(
+                    f"{name}: unknown {name} {getattr(self, name)!r}, expected one of {choices}")
 
     def build(self, n_components: int = 1):
         if self.kind == "fem":
@@ -100,27 +109,6 @@ class BasisSpec:
         return build_vector_rfm(n_components, len(self.partitions), self.partitions,
                                 self.features_per_partition, self.range_bound,
                                 window, activation, self.seed, self.bounds)
-
-
-@dataclass
-class EncodeSpec:
-    method: str = "tsvd"            # "ridge" or "tsvd"
-    lam: float = 0.0
-    cut: float = 1e-2
-    cut_mode: str = "relative"
-
-    def __post_init__(self):
-        if self.method not in ("ridge", "tsvd"):
-            raise ConfigurationError(f"encode.method: unknown method {self.method!r}")
-
-    def to_config(self):
-        if self.method == "ridge":
-            return Ridge(lam=self.lam)
-        return TruncatedSvd(cut=self.cut, cut_mode=CutMode(self.cut_mode))
-
-    @property
-    def cut_or_lambda(self) -> float:
-        return self.lam if self.method == "ridge" else self.cut
 
 
 @dataclass
@@ -198,7 +186,9 @@ def _from_dict(cls, data: dict, path: str):
     try:
         return cls(**kwargs)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+        # a message that starts with one of the fields continues the path
+        joint = "." if str(exc).split(":", 1)[0] in fields else ": "
+        raise ConfigurationError(f"{path}{joint}{exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

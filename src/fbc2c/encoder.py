@@ -4,23 +4,25 @@
 vector-valued basis; ``projection_error`` takes the same inputs.
 
 One SVD, two filters: every design matrix is factored once by a thin SVD,
-and the encode config only chooses the filter applied to its singular
+and an ``EncodeSpec`` only chooses the filter applied to its singular
 values (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
 Ridge is the Tikhonov filter s / (s^2 + lam * n); the truncated SVD is 1/s
 on the kept values and 0 elsewhere.  The filtered factors are applied to all
-samples of a batch by matrix multiplication.
+samples of a batch by matrix multiplication.  ``EncodeSpec`` is also the
+run config's encode section (``fbc2c.config``), so a spec is checked once,
+where it is made.
 
 An encoder exposes its factors as ``svd``; passing them to another encoder
-on the same design (``LeastSquaresEncoder(design, config, svd=enc.svd)``)
-re-filters them for a new config without factoring again.  The caller owns
+on the same design (``LeastSquaresEncoder(design, spec, svd=enc.svd)``)
+re-filters them for a new spec without factoring again.  The caller owns
 that reuse: ``experiment.run`` keeps one factorization per design matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,44 +30,44 @@ from .basis import VectorBasis
 from .errors import ConfigurationError, DataError, RankDeficiencyError
 
 
-class CutMode(str, Enum):
-    RELATIVE_TO_SIGMA1 = "relative"
-    ABSOLUTE = "absolute"
+@dataclass
+class EncodeSpec:
+    """How sampled functions are projected onto a basis: the SVD filter and its setting.
 
-
-@dataclass(frozen=True)
-class Ridge:
-    """Penalized least squares; lam is the penalty weight on ||a||^2.
-
-    The data term carries a 1/n factor, so the minimizer is
+    ``method`` "ridge" is penalized least squares with penalty weight ``lam``
+    on ||a||^2.  The data term carries a 1/n factor, so the minimizer is
     a = (Phi^T Phi + lam * n * I)^{-1} Phi^T f with n the number of sample
-    points.  This keeps a given lam meaningful across grid sizes.  It is
+    points, which keeps a given lam meaningful across grid sizes.  It is
     computed as a filter on the SVD Phi = U diag(s) V^T, never by forming
     Phi^T Phi: a = V diag(s / (s^2 + lam * n)) U^T f.
+
+    ``method`` "tsvd" is the pseudo-inverse that discards singular values
+    below a threshold: ``cut * sigma_1`` when ``cut_mode`` is "relative"
+    (the scale-portable default), ``cut`` itself when it is "absolute".
+
+    Every field is checked on construction; an error names the field.
     """
 
+    method: str = "tsvd"
     lam: float = 0.0
+    cut: float = 1e-2
+    cut_mode: str = "relative"
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigurationError(f"ridge penalty must be >= 0, got {self.lam}")
+        if self.method not in ("ridge", "tsvd"):
+            raise ConfigurationError(
+                f"method: unknown method {self.method!r}, expected 'ridge' or 'tsvd'")
+        if self.cut_mode not in ("relative", "absolute"):
+            raise ConfigurationError(
+                f"cut_mode: unknown mode {self.cut_mode!r}, expected 'relative' or 'absolute'")
+        for name in ("lam", "cut"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name}: must be finite and >= 0, got {value!r}")
 
-
-@dataclass(frozen=True)
-class TruncatedSvd:
-    """Pseudo-inverse that discards singular values below a threshold.
-
-    In relative mode (default) the threshold is cut * sigma_1; in absolute
-    mode it is cut itself.  Relative mode is the scale-portable choice.
-    """
-
-    cut: float = 0.0
-    cut_mode: CutMode = CutMode.RELATIVE_TO_SIGMA1
-
-    def __post_init__(self):
-        if self.cut < 0:
-            raise ConfigurationError(f"SVD cut must be >= 0, got {self.cut}")
-        object.__setattr__(self, "cut_mode", CutMode(self.cut_mode))
+    @property
+    def cut_or_lambda(self) -> float:
+        return self.lam if self.method == "ridge" else self.cut
 
 
 # condition estimate beyond which an unregularized solve is refused
@@ -91,23 +93,24 @@ class LeastSquaresEncoder:
     for a cut).
     """
 
-    def __init__(self, design: np.ndarray, config, n_points: int | None = None, svd=None):
+    def __init__(self, design: np.ndarray, spec: EncodeSpec, n_points: int | None = None,
+                 svd=None):
         design = np.asarray(design, dtype=np.float64)
         if design.ndim != 2 or design.size == 0:
             raise ConfigurationError(f"design matrix must be 2-D and nonempty, got shape {design.shape}")
+        if not isinstance(spec, EncodeSpec):
+            raise ConfigurationError(f"expected an EncodeSpec, got {spec!r}")
         self.design = design
-        self.config = config
+        self.spec = spec
         self.n_points = int(n_points) if n_points is not None else design.shape[0]
-        if not isinstance(config, (Ridge, TruncatedSvd)):
-            raise ConfigurationError(f"unknown encode config {config!r}")
         if svd is None:
             svd = np.linalg.svd(design, full_matrices=False)
         u, s, vt = svd
         if u.shape[0] != design.shape[0] or vt.shape[1] != design.shape[1]:
             raise ConfigurationError(
                 f"svd factors {u.shape}, {vt.shape} do not fit a design matrix of shape {design.shape}")
-        if isinstance(config, Ridge):
-            if config.lam == 0.0:
+        if spec.method == "ridge":
+            if spec.lam == 0.0:
                 # cond(Phi); fewer nonzero singular values than columns is inf
                 full_rank = s.size == design.shape[1] and s[-1] > 0.0
                 cond = s[0] / s[-1] if full_rank else np.inf
@@ -117,12 +120,12 @@ class LeastSquaresEncoder:
                         f"(condition estimate {cond:.3e}); increase lam or use a cut",
                         condition_estimate=float(cond),
                     )
-            filt = s / (s * s + config.lam * self.n_points)
+            filt = s / (s * s + spec.lam * self.n_points)
         else:
-            if config.cut_mode == CutMode.RELATIVE_TO_SIGMA1:
-                threshold = config.cut * s[0]
+            if spec.cut_mode == "relative":
+                threshold = spec.cut * s[0]
             else:
-                threshold = config.cut
+                threshold = spec.cut
             filt = np.zeros_like(s)
             keep = (s >= threshold) & (s > 0)
             filt[keep] = 1.0 / s[keep]
@@ -181,22 +184,6 @@ class LeastSquaresEncoder:
         return coeffs[0] if squeeze else coeffs[:rows]
 
 
-@dataclass
-class CoefficientMatrix:
-    """Rows are per-sample coefficient vectors, columns follow basis order."""
-
-    values: np.ndarray
-    basis_id: str
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_basis(self) -> int:
-        return self.values.shape[1]
-
-
 def _design_and_rows(basis, points, values):
     """(design matrix at ``points``, points per component, sample rows).
 
@@ -223,18 +210,18 @@ def _design_and_rows(basis, points, values):
     return design, n, values.reshape(values.shape[0], -1)
 
 
-def encode(basis, points, values, config) -> CoefficientMatrix:
+def encode(basis, points, values, spec: EncodeSpec) -> np.ndarray:
     """Project sampled functions onto a scalar or a vector-valued basis.
 
     values: (M, n) or (n,) function samples at ``points`` for a scalar
     basis; (M, C, n) or (C, n) for a VectorBasis of C components, whose
     solve runs on the stacked design with the ridge penalty scaled by n,
-    matching the per-point normalization of the data term.
+    matching the per-point normalization of the data term.  Returns the
+    (M, m) coefficients, one row per sample in basis order.
     """
     design, n, rows = _design_and_rows(basis, points, values)
-    enc = LeastSquaresEncoder(design, config, n_points=n)
-    coeffs = np.atleast_2d(enc.encode_values(rows))
-    return CoefficientMatrix(values=coeffs, basis_id=basis.identity())
+    enc = LeastSquaresEncoder(design, spec, n_points=n)
+    return np.atleast_2d(enc.encode_values(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +248,14 @@ def effective_rank_of_singular_values(s: np.ndarray) -> float:
     return float(np.exp(-np.sum(p * np.log(p))))
 
 
-def diagnostics(coeffs: CoefficientMatrix | np.ndarray) -> CoefficientDiagnostics:
+def diagnostics(coeffs: np.ndarray) -> CoefficientDiagnostics:
     """Effective rank, spectrum, and variance balance of a coefficient matrix.
 
     The variance entropy is an implementer's proxy for how evenly the
     coefficient variation spreads across basis functions: exp of the entropy
     of the normalized per-column sample variances.
     """
-    a = coeffs.values if isinstance(coeffs, CoefficientMatrix) else np.asarray(coeffs, dtype=np.float64)
-    a = np.atleast_2d(a)
+    a = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if a.size == 0:
         raise ConfigurationError("coefficient matrix is empty")
     s = np.linalg.svd(a, compute_uv=False)
@@ -305,11 +291,11 @@ class ProjectionError:
     zero_norm_count: int
 
 
-def projection_error_from_design(design: np.ndarray, targets: np.ndarray, config,
+def projection_error_from_design(design: np.ndarray, targets: np.ndarray, spec: EncodeSpec,
                                  n_points: int | None = None, svd=None) -> ProjectionError:
     """Projection error against a design matrix; ``svd`` is its thin SVD if known."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    enc = LeastSquaresEncoder(design, config, n_points=n_points, svd=svd)
+    enc = LeastSquaresEncoder(design, spec, n_points=n_points, svd=svd)
     coeffs = np.atleast_2d(enc.encode_values(targets))
     resid = coeffs @ design.T - targets
     rnorm = np.linalg.norm(resid, axis=1)
@@ -326,18 +312,18 @@ def projection_error_from_design(design: np.ndarray, targets: np.ndarray, config
     )
 
 
-def projection_error(basis, points, targets, config) -> ProjectionError:
+def projection_error(basis, points, targets, spec: EncodeSpec) -> ProjectionError:
     """Relative L2 error of the regularized best fit in the basis span.
 
     Targets take the shapes ``encode`` takes; for a VectorBasis the norm
     runs over the stacked component values.
     """
     design, n, rows = _design_and_rows(basis, points, targets)
-    return projection_error_from_design(design, rows, config, n_points=n)
+    return projection_error_from_design(design, rows, spec, n_points=n)
 
 
 def write_diagnostics_csv(path, rows) -> None:
-    """Flat diagnostics export: one row per encode config.
+    """Flat diagnostics export: one row per encode spec.
 
     Columns: cut_or_lambda, erank, variance_entropy, mean_projection_error.
     """

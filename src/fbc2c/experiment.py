@@ -4,8 +4,10 @@
 carries the test error, the output-space projection floor, the input
 coefficient diagnostics and the kept rank and condition of both encoders.
 Its net maps raw input coefficients (raw values for P2C) to output
-coefficients, and the bases are rebuilt from config seeds, so the config and
-net that a run directory stores (``load_run``) are all ``evaluate_on`` needs.
+coefficients, as does the checkpoint of a ``TrainingDiverged`` it raises, and
+the bases are rebuilt from config seeds, so the config and net that a run
+directory stores (``load_run``) are all ``evaluate_on`` needs.  The encode
+sections of the config are the ``EncodeSpec`` the encoders take.
 ``sweep_cutoff``, ``eval_resolutions`` and ``compare_vector_scalar`` drive
 the cutoff sensitivity, resolution transfer, and scalar-vs-vector-output
 studies on top of it.
@@ -24,11 +26,11 @@ import scipy.linalg
 
 from . import datagen
 from .basis import VectorBasis
-from .config import DatasetSpec, EncodeSpec, ExperimentConfig, config_hash, dump_config, load_config
+from .config import DatasetSpec, ExperimentConfig, config_hash, dump_config, load_config
 from .container import read_container, write_container
-from .encoder import (LeastSquaresEncoder, ProjectionError, diagnostics,
+from .encoder import (EncodeSpec, LeastSquaresEncoder, ProjectionError, diagnostics,
                       projection_error_from_design, write_diagnostics_csv)
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, TrainingDiverged
 from .neuralop import OperatorNet, forward, init_net, relative_loss, train
 
 
@@ -111,7 +113,7 @@ def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
     design, svd = data.designs.get(key, (None, None))
     if design is None:
         design = _reconstruction_matrix(basis, points, components)
-    enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode").to_config(),
+    enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode"),
                               n_points=points.shape[0], svd=svd)
     data.designs[key] = (design, enc.svd)
     return basis, enc
@@ -189,11 +191,19 @@ class RunResult(TrainedMap):
     data: PreparedData
 
 
+def _fold_standardization(net: OperatorNet, mean: np.ndarray, scale: np.ndarray) -> None:
+    """Fold x -> (x - mean) / scale into the first layer: W' = W / scale, b' = b - W' mean."""
+    net.hidden_weights /= scale
+    net.hidden_biases -= net.hidden_weights @ mean
+
+
 def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = None) -> RunResult:
     """Execute one experiment: build, encode, train, evaluate, report.
 
     The test split must share the training grid.  Each side's design matrix
     is built and factored once per ``PreparedData`` (see its ``designs``).
+    A ``TrainingDiverged`` is raised with its checkpoint folded like the
+    trained net, so it too maps raw input coefficients.
     """
     started = time.perf_counter()
     data = prepared if prepared is not None else prepare_data(config.dataset)
@@ -221,19 +231,23 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
         erank, entropy = diag.effective_rank, diag.variance_entropy
 
     # Train on standardized columns (small singular values amplify coefficient
-    # scales), then fold the map into the first layer: W' = W / scale, b' = b - W' mean.
+    # scales); the net handed back, trained or diverged, takes raw inputs.
     mean = a_train.mean(axis=0)
     std = a_train.std(axis=0)
     floor = 1e-12 * max(float(std.max(initial=0.0)), 1e-300)
     scale = np.where(std > floor, std, 1.0)
     net0 = init_net(a_train.shape[1], config.net.hidden, m_out, config.net.seed)
-    net, trace = train(net0, (a_train - mean) / scale, u_train, psi_eff, config.train,
-                       test_inputs=(a_test - mean) / scale, test_targets=u_test)
-    net.hidden_weights /= scale
-    net.hidden_biases -= net.hidden_weights @ mean
+    try:
+        net, trace = train(net0, (a_train - mean) / scale, u_train, psi_eff, config.train,
+                           test_inputs=(a_test - mean) / scale, test_targets=u_test)
+    except TrainingDiverged as exc:
+        if exc.checkpoint is not None:
+            _fold_standardization(exc.checkpoint, mean, scale)
+        raise
+    _fold_standardization(net, mean, scale)
 
     final_err, per_sample = relative_loss(forward(net, a_test), psi_eff, u_test)
-    proj = projection_error_from_design(psi_eff, u_test, config.output_encode.to_config(),
+    proj = projection_error_from_design(psi_eff, u_test, config.output_encode,
                                         n_points=out_enc.n_points, svd=out_enc.svd)
     report = RunReport(
         final_test_error=final_err,
@@ -268,7 +282,7 @@ def evaluate_on(result: TrainedMap, dataset: datagen.FunctionDataset):
     config = result.config
     pts = dataset.input_points
     enc = None if config.p2c else LeastSquaresEncoder(
-        config.input_basis.build().design_matrix(pts), config.input_encode.to_config(),
+        config.input_basis.build().design_matrix(pts), config.input_encode,
         n_points=pts.shape[0])
     out_basis, _ = _side_basis(config, "output", dataset.output_components)
     psi = _reconstruction_matrix(out_basis, dataset.output_points, dataset.output_components)
@@ -308,18 +322,18 @@ def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None =
 
     The member runs share one PreparedData, so each design matrix is built
     and factored once: a cut only changes the filter on the input design's
-    singular values.
+    singular values.  Every cut is checked before any data is generated.
     """
     if len(cuts) < 1:
         raise ConfigurationError("sweep needs at least one cut value")
     if config.p2c:
         raise ConfigurationError("cutoff sweep requires coefficient inputs, not P2C")
+    members = [dataclasses.replace(config, input_encode=EncodeSpec(
+        method="tsvd", cut=float(cut), cut_mode=config.input_encode.cut_mode)) for cut in cuts]
     data = prepared if prepared is not None else prepare_data(config.dataset)
     rows = []
     results = []
-    for cut in cuts:
-        member = dataclasses.replace(config, input_encode=EncodeSpec(
-            method="tsvd", cut=float(cut), cut_mode=config.input_encode.cut_mode))
+    for cut, member in zip(cuts, members):
         result = run(member, prepared=data)
         rows.append(SweepRow(
             cut=float(cut),

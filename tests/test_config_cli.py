@@ -341,14 +341,28 @@ def test_cli_train_writes_artifacts(tmp_path):
         assert (outdir / name).exists()
 
 
+@pytest.fixture
+def no_data_generation(monkeypatch):
+    """Fails the test if a command generates data: bad settings are refused first."""
+    def no_data(*args, **kwargs):
+        raise AssertionError("a bad setting must be refused before any data is generated")
+
+    monkeypatch.setattr("fbc2c.experiment.prepare_data", no_data)
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("train", "epochs", "3", r"config\.train\.epochs: expected int"),
     ("dataset", "n", "50", r"config\.dataset\.n: expected int \| None"),
     ("dataset", "m_test", 0, r"dataset\.m_test: must be >= 1"),
     ("net", "hidden", True, r"config\.net\.hidden: expected int, got bool"),
     ("train", "lr_start", False, r"config\.train\.lr_start: expected float, got bool"),
-], ids=["string_epochs", "string_n", "zero_m_test", "bool_hidden", "bool_lr"])
-def test_cli_refuses_bad_config_values(tmp_path, capsys, section, key, value, field):
+    ("input_basis", "window", "bogus", r"config\.input_basis\.window: unknown window"),
+    ("output_basis", "activation", "bogus", r"config\.output_basis\.activation: unknown"),
+    ("output_encode", "cut_mode", "bogus", r"config\.output_encode\.cut_mode: unknown"),
+], ids=["string_epochs", "string_n", "zero_m_test", "bool_hidden", "bool_lr",
+        "bogus_window", "bogus_activation", "bogus_cut_mode"])
+def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, section, key,
+                                       value, field):
     cfg = _tiny_config_dict()
     cfg[section][key] = value
     path = tmp_path / "run.json"
@@ -358,3 +372,67 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, section, key, value, fi
     err = capsys.readouterr().err
     assert err.startswith("error code=2") and re.search(field, err)
     assert not (tmp_path / "out").exists()
+
+
+def test_config_hash_of_a_literal_config_is_pinned():
+    # recorded before EncodeSpec moved into fbc2c.encoder; old run directories
+    # load only while the hash of an unchanged config stays the same
+    assert config_hash(config_from_dict(_tiny_config_dict())) == "b3ccc303697b0c3c"
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("method", "bogus", "method"),
+    ("cut_mode", "bogus", "cut_mode"),
+    ("lam", -1, "lam"),
+    ("lam", float("nan"), "lam"),
+    ("cut", float("nan"), "cut"),
+    ("cut", float("inf"), "cut"),
+], ids=["bogus_method", "bogus_cut_mode", "negative_lam", "nan_lam", "nan_cut", "inf_cut"])
+def test_load_config_refuses_bad_encode_settings(tmp_path, key, value, field):
+    cfg = _tiny_config_dict()
+    cfg["input_encode"][key] = value
+    path = tmp_path / "run.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh, allow_nan=True)
+    with pytest.raises(ConfigurationError, match=rf"^config\.input_encode\.{field}: "):
+        load_config(path)
+
+
+def test_cli_sweep_refuses_a_bad_cut_before_generating_data(tmp_path, capsys,
+                                                            no_data_generation):
+    path = tmp_path / "run.json"
+    with open(path, "w") as fh:
+        json.dump(_tiny_config_dict(), fh)
+    assert main(["sweep", "-c", str(path), "--cuts", "1e-2,nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and "cut: must be finite" in err
+
+
+@pytest.mark.parametrize("field", ["window", "activation"])
+def test_basis_spec_refuses_an_unknown_kind_by_field(field):
+    with pytest.raises(ConfigurationError, match=rf"^{field}: unknown {field} 'bogus'"):
+        BasisSpec(kind="rfm", partitions=[2], features_per_partition=3, **{field: "bogus"})
+
+
+def test_cli_encode_refuses_a_nan_cut(tmp_path, capsys):
+    data = tmp_path / "data.fbc"
+    main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
+          "-o", str(data)])
+    capsys.readouterr()
+    assert main(["encode", str(data), "--cut", "nan", "-o", str(tmp_path / "c.fbc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and "cut: must be finite" in err
+    assert not (tmp_path / "c.fbc").exists()
+
+
+def test_cli_encode_records_the_basis_identity(tmp_path):
+    data = tmp_path / "data.fbc"
+    main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
+          "-o", str(data)])
+    coeffs = tmp_path / "c.fbc"
+    assert main(["encode", str(data), "--partitions", "2", "--features", "4",
+                 "--basis-seed", "7", "-o", str(coeffs)]) == 0
+    basis = BasisSpec(kind="rfm", partitions=[2], features_per_partition=4, seed=7,
+                      bounds=[0.0, 1.0]).build()
+    _, meta = read_container(coeffs)
+    assert meta["basis_id"] == basis.identity()

@@ -7,35 +7,34 @@ from fbc2c import encoder
 from fbc2c.basis import (ActivationKind, Partition, RfmBasis, VectorBasis,
                          WindowKind, build_rfm, build_vector_rfm,
                          uniform_fem_basis)
-from fbc2c.encoder import (CoefficientMatrix, CutMode, LeastSquaresEncoder,
-                           Ridge, TruncatedSvd, diagnostics,
+from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
                            effective_rank_of_singular_values, encode,
                            projection_error)
 from fbc2c.errors import ConfigurationError, DataError, RankDeficiencyError
 
 
 def test_ridge_normal_equations_hand_case():
-    enc = LeastSquaresEncoder(np.array([[1.0], [1.0]]), Ridge(0.0))
+    enc = LeastSquaresEncoder(np.array([[1.0], [1.0]]), EncodeSpec("ridge", 0.0))
     assert enc.encode_values(np.array([1.0, 3.0])) == pytest.approx([2.0])
 
 
 def test_ridge_identity_design_returns_values():
-    enc = LeastSquaresEncoder(np.eye(3), Ridge(0.0))
+    enc = LeastSquaresEncoder(np.eye(3), EncodeSpec("ridge", 0.0))
     f = np.array([0.3, -1.2, 4.0])
     assert enc.encode_values(f) == pytest.approx(f)
 
 
 def test_tsvd_discards_small_singular_values():
-    enc = LeastSquaresEncoder(np.diag([1.0, 1e-8]), TruncatedSvd(1e-3))
+    enc = LeastSquaresEncoder(np.diag([1.0, 1e-8]), EncodeSpec(cut=1e-3))
     assert enc.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
 
 
 def test_tsvd_absolute_mode():
     enc = LeastSquaresEncoder(np.diag([1.0, 1e-8]),
-                              TruncatedSvd(1e-3, CutMode.ABSOLUTE))
+                              EncodeSpec(cut=1e-3, cut_mode="absolute"))
     assert enc.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
     enc2 = LeastSquaresEncoder(np.diag([1.0, 0.5]),
-                               TruncatedSvd(0.6, CutMode.ABSOLUTE))
+                               EncodeSpec(cut=0.6, cut_mode="absolute"))
     assert enc2.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
 
 
@@ -46,7 +45,7 @@ def test_ridge_penalty_scales_with_point_count():
     f = rng.standard_normal(25)
     lam = 0.37
     expected = np.linalg.solve(phi.T @ phi + lam * 25 * np.eye(4), phi.T @ f)
-    got = LeastSquaresEncoder(phi, Ridge(lam)).encode_values(f)
+    got = LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(f)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -56,20 +55,20 @@ def test_ridge_penalty_scales_with_point_count():
 ], ids=["repeated_column", "underdetermined_3x5"])
 def test_unregularized_rank_deficiency_raises(phi):
     with pytest.raises(RankDeficiencyError) as info:
-        LeastSquaresEncoder(phi, Ridge(0.0))
+        LeastSquaresEncoder(phi, EncodeSpec("ridge", 0.0))
     assert info.value.condition_estimate > 1e12
 
 
 def test_unregularized_solve_judges_condition_of_design_not_gram():
     # cond(Phi) = 1e7 is solvable; cond(Phi^T Phi) = 1e14 would be refused
-    enc = LeastSquaresEncoder(np.diag([1.0, 1e-7]), Ridge(0.0))
+    enc = LeastSquaresEncoder(np.diag([1.0, 1e-7]), EncodeSpec("ridge", 0.0))
     assert enc.encode_values(np.array([2.0, 3.0])) == pytest.approx([2.0, 3e7], rel=1e-14)
 
 
 @pytest.mark.parametrize("config, rank, sigma_min, cond", [
-    (TruncatedSvd(0.3), 2, 2.0, 2.0),
-    (Ridge(0.0), 4, 0.5, 8.0),
-    (TruncatedSvd(2.0), 0, 0.0, np.inf),
+    (EncodeSpec(cut=0.3), 2, 2.0, 2.0),
+    (EncodeSpec("ridge", 0.0), 4, 0.5, 8.0),
+    (EncodeSpec(cut=2.0), 0, 0.0, np.inf),
 ], ids=["cut", "ridge0", "nothing_kept"])
 def test_encoder_reports_kept_spectrum(config, rank, sigma_min, cond):
     # singular values 4, 2, 1, 0.5; a relative cut of 0.3 keeps those >= 1.2
@@ -86,8 +85,9 @@ def test_encoder_given_an_svd_encodes_as_a_fresh_one(svd_calls):
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((12, 5))
     f = rng.standard_normal((3, 12))
-    first = LeastSquaresEncoder(phi, TruncatedSvd(1e-3))
-    configs = (TruncatedSvd(1e-3), TruncatedSvd(0.5), Ridge(0.1), Ridge(0.0))
+    first = LeastSquaresEncoder(phi, EncodeSpec(cut=1e-3))
+    configs = (EncodeSpec(cut=1e-3), EncodeSpec(cut=0.5),
+               EncodeSpec("ridge", 0.1), EncodeSpec("ridge", 0.0))
     for config in configs:
         reused = LeastSquaresEncoder(phi, config, svd=first.svd)
         fresh = LeastSquaresEncoder(phi, config)
@@ -99,28 +99,28 @@ def test_encoder_given_an_svd_encodes_as_a_fresh_one(svd_calls):
 
 def test_encoder_refuses_an_svd_of_another_shape():
     phi = np.random.default_rng(8).standard_normal((10, 4))
-    svd = LeastSquaresEncoder(phi, Ridge(0.1)).svd
+    svd = LeastSquaresEncoder(phi, EncodeSpec("ridge", 0.1)).svd
     with pytest.raises(ConfigurationError, match="svd factors"):
-        LeastSquaresEncoder(phi[:, :3], Ridge(0.1), svd=svd)
+        LeastSquaresEncoder(phi[:, :3], EncodeSpec("ridge", 0.1), svd=svd)
     with pytest.raises(ConfigurationError, match="svd factors"):
-        LeastSquaresEncoder(phi[:9], Ridge(0.1), svd=svd)
+        LeastSquaresEncoder(phi[:9], EncodeSpec("ridge", 0.1), svd=svd)
 
 
 def test_dimension_mismatch_rejected():
-    enc = LeastSquaresEncoder(np.eye(3), Ridge(0.0))
+    enc = LeastSquaresEncoder(np.eye(3), EncodeSpec("ridge", 0.0))
     with pytest.raises(ConfigurationError):
         enc.encode_values(np.ones(4))
     with pytest.raises(ConfigurationError):
-        Ridge(-1.0)
+        EncodeSpec("ridge", -1.0)
     with pytest.raises(ConfigurationError):
-        TruncatedSvd(-0.5)
+        EncodeSpec(cut=-0.5)
 
 
 def test_batch_encode_matches_per_sample():
     rng = np.random.default_rng(3)
     phi = rng.standard_normal((30, 5))
     values = rng.standard_normal((8, 30))
-    enc = LeastSquaresEncoder(phi, TruncatedSvd(1e-10))
+    enc = LeastSquaresEncoder(phi, EncodeSpec(cut=1e-10))
     batch = enc.encode_values(values)
     singles = np.stack([enc.encode_values(v) for v in values])
     assert np.array_equal(batch, singles)
@@ -130,8 +130,8 @@ def test_tsvd_zero_cut_matches_ridge_zero_on_full_rank():
     rng = np.random.default_rng(5)
     phi = rng.standard_normal((40, 7))
     values = rng.standard_normal((3, 40))
-    a_ridge = LeastSquaresEncoder(phi, Ridge(0.0)).encode_values(values)
-    a_svd = LeastSquaresEncoder(phi, TruncatedSvd(0.0)).encode_values(values)
+    a_ridge = LeastSquaresEncoder(phi, EncodeSpec("ridge", 0.0)).encode_values(values)
+    a_svd = LeastSquaresEncoder(phi, EncodeSpec(cut=0.0)).encode_values(values)
     assert np.max(np.abs(a_ridge - a_svd)) < 1e-9
 
 
@@ -143,7 +143,7 @@ def test_ridge_optimality_via_finite_differences():
         phi = rng.standard_normal((n, m))
         f = rng.standard_normal(n)
         lam = 10.0 ** rng.uniform(-6, -1)
-        a = LeastSquaresEncoder(phi, Ridge(lam)).encode_values(f)
+        a = LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(f)
         grad = 2.0 / n * phi.T @ (phi @ a - f) + 2.0 * lam * a
         assert np.linalg.norm(grad) < 1e-8
 
@@ -152,7 +152,7 @@ def test_monotone_shrinkage_in_lambda():
     rng = np.random.default_rng(7)
     phi = rng.standard_normal((20, 6))
     f = rng.standard_normal(20)
-    norms = [np.linalg.norm(LeastSquaresEncoder(phi, Ridge(lam)).encode_values(f))
+    norms = [np.linalg.norm(LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(f))
              for lam in np.logspace(-8, 2, 12)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -161,10 +161,8 @@ def test_encode_through_basis():
     basis = uniform_fem_basis(5)
     pts = basis.nodes
     values = np.array([[0.0, 1.0, 2.0, 1.0, 0.0]])
-    coeffs = encode(basis, pts, values, Ridge(0.0))
-    assert isinstance(coeffs, CoefficientMatrix)
-    assert coeffs.values == pytest.approx(values)  # interpolatory basis
-    assert coeffs.basis_id == basis.identity()
+    coeffs = encode(basis, pts, values, EncodeSpec("ridge", 0.0))
+    assert coeffs == pytest.approx(values)  # interpolatory basis
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +183,8 @@ def test_encode_vector_single_component_reduces_to_encode():
     pts = np.linspace(0, 1, 30)
     rng = np.random.default_rng(0)
     values = rng.standard_normal((5, 30))
-    scalar = encode(basis, pts, values, Ridge(1e-6)).values
-    vector = encode(vb, pts, values[:, None, :], Ridge(1e-6)).values
+    scalar = encode(basis, pts, values, EncodeSpec("ridge", 1e-6))
+    vector = encode(vb, pts, values[:, None, :], EncodeSpec("ridge", 1e-6))
     assert vector == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
 
@@ -197,8 +195,8 @@ def test_encode_vector_zero_component_padding():
     rng = np.random.default_rng(1)
     comp1 = rng.standard_normal((5, 30))
     stacked = np.stack([comp1, np.zeros_like(comp1)], axis=1)
-    vector = encode(vb, pts, stacked, Ridge(1e-6)).values
-    scalar = encode(basis, pts, comp1, Ridge(1e-6)).values
+    vector = encode(vb, pts, stacked, EncodeSpec("ridge", 1e-6))
+    scalar = encode(basis, pts, comp1, EncodeSpec("ridge", 1e-6))
     assert vector == pytest.approx(scalar, rel=1e-10, abs=1e-12)
 
 
@@ -208,7 +206,7 @@ def test_encode_vector_matches_dense_stacked_oracle():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((4, 2, 40))
     lam = 1e-4
-    got = encode(vb, pts, values, Ridge(lam)).values
+    got = encode(vb, pts, values, EncodeSpec("ridge", lam))
     design = vb.design_matrix(pts)
     gram = design.T @ design + lam * 40 * np.eye(design.shape[1])
     expected = np.stack([
@@ -218,7 +216,8 @@ def test_encode_vector_matches_dense_stacked_oracle():
     # the projection floor stacks the components the same way
     flat = values.reshape(4, -1)
     resid = np.linalg.norm(expected @ design.T - flat, axis=1) / np.linalg.norm(flat, axis=1)
-    assert projection_error(vb, pts, values, Ridge(lam)).per_sample == pytest.approx(resid, rel=1e-8)
+    pe = projection_error(vb, pts, values, EncodeSpec("ridge", lam))
+    assert pe.per_sample == pytest.approx(resid, rel=1e-8)
 
 
 def test_encode_vector_shape_validation():
@@ -226,9 +225,9 @@ def test_encode_vector_shape_validation():
     pts = np.linspace(-1, 1, 10)
     for check in (encode, projection_error):
         with pytest.raises(ConfigurationError, match=r"expected values of shape \(M, 2, n\)"):
-            check(vb, pts, np.zeros((3, 3, 10)), Ridge(0.1))
+            check(vb, pts, np.zeros((3, 3, 10)), EncodeSpec("ridge", 0.1))
         with pytest.raises(ConfigurationError, match="7 points per component"):
-            check(vb, pts, np.zeros((3, 2, 7)), Ridge(0.1))
+            check(vb, pts, np.zeros((3, 2, 7)), EncodeSpec("ridge", 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +299,14 @@ def test_projection_error_in_span_target():
     phi = basis.design_matrix(pts)
     rng = np.random.default_rng(6)
     targets = (phi @ rng.standard_normal((basis.size, 3))).T
-    pe = projection_error(basis, pts, targets, Ridge(0.0))
+    pe = projection_error(basis, pts, targets, EncodeSpec("ridge", 0.0))
     assert pe.mean < 1e-10
 
 
 def test_projection_error_fem_interpolates_linear():
     basis = uniform_fem_basis(3)
     pts = basis.nodes
-    pe = projection_error(basis, pts, pts[None, :], Ridge(0.0))  # u(x) = x at nodes
+    pe = projection_error(basis, pts, pts[None, :], EncodeSpec("ridge", 0.0))  # u(x) = x at nodes
     assert pe.mean < 1e-12
 
 
@@ -315,7 +314,7 @@ def test_projection_error_matches_dense_oracle():
     basis = uniform_fem_basis(3)
     pts = np.linspace(0, 1, 100)
     target = np.sin(np.pi * pts)[None, :]
-    pe = projection_error(basis, pts, target, Ridge(0.0))
+    pe = projection_error(basis, pts, target, EncodeSpec("ridge", 0.0))
     phi = basis.design_matrix(pts)
     coef, *_ = np.linalg.lstsq(phi, target[0], rcond=None)
     expected = np.linalg.norm(phi @ coef - target[0]) / np.linalg.norm(target[0])
@@ -326,9 +325,9 @@ def test_projection_error_excludes_zero_norm_samples():
     basis = uniform_fem_basis(4)
     pts = np.linspace(0, 1, 50)
     targets = np.vstack([np.sin(pts), np.zeros(50)])
-    pe = projection_error(basis, pts, targets, Ridge(1e-8))
+    pe = projection_error(basis, pts, targets, EncodeSpec("ridge", 1e-8))
     assert pe.zero_norm_count == 1
     assert np.isnan(pe.per_sample[1])
     assert np.isfinite(pe.mean)
     with pytest.raises(DataError):
-        projection_error(basis, pts, np.zeros((2, 50)), Ridge(1e-8))
+        projection_error(basis, pts, np.zeros((2, 50)), EncodeSpec("ridge", 1e-8))

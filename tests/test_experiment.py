@@ -7,11 +7,11 @@ from fbc2c.basis import RfmBasis
 from fbc2c.config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
                           NetSpec, config_to_dict)
 from fbc2c.encoder import LeastSquaresEncoder
-from fbc2c.errors import ConfigurationError
+from fbc2c.errors import ConfigurationError, TrainingDiverged
 from fbc2c.experiment import (compare_vector_scalar, eval_resolutions,
                               evaluate_on, load_checkpoint, load_run, prepare_data, run,
                               sweep_cutoff, write_artifacts)
-from fbc2c.neuralop import TrainConfig
+from fbc2c.neuralop import TrainConfig, forward
 
 
 def _darcy_config(**overrides):
@@ -52,8 +52,8 @@ def test_run_reports_both_encoders(darcy_result, tmp_path):
     cfg, report = darcy_result.config, darcy_result.report
     train_ds = darcy_result.data.train
     design = darcy_result.input_basis.design_matrix(train_ds.input_points)
-    inputs = LeastSquaresEncoder(design, cfg.input_encode.to_config())
-    outputs = LeastSquaresEncoder(darcy_result.psi, cfg.output_encode.to_config())
+    inputs = LeastSquaresEncoder(design, cfg.input_encode)
+    outputs = LeastSquaresEncoder(darcy_result.psi, cfg.output_encode)
     assert (report.input_kept_rank, report.input_condition) == (
         inputs.kept_rank, inputs.condition)
     assert (report.output_kept_rank, report.output_condition) == (
@@ -89,6 +89,23 @@ def test_run_is_deterministic_except_wall_clock():
                           r2.report.test_error_per_sample)
     assert np.array_equal(r1.net.flat_parameters(), r2.net.flat_parameters())
     assert np.array_equal(r1.trace.train_loss, r2.trace.train_loss)
+
+
+def test_diverged_run_hands_back_a_checkpoint_on_raw_inputs(monkeypatch):
+    seen = {}
+
+    def diverging(net, inputs, *args, **kwargs):
+        seen["outputs"] = forward(net, inputs)
+        raise TrainingDiverged("training loss became non-finite at epoch 0", epoch=0,
+                               checkpoint=net.copy())
+
+    monkeypatch.setattr("fbc2c.experiment.train", diverging)
+    cfg = _darcy_config(p2c=True)              # raw values are the net's inputs
+    data = prepare_data(cfg.dataset)
+    with pytest.raises(TrainingDiverged) as info:
+        run(cfg, prepared=data)
+    got = forward(info.value.checkpoint, data.train.inputs)
+    assert got == pytest.approx(seen["outputs"], rel=1e-10, abs=1e-12)
 
 
 def test_projection_bound_per_sample(darcy_result):
