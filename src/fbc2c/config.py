@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .basis import ActivationKind, WindowKind, build_rfm, build_vector_rfm, uniform_fem_basis
@@ -28,6 +29,11 @@ _DATASET_SIZES = {
     "highd_poisson": ("d", "n_points", "n_train", "n_gen1", "n_gen2"),
     "multi_output_1d": ("n", "m_train", "m_test"),
 }
+# the GRF and solver settings each dataset kind reads; each must be finite and > 0
+_DATASET_SCALES = {
+    "darcy1d": ("length_scale", "amplitude", "tol"),
+    "multi_output_1d": ("length_scale", "amplitude"),
+}
 
 
 @dataclass
@@ -36,7 +42,8 @@ class DatasetSpec:
 
     ``n`` is the grid size for the 1D problems and the points per side for
     poisson2d; highd_poisson uses ``d``/``n_points`` and the three fixed
-    amplitude splits instead of m_train/m_test.
+    amplitude splits instead of m_train/m_test.  The fields the kind reads
+    are checked on construction; an error names the field.
     """
 
     kind: str
@@ -57,14 +64,18 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in _DATASET_SIZES:
             raise ConfigurationError(
-                f"dataset.kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_SIZES)}"
+                f"kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_SIZES)}"
             )
         for name in _DATASET_SIZES[self.kind]:
             value = getattr(self, name)
             if value is None:
-                raise ConfigurationError(f"dataset.{name}: {self.kind} needs it")
+                raise ConfigurationError(f"{name}: {self.kind} needs it")
             if value < 1:
-                raise ConfigurationError(f"dataset.{name}: must be >= 1, got {value}")
+                raise ConfigurationError(f"{name}: must be >= 1, got {value}")
+        for name in _DATASET_SCALES.get(self.kind, ()):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
 
 
 @dataclass

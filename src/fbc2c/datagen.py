@@ -16,23 +16,26 @@ Problems covered:
 
 Every generator draws one input function per sample, so inputs are (M, n1);
 the GRF-forced ones draw through ``sample_grf_at``, the one field sampler,
-at their own points.  It factors the covariance in place with a blocked
-Cholesky whose trailing updates skip negligible rows, so it holds little
-more than the one (n, n) covariance buffer, and up to 512 points it draws
-exactly the fields of a dense ``np.linalg.cholesky`` factor.  Every
-generator checks its seed before drawing anything (a non-negative integer
-or a sequence of them), is deterministic per seed, and records enough
-provenance to regenerate the data bit-identically.
+at their own points, and record the jitter level its factor settled on.
+It builds and factors only the strips of the covariance within the
+kernel's reach of each block of 512 points, so it never holds an (n, n)
+array, and up to 512 points it draws exactly the fields of a dense
+``np.linalg.cholesky`` factor.  Every generator checks its seed before
+drawing anything (a non-negative integer or a sequence of them), is
+deterministic per seed, and records enough provenance to regenerate the
+data bit-identically.
 """
 
 from __future__ import annotations
 
+import contextvars
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import ConfigurationError, DataError, NumericalError, SolverError
 
@@ -104,7 +107,13 @@ def squared_exp_covariance(points: np.ndarray, length_scale: float,
                            amplitude: float) -> np.ndarray:
     """amplitude^2 * exp(-((x - x') / length_scale)^2), built in one (n, n) buffer."""
     pts = np.asarray(points, dtype=np.float64).ravel()
-    cov = np.subtract.outer(pts, pts)
+    return _squared_exp(pts, pts, length_scale, amplitude)
+
+
+def _squared_exp(rows: np.ndarray, cols: np.ndarray, length_scale: float,
+                 amplitude: float) -> np.ndarray:
+    """The (len(rows), len(cols)) block of ``squared_exp_covariance``, same arithmetic."""
+    cov = np.subtract.outer(rows, cols)
     cov /= length_scale
     np.square(cov, out=cov)
     np.negative(cov, out=cov)
@@ -118,96 +127,94 @@ def squared_exp_covariance(points: np.ndarray, length_scale: float,
 # training grids) draws the fields a dense factor draws, bit for bit.
 _CHOL_BLOCK = 512
 
+# The jitter level of the last factor sample_grf_at settled on, in this
+# context.  sample_grf_at returns the draws alone, so the GRF-forced
+# generators read the level here right after their draw and record it.
+_grf_jitter: contextvars.ContextVar[float] = contextvars.ContextVar("grf_jitter")
 
-def _cholesky_with_jitter(cov: np.ndarray, jitter: float = 1e-10, jitter_max: float = 1e-6):
-    """Cholesky factor of cov + level * I for the first level that factors, in place.
 
-    ``cov`` is a symmetric (n, n) float64 array; the factor is
-    written into its lower triangle, its strict upper triangle is zeroed,
-    and ``cov`` itself is returned.  Levels start at ``jitter`` and rise
-    tenfold up to ``jitter_max``; a failure in any diagonal block retries
-    the whole factor at the next level.  Until the factor succeeds only the
-    diagonal and the lower triangle are written, so a retry restores the
-    lower triangle from the untouched strict upper one and the diagonal
-    from a saved copy, without a second (n, n) buffer.  When this raises
-    ``NumericalError``, ``cov`` holds the original matrix plus the last
-    level tried on its diagonal.
+def _cholesky_with_jitter(entries, strip_ends, jitter: float = 1e-10,
+                          jitter_max: float = 1e-6):
+    """Strips of the Cholesky factor of A + level * I for the first level that factors.
 
-    The factor is right-looking and blocked (Golub & Van Loan, Matrix
-    Computations, 4th ed., sec. 4.2) in blocks of ``_CHOL_BLOCK`` rows:
-    ``np.linalg.cholesky`` on each diagonal block, a triangular solve for
-    the panel below it, and the trailing update only for panel rows up to
-    the last one with an entry above tol = eps * sqrt(max diag) / n.  Each
-    term that skip drops is a product L_ic L_jc with |L_ic| <= tol and
-    |L_jc| <= sqrt(max diag), so the at most n of them that meet in one
-    entry of L L^T move it by at most eps * max diag, below the rounding
-    any Cholesky factor carries, (n + 1) * eps / 2 * max diag (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3).
-    Together, max|L L^T - (cov + level * I)| <= (n + 2) * eps * max diag.
-    For n <= _CHOL_BLOCK the factor is exactly
-    ``np.linalg.cholesky(cov + level * I)``.
+    A is a symmetric (n, n) matrix, n = ``strip_ends[-1]``, given by
+    ``entries(rows, cols)``, which returns a new array of A[rows, cols] for
+    two slices; only entries on or below the diagonal are used.  Block
+    column b holds columns [r0, r1) with r0 = b * ``_CHOL_BLOCK``, and
+    ``strip_ends[b]`` (non-decreasing, at least r1) is the end of its strip:
+    A's entries in rows [strip_ends[b], n) of those columns are taken as 0.
+    Returns ``(strips, level)``, where strips[b] = (diag, below): diag is
+    the (r1 - r0, r1 - r0) lower factor of the block's diagonal block and
+    below the factor's rows [r1, strip_ends[b]) in its columns.  Rows past a
+    strip's end hold no fill, because the kept pattern is a profile (see
+    ``sample_grf_at``).
+
+    Levels start at ``jitter`` and rise tenfold up to ``jitter_max``; a
+    diagonal block that does not factor retries every strip at the next
+    level, and past ``jitter_max`` ``NumericalError`` is raised.  The factor
+    is blocked and left-looking (Golub & Van Loan, Matrix Computations,
+    4th ed., sec. 4.2): each strip takes A's entries, subtracts the earlier
+    strips that reach its first row, factors its diagonal block with
+    ``np.linalg.cholesky`` and solves one triangular system for the rows
+    below it.  With one block the factor is exactly
+    ``np.linalg.cholesky(A + level * I)``.
     """
-    n = cov.shape[0]
-    diag = cov.diagonal().copy()
+    n = strip_ends[-1]
     level = jitter
     while level <= jitter_max * (1 + 1e-12):
-        np.fill_diagonal(cov, diag + level)
+        strips = []
         try:
-            _blocked_cholesky(cov, np.finfo(np.float64).eps * np.sqrt(np.max(diag + level)) / n)
+            for b, end in enumerate(strip_ends):
+                r0 = b * _CHOL_BLOCK
+                r1 = min(r0 + _CHOL_BLOCK, n)
+                diag = entries(slice(r0, r1), slice(r0, r1))
+                diag[np.diag_indices_from(diag)] += level
+                below = entries(slice(r1, end), slice(r0, r1))
+                for c, (_, earlier) in enumerate(strips):
+                    # rows [r0, strip_ends[c]) of strip c, none if it ends before r0
+                    part = earlier[r0 - (c + 1) * _CHOL_BLOCK:]
+                    top = part[:r1 - r0]
+                    diag[:len(top), :len(top)] -= top @ top.T
+                    below[:len(part) - len(top), :len(top)] -= part[len(top):] @ top.T
+                diag = np.linalg.cholesky(diag)
+                if below.size:
+                    # X diag^T = below, in place when below is Fortran-ordered
+                    below = scipy.linalg.blas.dtrsm(1.0, diag.T, below, side=1,
+                                                    overwrite_b=1)
+                strips.append((diag, below))
         except np.linalg.LinAlgError:
-            _restore_lower_triangle(cov)
-            np.fill_diagonal(cov, diag + level)
             level *= 10.0
             continue
-        for r0 in range(0, n, _CHOL_BLOCK):
-            r1 = min(r0 + _CHOL_BLOCK, n)
-            cov[r0:r1, r0:r1][~np.tri(r1 - r0, dtype=bool)] = 0.0
-            cov[r0:r1, r1:] = 0.0
-        return cov
+        return strips, level
     raise NumericalError(
         f"covariance factorization failed with jitter escalated to {jitter_max:g}"
     )
 
 
-def _blocked_cholesky(a: np.ndarray, tol: float) -> None:
-    """Lower Cholesky factor of ``a`` into its lower triangle, skipping negligible rows.
-
-    Reads and writes only the diagonal and the strict lower triangle; the
-    trailing update stops after the last panel row with an entry above
-    ``tol`` (see ``_cholesky_with_jitter``).  Raises ``LinAlgError`` when a
-    diagonal block is not positive definite.
-    """
-    n = a.shape[0]
+def _strip_ends(pts: np.ndarray, radius: float) -> list[int]:
+    """End row of each block column's strip: past the last point within ``radius``
+    of the block's point hull, as a running maximum over blocks."""
+    n = pts.size
+    ends, end = [], 0
     for r0 in range(0, n, _CHOL_BLOCK):
         r1 = min(r0 + _CHOL_BLOCK, n)
-        l11 = np.linalg.cholesky(a[r0:r1, r0:r1])
-        np.copyto(a[r0:r1, r0:r1], l11, where=np.tri(r1 - r0, dtype=bool))
-        if r1 == n:
-            return
-        panel = a[r1:, r0:r1]
-        panel[...] = scipy.linalg.solve_triangular(
-            l11, panel.T, lower=True, overwrite_b=True, check_finite=False).T
-        big = np.flatnonzero((panel.max(axis=1) > tol) | (panel.min(axis=1) < -tol))
-        if not big.size:
-            continue
-        # a[r1 + i, r1 + j] -= panel[i] . panel[j] for j <= i <= big[-1],
-        # by block rows, masked so nothing above the diagonal is written
-        rows = big[-1] + 1
-        for i0 in range(0, rows, _CHOL_BLOCK):
-            i1 = min(i0 + _CHOL_BLOCK, rows)
-            trailing = a[r1 + i0:r1 + i1, r1:r1 + i1]
-            np.subtract(trailing, panel[i0:i1] @ panel[:i1].T, out=trailing,
-                        where=np.tri(i1 - i0, i1, i0, dtype=bool))
+        lo, hi = pts[r0:r1].min(), pts[r0:r1].max()
+        near = np.flatnonzero((pts[r1:] >= lo - radius) & (pts[r1:] <= hi + radius))
+        end = max(end, r1 + (int(near[-1]) + 1 if near.size else 0))
+        ends.append(end)
+    return ends
 
 
-def _restore_lower_triangle(a: np.ndarray) -> None:
-    """Copy the strict upper triangle of ``a`` onto its strict lower triangle."""
-    n = a.shape[0]
-    for r0 in range(0, n, _CHOL_BLOCK):
-        r1 = min(r0 + _CHOL_BLOCK, n)
-        a[r0:r1, :r0] = a[:r0, r0:r1].T
-        block = a[r0:r1, r0:r1]
-        np.copyto(block, block.T.copy(), where=np.tri(r1 - r0, k=-1, dtype=bool))
+def _grf_factor(pts: np.ndarray, length_scale: float, amplitude: float):
+    """``_cholesky_with_jitter`` of the squared-exponential covariance at ``pts``,
+    by the strips ``sample_grf_at`` describes."""
+    radius = length_scale * np.sqrt(np.log(pts.size / np.finfo(np.float64).eps))
+
+    def entries(rows, cols):
+        # Fortran-ordered, so the triangular solve overwrites it in place
+        return _squared_exp(pts[cols], pts[rows], length_scale, amplitude).T
+
+    return _cholesky_with_jitter(entries, _strip_ends(pts, radius))
 
 
 def sample_grf_at(points: np.ndarray, count: int, seed,
@@ -215,33 +222,51 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     """Draw ``count`` field realizations jointly at arbitrary points, (M, n).
 
     Squared-exponential covariance
-    K(x, x') = amplitude^2 * exp(-|x - x'|^2 / length_scale^2).  Its Cholesky
-    factor L is computed in the covariance buffer by a blocked right-looking
-    factorization (``_cholesky_with_jitter``) in blocks of ``_CHOL_BLOCK`` =
-    512 rows, whose trailing update skips the panel rows past the last one
-    with an entry above eps * sqrt(max diag) / n.  The dropped terms move
-    each entry of L L^T by at most eps * max diag, below the factorization's
-    own rounding: max|L L^T - (K + level * I)| <= (n + 2) * eps * max diag.
+    K(x, x') = amplitude^2 * exp(-|x - x'|^2 / length_scale^2), factored by
+    strips (``_cholesky_with_jitter``): block column b, the columns of the
+    points [r0, r1) with r0 = 512 b, keeps only the rows [r0, end_b), where
+    end_b is one past the last point within R = length_scale * sqrt(ln(n /
+    eps)) of the block's point hull, taken as a running maximum over blocks.
+    Every entry left out is below tau = eps * amplitude^2 / n.  The running
+    maximum makes the kept pattern a profile (envelope), and the Cholesky
+    factor of a profile matrix has no fill outside it (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981), so
+    L is the factor of K with those entries zeroed, a matrix within tau of
+    K entrywise.  With the factorization's own rounding,
+    (n + 1) * eps / 2 * max diag (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3),
+    max|L L^T - (K + level * I)| <= (n + 2) * eps * max diag for sorted,
+    shuffled or clustered points.  Only the strips are built, so no (n, n)
+    array is allocated for n > 512; shuffled points keep every row, and
+    the strips then hold the lower triangle.
+
     The diagonal jitter level starts at 1e-10 and rises tenfold up to 1e-6
     while any diagonal block fails to factor, then ``NumericalError`` is
-    raised.  Samples are drawn by row blocks,
-    y[r0:r1] = L[r0:r1, :r1] @ z[:r1], reading only the lower triangle.  Up
-    to 512 points the factor is one ``np.linalg.cholesky`` call and the draw
-    one product, so such grids draw exactly the fields of the dense factor;
-    on larger grids the draws differ from it at rounding level.  The skip
-    tests values, not positions: unsorted points keep the same bound and
-    skip fewer rows.
+    raised.  Draws accumulate by strips, y[r0:end_b] += L_b @ z[r0:r1].  Up
+    to 512 points the factor is one ``np.linalg.cholesky`` call on the full
+    covariance and the draw one product, so such grids draw exactly the
+    fields of the dense factor; on larger grids the draws differ from it at
+    rounding level.
     """
-    if not (length_scale > 0 and amplitude > 0):
+    if not (np.isfinite(length_scale) and np.isfinite(amplitude)
+            and length_scale > 0 and amplitude > 0):
         raise ConfigurationError(
-            f"length_scale and amplitude must be positive, got {length_scale} and {amplitude}")
+            "length_scale and amplitude must be positive and finite, "
+            f"got {length_scale} and {amplitude}")
     pts = np.asarray(points, dtype=np.float64).ravel()
-    chol = _cholesky_with_jitter(squared_exp_covariance(pts, length_scale, amplitude))
+    if not pts.size:
+        raise ConfigurationError("a GRF needs at least one point")
+    if not np.all(np.isfinite(pts)):
+        raise DataError("GRF points contain NaN or Inf")
+    strips, level = _grf_factor(pts, length_scale, amplitude)
+    _grf_jitter.set(level)
     z = np.random.default_rng(seed).standard_normal((pts.size, count))
-    draws = np.empty_like(z)
-    for r0 in range(0, pts.size, _CHOL_BLOCK):
-        r1 = min(r0 + _CHOL_BLOCK, pts.size)
-        draws[r0:r1] = chol[r0:r1, :r1] @ z[:r1]
+    draws = np.zeros_like(z)
+    for b, (diag, below) in enumerate(strips):
+        r0 = b * _CHOL_BLOCK
+        r1 = r0 + len(diag)
+        draws[r0:r1] += diag @ z[r0:r1]
+        draws[r1:r1 + len(below)] += below @ z[r0:r1]
     return draws.T
 
 
@@ -400,13 +425,14 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
     out = []
     for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
         f = sample_grf_at(grid, count, child, length_scale, amplitude)
+        jitter = _grf_jitter.get()
         u = solve_darcy_batch(f, tol=tol)
         out.append(FunctionDataset(
             input_points=grid, output_points=grid, inputs=f, outputs=u,
             provenance={
                 "generator": "darcy1d", "split": label, "n": n, "count": count,
                 "seed": seed, "length_scale": length_scale,
-                "amplitude": amplitude, "solver_tol": tol,
+                "amplitude": amplitude, "grf_jitter": jitter, "solver_tol": tol,
             },
         ))
     return tuple(out)
@@ -434,6 +460,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
     union = np.unique(np.concatenate([solve_grid] + list(grids.values())))
     draws = sample_grf_at(union, count, np.random.SeedSequence(seed),
                           length_scale, amplitude)
+    jitter = _grf_jitter.get()
     idx_solve = np.searchsorted(union, solve_grid)
     f_solve = draws[:, idx_solve]
     u_solve = solve_darcy_batch(f_solve, tol=tol)
@@ -450,7 +477,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
                 "generator": "darcy1d_multires", "n": r, "count": count,
                 "seed": seed, "solve_n": solve_n,
                 "length_scale": length_scale, "amplitude": amplitude,
-                "solver_tol": tol,
+                "grf_jitter": jitter, "solver_tol": tol,
             },
         )
     return datasets
@@ -639,6 +666,7 @@ def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
     out = []
     for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
         f = sample_grf_at(grid, count, child, length_scale, amplitude)
+        jitter = _grf_jitter.get()
         u = solve_poisson_1d(f)
         du = derivative_1d(u, h)
         out.append(FunctionDataset(
@@ -648,6 +676,7 @@ def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
                 "generator": "multi_output_1d", "split": label, "n": n,
                 "count": count, "seed": seed,
                 "length_scale": length_scale, "amplitude": amplitude,
+                "grf_jitter": jitter,
             },
         ))
     return tuple(out)

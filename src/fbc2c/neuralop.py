@@ -250,15 +250,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
-        if not (self.lr_start >= self.lr_end > 0):
-            raise ConfigurationError("need lr_start >= lr_end > 0")
+            raise ConfigurationError(f"epochs: must be >= 0, got {self.epochs}")
+        if not self.lr_end > 0:
+            raise ConfigurationError(f"lr_end: must be > 0, got {self.lr_end!r}")
+        if not self.lr_start >= self.lr_end:
+            raise ConfigurationError(
+                f"lr_start: must be >= lr_end ({self.lr_end!r}), got {self.lr_start!r}")
         if self.lr_stage_epochs < 1:
-            raise ConfigurationError("lr_stage_epochs must be >= 1")
+            raise ConfigurationError(f"lr_stage_epochs: must be >= 1, got {self.lr_stage_epochs}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1 or None for full batch")
+            raise ConfigurationError(
+                f"batch_size: must be >= 1 or None for full batch, got {self.batch_size}")
         if self.eval_interval < 1:
-            raise ConfigurationError("eval_interval must be >= 1")
+            raise ConfigurationError(f"eval_interval: must be >= 1, got {self.eval_interval}")
 
 
 def learning_rate(epoch: int, config: TrainConfig) -> float:

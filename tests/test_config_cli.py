@@ -98,12 +98,13 @@ def test_dataset_spec_validation():
         DatasetSpec(kind="highd_poisson", n_points=10)
     with pytest.raises(ConfigurationError):
         DatasetSpec(kind="nope", n=10, m_train=1, m_test=1)
-    with pytest.raises(ConfigurationError, match=r"dataset\.m_test: must be >= 1, got 0"):
+    with pytest.raises(ConfigurationError, match=r"^m_test: must be >= 1, got 0"):
         DatasetSpec(kind="darcy1d", n=10, m_train=1, m_test=0)
-    with pytest.raises(ConfigurationError, match=r"dataset\.n_points"):
+    with pytest.raises(ConfigurationError, match=r"^n_points: must be >= 1"):
         DatasetSpec(kind="highd_poisson", d=3, n_points=0)
     # a field the kind does not read is not checked
-    DatasetSpec(kind="highd_poisson", d=3, n_points=5, m_train=0)
+    DatasetSpec(kind="highd_poisson", d=3, n_points=5, m_train=0, tol=0.0)
+    DatasetSpec(kind="multi_output_1d", n=10, m_train=1, m_test=1, tol=-1.0)
 
 
 def test_config_accepts_an_int_for_a_float_field():
@@ -140,7 +141,7 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "0",
                  "-o", str(tmp_path / "empty.fbc")]) == 2
-    assert "dataset.m_train" in capsys.readouterr().err
+    assert "m_train: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_encode_and_diagnose(tmp_path, capsys):
@@ -353,7 +354,7 @@ def no_data_generation(monkeypatch):
 @pytest.mark.parametrize("section, key, value, field", [
     ("train", "epochs", "3", r"config\.train\.epochs: expected int"),
     ("dataset", "n", "50", r"config\.dataset\.n: expected int \| None"),
-    ("dataset", "m_test", 0, r"dataset\.m_test: must be >= 1"),
+    ("dataset", "m_test", 0, r"config\.dataset\.m_test: must be >= 1"),
     ("net", "hidden", True, r"config\.net\.hidden: expected int, got bool"),
     ("train", "lr_start", False, r"config\.train\.lr_start: expected float, got bool"),
     ("input_basis", "window", "bogus", r"config\.input_basis\.window: unknown window"),
@@ -396,6 +397,41 @@ def test_load_config_refuses_bad_encode_settings(tmp_path, key, value, field):
         json.dump(cfg, fh, allow_nan=True)
     with pytest.raises(ConfigurationError, match=rf"^config\.input_encode\.{field}: "):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("length_scale", 0), ("length_scale", float("nan")), ("length_scale", float("inf")),
+    ("amplitude", -1.0), ("amplitude", float("inf")),
+    ("tol", 0), ("tol", float("nan")), ("tol", float("inf")),
+])
+def test_load_config_refuses_bad_grf_and_solver_settings(tmp_path, key, value):
+    cfg = _tiny_config_dict()
+    cfg["dataset"][key] = value
+    path = tmp_path / "run.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh, allow_nan=True)
+    with pytest.raises(ConfigurationError,
+                       match=rf"^config\.dataset\.{key}: must be finite and > 0, got "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("dataset", "m_test", 0, "config.dataset.m_test: must be >= 1, got 0"),
+    ("train", "epochs", -1, "config.train.epochs: must be >= 0, got -1"),
+    ("train", "lr_start", 1e-7, "config.train.lr_start: must be >= lr_end (1e-06), got 1e-07"),
+    ("train", "lr_end", 0.0, "config.train.lr_end: must be > 0, got 0.0"),
+    ("train", "lr_stage_epochs", 0, "config.train.lr_stage_epochs: must be >= 1, got 0"),
+    ("train", "batch_size", 0,
+     "config.train.batch_size: must be >= 1 or None for full batch, got 0"),
+    ("train", "eval_interval", 0, "config.train.eval_interval: must be >= 1, got 0"),
+], ids=["m_test", "epochs", "lr_start", "lr_end", "lr_stage_epochs", "batch_size",
+        "eval_interval"])
+def test_refused_dataset_and_train_values_name_their_field(section, key, value, message):
+    cfg = _tiny_config_dict()
+    cfg[section][key] = value
+    with pytest.raises(ConfigurationError) as info:
+        config_from_dict(cfg)
+    assert str(info.value) == message
 
 
 def test_cli_sweep_refuses_a_bad_cut_before_generating_data(tmp_path, capsys,

@@ -8,8 +8,8 @@ import pytest
 
 import fbc2c
 from fbc2c import datagen
-from fbc2c.datagen import (_NEWTON_BLOCK, FunctionDataset, _cholesky_with_jitter,
-                           _darcy_residual, derivative_1d, gen_highd_poisson,
+from fbc2c.datagen import (_CHOL_BLOCK, _NEWTON_BLOCK, FunctionDataset, _cholesky_with_jitter,
+                           _darcy_residual, _grf_factor, derivative_1d, gen_highd_poisson,
                            highd_profile, make_darcy1d, make_darcy1d_multiresolution,
                            make_highd_poisson, make_multi_output_1d,
                            make_poisson2d, poisson_2d_forcing, sample_grf_at,
@@ -69,16 +69,53 @@ def test_grf_config_validation():
                                     (0.04, 0.0), (0.04, -1.0)]:
         with pytest.raises(ConfigurationError, match="must be positive"):
             sample_grf_at(pts, 2, 0, length_scale, amplitude)
-    # one point is a valid draw
+    # one point is a valid draw, none is not
     assert sample_grf_at(pts[:1], 3, 0).shape == (3, 1)
+    with pytest.raises(ConfigurationError, match="at least one point"):
+        sample_grf_at(pts[:0], 3, 0)
+
+
+@pytest.mark.parametrize("length_scale, amplitude", [(np.inf, 1.0), (0.04, np.inf)],
+                         ids=["inf_length_scale", "inf_amplitude"])
+def test_grf_refuses_a_non_finite_length_scale_or_amplitude(length_scale, amplitude):
+    with pytest.raises(ConfigurationError, match="must be positive and finite"):
+        sample_grf_at(np.linspace(0, 1, 10), 2, 0, length_scale, amplitude)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grf_refuses_non_finite_points(bad):
+    # at 600 points the bad point falls in the second block of the factor
+    for n in (10, 600):
+        pts = np.linspace(0, 1, n)
+        pts[-3] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            sample_grf_at(pts, 2, 0)
+
+
+def _factor_of(a, jitter=1e-10):
+    """_cholesky_with_jitter of a whole symmetric matrix: (dense lower factor, level)."""
+    n = len(a)
+    strips, level = _cholesky_with_jitter(lambda rows, cols: a[rows, cols].copy(),
+                                          [n] * -(-n // _CHOL_BLOCK), jitter)
+    return _dense_factor(strips, n), level
+
+
+def _dense_factor(strips, n):
+    chol = np.zeros((n, n))
+    for b, (diag, below) in enumerate(strips):
+        r0 = b * _CHOL_BLOCK
+        r1 = r0 + len(diag)
+        chol[r0:r1, r0:r1] = diag
+        chol[r1:r1 + len(below), r0:r1] = below
+    return chol
 
 
 def test_jitter_escalation_recovers_mildly_indefinite_matrix():
     cov = np.diag([1.0, 1.0, -5e-8])    # slightly indefinite, fixable by 1e-7
-    chol = _cholesky_with_jitter(cov, 1e-10)
-    assert np.all(np.isfinite(chol))
+    chol, level = _factor_of(cov)
+    assert np.all(np.isfinite(chol)) and level == pytest.approx(1e-7)
     with pytest.raises(NumericalError):
-        _cholesky_with_jitter(np.diag([1.0, -1.0]), 1e-10)
+        _factor_of(np.diag([1.0, -1.0]))
 
 
 def test_escalated_jitter_factor_equals_the_dense_shift_bitwise():
@@ -91,11 +128,9 @@ def test_escalated_jitter_factor_equals_the_dense_shift_bitwise():
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(cov + level * np.eye(6))
         level *= 10.0
-    work = cov.copy()
-    chol = _cholesky_with_jitter(work)
+    chol, used = _factor_of(cov)
+    assert used == level
     assert np.array_equal(chol, np.linalg.cholesky(cov + level * np.eye(6)))
-    # the documented side effect: the factor is computed in the argument's buffer
-    assert np.shares_memory(chol, work)
 
 
 def _dense_jitter_level(cov):
@@ -108,7 +143,7 @@ def _dense_jitter_level(cov):
             level *= 10.0
 
 
-@pytest.mark.parametrize("n", [1, 26, 512])
+@pytest.mark.parametrize("n", [1, 26, 100, 500, 512])
 def test_grf_up_to_one_block_draws_the_dense_factor_bitwise(n):
     pts = np.linspace(0, 1, n)
     cov = squared_exp_covariance(pts, 0.04, 1.0)
@@ -117,23 +152,40 @@ def test_grf_up_to_one_block_draws_the_dense_factor_bitwise(n):
     assert np.array_equal(sample_grf_at(pts, 4, 8), dense)
 
 
-@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "clusters"])
 def test_blocked_grf_factor_meets_its_backward_error_bound(order):
     n = 1500
     pts = np.linspace(0, 1, n)
     if order == "shuffled":
         pts = np.random.default_rng(2).permutation(pts)
+    if order == "clusters":
+        # 0.4 apart, farther than the kernel's reach R = 0.04 sqrt(ln(n / eps))
+        pts = np.concatenate([np.linspace(0, 0.3, 750), np.linspace(0.7, 1, 750)])
     cov = squared_exp_covariance(pts, 0.04, 1.0)
     level = _dense_jitter_level(cov)
     shifted = cov + level * np.eye(n)
-    chol = _cholesky_with_jitter(cov.copy())
-    # the bound the docstring of _cholesky_with_jitter states
+    strips, used = _grf_factor(pts, 0.04, 1.0)
+    assert used == level
+    if order == "clusters":
+        # the first strip ends with the first cluster
+        assert len(strips[0][0]) + len(strips[0][1]) == 750
+    chol = _dense_factor(strips, n)
+    # the bound the docstring of sample_grf_at states
     bound = (n + 2) * np.finfo(np.float64).eps * np.max(np.diagonal(shifted))
     assert np.max(np.abs(chol @ chol.T - shifted)) <= bound
     assert np.array_equal(chol, np.tril(chol))
     z = np.random.default_rng(9).standard_normal((n, 5))
     dense = (np.linalg.cholesky(shifted) @ z).T
     assert np.max(np.abs(sample_grf_at(pts, 5, 9) - dense)) < 1e-3
+
+
+def test_grf_strips_reach_at_least_as_far_as_the_strips_before_them():
+    # the middle block's own points reach no later row, the first block's
+    # reach the last one: the running maximum keeps the pattern a profile
+    pts = np.concatenate([np.linspace(0, 1, 512), np.linspace(0, 0.1, 512),
+                          np.linspace(0.8, 1, 512)])
+    assert datagen._strip_ends(pts, 0.2) == [1536, 1536, 1536]
+    assert datagen._strip_ends(pts[512:], 0.2) == [512, 1024]
 
 
 def _matrix_indefinite_in_its_last_block(last_eigenvalue):
@@ -159,18 +211,12 @@ def test_jitter_escalates_from_a_later_block_to_the_dense_level():
     np.linalg.cholesky(a[:1024, :1024] + 1e-10 * np.eye(1024))
     level = _dense_jitter_level(a)
     assert level > 1e-9
-    chol = _cholesky_with_jitter(a.copy())
+    chol, used = _factor_of(a)
+    assert used == level
     assert np.max(np.abs(chol @ chol.T - (a + level * np.eye(n)))) <= 1e-12
-    # no level up to 1e-6 fixes -1e-3; the failed attempts leave the
-    # argument holding the matrix again, with the last level on its diagonal
-    a = _matrix_indefinite_in_its_last_block(-1e-3)
-    work = a.copy()
+    # no level up to 1e-6 fixes -1e-3
     with pytest.raises(NumericalError):
-        _cholesky_with_jitter(work)
-    last = 1e-10
-    for _ in range(4):
-        last *= 10.0
-    assert np.array_equal(work, a + last * np.eye(n))
+        _factor_of(_matrix_indefinite_in_its_last_block(-1e-3))
 
 
 def test_grf_sampler_peak_memory_stays_near_the_covariance():
@@ -183,7 +229,8 @@ def test_grf_sampler_peak_memory_stays_near_the_covariance():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8
+    # the strips stay below one (n, n) float64 array
+    assert peak < n * n * 8
 
 
 def test_grf_joint_sampling_handles_near_duplicate_points():
@@ -285,6 +332,22 @@ def test_make_darcy1d_splits_and_provenance():
     train2, _ = make_darcy1d(64, 4, 3, seed=5)
     assert np.array_equal(train.inputs, train2.inputs)
     assert np.array_equal(train.outputs, train2.outputs)
+
+
+def test_grf_generators_record_the_jitter_used(monkeypatch):
+    train, test = make_darcy1d(40, 2, 1, seed=0)
+    data = make_darcy1d_multiresolution([20, 40], 2, 0, solve_n=50)
+    multi, _ = make_multi_output_1d(20, 2, 1, 0)
+    for ds in (train, test, data[20], data[40], multi):
+        assert ds.provenance["grf_jitter"] == 1e-10
+    # a factor that settles on a higher level records that level
+    factor = datagen._cholesky_with_jitter
+    monkeypatch.setattr(datagen, "_cholesky_with_jitter",
+                        lambda entries, ends: factor(entries, ends, jitter=1e-8))
+    train, test = make_darcy1d(40, 2, 1, seed=0)
+    data = make_darcy1d_multiresolution([20], 2, 0, solve_n=50)
+    for ds in (train, test, data[20]):
+        assert ds.provenance["grf_jitter"] == 1e-8
 
 
 def test_multiresolution_targets_are_consistent():
