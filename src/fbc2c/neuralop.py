@@ -253,6 +253,8 @@ class TrainConfig:
             raise ConfigurationError(f"epochs: must be >= 0, got {self.epochs}")
         if not self.lr_end > 0:
             raise ConfigurationError(f"lr_end: must be > 0, got {self.lr_end!r}")
+        if not math.isfinite(self.lr_start):
+            raise ConfigurationError(f"lr_start: must be finite, got {self.lr_start!r}")
         if not self.lr_start >= self.lr_end:
             raise ConfigurationError(
                 f"lr_start: must be >= lr_end ({self.lr_end!r}), got {self.lr_start!r}")
@@ -263,6 +265,12 @@ class TrainConfig:
                 f"batch_size: must be >= 1 or None for full batch, got {self.batch_size}")
         if self.eval_interval < 1:
             raise ConfigurationError(f"eval_interval: must be >= 1, got {self.eval_interval}")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0 <= beta < 1:
+                raise ConfigurationError(f"{name}: must be in [0, 1), got {beta!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigurationError(f"eps: must be finite and > 0, got {self.eps!r}")
 
 
 def learning_rate(epoch: int, config: TrainConfig) -> float:

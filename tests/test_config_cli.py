@@ -360,8 +360,9 @@ def no_data_generation(monkeypatch):
     ("input_basis", "window", "bogus", r"config\.input_basis\.window: unknown window"),
     ("output_basis", "activation", "bogus", r"config\.output_basis\.activation: unknown"),
     ("output_encode", "cut_mode", "bogus", r"config\.output_encode\.cut_mode: unknown"),
+    ("train", "beta1", 1.0, r"config\.train\.beta1: must be in \[0, 1\), got 1\.0"),
 ], ids=["string_epochs", "string_n", "zero_m_test", "bool_hidden", "bool_lr",
-        "bogus_window", "bogus_activation", "bogus_cut_mode"])
+        "bogus_window", "bogus_activation", "bogus_cut_mode", "beta1_one"])
 def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, section, key,
                                        value, field):
     cfg = _tiny_config_dict()
@@ -424,8 +425,17 @@ def test_load_config_refuses_bad_grf_and_solver_settings(tmp_path, key, value):
     ("train", "batch_size", 0,
      "config.train.batch_size: must be >= 1 or None for full batch, got 0"),
     ("train", "eval_interval", 0, "config.train.eval_interval: must be >= 1, got 0"),
+    ("train", "lr_start", float("inf"), "config.train.lr_start: must be finite, got inf"),
+    ("train", "lr_start", float("nan"), "config.train.lr_start: must be finite, got nan"),
+    ("train", "beta1", 1.0, "config.train.beta1: must be in [0, 1), got 1.0"),
+    ("train", "beta1", float("nan"), "config.train.beta1: must be in [0, 1), got nan"),
+    ("train", "beta2", -1.0, "config.train.beta2: must be in [0, 1), got -1.0"),
+    ("train", "eps", -1.0, "config.train.eps: must be finite and > 0, got -1.0"),
+    ("train", "eps", 0.0, "config.train.eps: must be finite and > 0, got 0.0"),
+    ("train", "eps", float("inf"), "config.train.eps: must be finite and > 0, got inf"),
 ], ids=["m_test", "epochs", "lr_start", "lr_end", "lr_stage_epochs", "batch_size",
-        "eval_interval"])
+        "eval_interval", "inf_lr_start", "nan_lr_start", "beta1_one", "nan_beta1",
+        "negative_beta2", "negative_eps", "zero_eps", "inf_eps"])
 def test_refused_dataset_and_train_values_name_their_field(section, key, value, message):
     cfg = _tiny_config_dict()
     cfg[section][key] = value

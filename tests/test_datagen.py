@@ -8,11 +8,11 @@ import pytest
 
 import fbc2c
 from fbc2c import datagen
-from fbc2c.datagen import (_CHOL_BLOCK, _NEWTON_BLOCK, FunctionDataset, _cholesky_with_jitter,
-                           _darcy_residual, _grf_factor, derivative_1d, gen_highd_poisson,
-                           highd_profile, make_darcy1d, make_darcy1d_multiresolution,
-                           make_highd_poisson, make_multi_output_1d,
-                           make_poisson2d, poisson_2d_forcing, sample_grf_at,
+from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, _NEWTON_BLOCK, FunctionDataset,
+                           _cholesky_with_jitter, _darcy_residual, _grf_factor,
+                           derivative_1d, gen_highd_poisson, highd_profile, make_darcy1d,
+                           make_darcy1d_multiresolution, make_highd_poisson,
+                           make_multi_output_1d, make_poisson2d, poisson_2d_forcing, sample_grf_at,
                            solve_darcy_1d, solve_darcy_batch, solve_poisson_1d,
                            solve_poisson_2d_square, squared_exp_covariance,
                            unit_square_grid)
@@ -92,21 +92,25 @@ def test_grf_refuses_non_finite_points(bad):
             sample_grf_at(pts, 2, 0)
 
 
-def _factor_of(a, jitter=1e-10):
-    """_cholesky_with_jitter of a whole symmetric matrix: (dense lower factor, level)."""
-    n = len(a)
-    strips, level = _cholesky_with_jitter(lambda rows, cols: a[rows, cols].copy(),
-                                          [n] * -(-n // _CHOL_BLOCK), jitter)
-    return _dense_factor(strips, n), level
+def _factor_of(a, generator=None, jitter=1e-10):
+    """_cholesky_with_jitter of a symmetric matrix whose blocks off the diagonal
+    are products of ``generator`` (none by default): (dense lower factor, level)."""
+    if generator is None:
+        generator = np.zeros((len(a), 0))
+    blocks, level = _cholesky_with_jitter(lambda r0, r1: a[r0:r1, r0:r1].copy(),
+                                          generator, jitter)
+    return _dense_factor(generator, blocks), level
 
 
-def _dense_factor(strips, n):
+def _dense_factor(generator, blocks):
+    n = len(generator)
     chol = np.zeros((n, n))
-    for b, (diag, below) in enumerate(strips):
-        r0 = b * _CHOL_BLOCK
+    r0 = 0
+    for diag, coupling in blocks:
         r1 = r0 + len(diag)
         chol[r0:r1, r0:r1] = diag
-        chol[r1:r1 + len(below), r0:r1] = below
+        chol[r1:, r0:r1] = generator[r1:] @ coupling.T
+        r0 = r1
     return chol
 
 
@@ -150,87 +154,109 @@ def test_grf_up_to_one_block_draws_the_dense_factor_bitwise(n):
     z = np.random.default_rng(8).standard_normal((n, 4))
     dense = (np.linalg.cholesky(cov + 1e-10 * np.eye(n)) @ z).T
     assert np.array_equal(sample_grf_at(pts, 4, 8), dense)
+    generator, blocks, _ = _grf_factor(pts, 0.04, 1.0)
+    assert generator.shape == (n, 0) and len(blocks) == 1
 
 
-@pytest.mark.parametrize("order", ["sorted", "shuffled", "clusters"])
-def test_blocked_grf_factor_meets_its_backward_error_bound(order):
+@pytest.mark.parametrize("order, length_scale", [("sorted", 0.04), ("shuffled", 0.04),
+                                                 ("clusters", 0.04), ("sorted", 0.01)],
+                         ids=["sorted", "shuffled", "clusters", "sorted_length_scale_0.01"])
+def test_blocked_grf_factor_meets_its_backward_error_bound(order, length_scale):
     n = 1500
     pts = np.linspace(0, 1, n)
     if order == "shuffled":
         pts = np.random.default_rng(2).permutation(pts)
     if order == "clusters":
-        # 0.4 apart, farther than the kernel's reach R = 0.04 sqrt(ln(n / eps))
         pts = np.concatenate([np.linspace(0, 0.3, 750), np.linspace(0.7, 1, 750)])
-    cov = squared_exp_covariance(pts, 0.04, 1.0)
+    cov = squared_exp_covariance(pts, length_scale, 1.0)
     level = _dense_jitter_level(cov)
     shifted = cov + level * np.eye(n)
-    strips, used = _grf_factor(pts, 0.04, 1.0)
+    generator, blocks, used = _grf_factor(pts, length_scale, 1.0)
     assert used == level
-    if order == "clusters":
-        # the first strip ends with the first cluster
-        assert len(strips[0][0]) + len(strips[0][1]) == 750
-    chol = _dense_factor(strips, n)
+    assert [len(diag) for diag, _ in blocks] == [_FIRST_BLOCK] + [_LATER_BLOCK] * 7 + [92]
+    # the generator's rank grows as 1 / length_scale (111 at 0.04, 418 at 0.01)
+    assert 50 < generator.shape[1] * length_scale / 0.04 < 150
+    chol = _dense_factor(generator, blocks)
     # the bound the docstring of sample_grf_at states
     bound = (n + 2) * np.finfo(np.float64).eps * np.max(np.diagonal(shifted))
     assert np.max(np.abs(chol @ chol.T - shifted)) <= bound
     assert np.array_equal(chol, np.tril(chol))
     z = np.random.default_rng(9).standard_normal((n, 5))
     dense = (np.linalg.cholesky(shifted) @ z).T
-    assert np.max(np.abs(sample_grf_at(pts, 5, 9) - dense)) < 1e-3
+    assert np.max(np.abs(sample_grf_at(pts, 5, 9, length_scale) - dense)) < 1e-3
 
 
-def test_grf_strips_reach_at_least_as_far_as_the_strips_before_them():
-    # the middle block's own points reach no later row, the first block's
-    # reach the last one: the running maximum keeps the pattern a profile
-    pts = np.concatenate([np.linspace(0, 1, 512), np.linspace(0, 0.1, 512),
-                          np.linspace(0.8, 1, 512)])
-    assert datagen._strip_ends(pts, 0.2) == [1536, 1536, 1536]
-    assert datagen._strip_ends(pts[512:], 0.2) == [512, 1024]
+def test_grf_draws_across_coupled_blocks_have_the_kernel_covariance():
+    # 640 points: the first block of 512 and one later block of 128, coupled
+    # only through the generator
+    pts = np.linspace(0, 1, 640)
+    count = 4000
+    draws = sample_grf_at(pts, count, 4)
+    assert _grf_factor(pts, 0.04, 1.0)[0].shape[1] > 0
+    cov = squared_exp_covariance(pts, 0.04, 1.0)
+    # pairs within a length scale of each other that straddle the block edge,
+    # and pairs inside the later block
+    rows = np.array([495, 500, 505, 510, 511, 511, 560, 600, 639])
+    cols = np.array([520, 515, 512, 512, 512, 530, 570, 620, 630])
+    emp = np.mean(draws[:, rows] * draws[:, cols], axis=0)
+    # Monte-Carlo standard error of a product moment is sqrt((1 + K^2) / count)
+    sigma = np.sqrt((1 + cov[rows, cols] ** 2) / count)
+    assert np.all(cov[rows, cols] > 0.3)
+    assert np.all(np.abs(emp - cov[rows, cols]) < 4 * sigma)
+    assert np.all(np.abs(draws[:, 512:].var(axis=0) - 1.0) < 4 * np.sqrt(2 / count))
 
 
 def _matrix_indefinite_in_its_last_block(last_eigenvalue):
-    # congruence of block-diag(S1, S2) by a unit lower-triangular C: the
-    # leading 1024 rows stay positive definite, and S2 carries one negative
-    # eigenvalue into the third block of 512 rows
-    n, head = 1200, 1024
+    # G G^T plus a block-diagonal E with the factor's diagonal blocks of 800
+    # points (512, 128, 128, 32): E is 0.1 I on the first three blocks and
+    # carries one negative eigenvalue in the last, along a direction q that
+    # the last block's generator rows are made orthogonal to, so q^T A q
+    # equals that eigenvalue and the dense ladder settles where E does
+    n, head, rank = 800, 768, 20
     rng = np.random.default_rng(1)
+    generator = rng.standard_normal((n, rank)) / np.sqrt(rank)
     q, _ = np.linalg.qr(rng.standard_normal((n - head, n - head)))
     eigenvalues = np.linspace(1.0, 2.0, n - head)
     eigenvalues[-1] = last_eigenvalue
-    d = np.zeros((n, n))
-    d[:head, :head] = squared_exp_covariance(np.linspace(0, 1, head), 0.2, 1.0) + 0.1 * np.eye(head)
-    d[head:, head:] = (q * eigenvalues) @ q.T
-    c = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) * (0.3 / np.sqrt(n))
-    a = c @ d @ c.T
-    return 0.5 * (a + a.T)
+    generator[head:] -= np.outer(q[:, -1], q[:, -1] @ generator[head:])
+    a = generator @ generator.T
+    a[:head, :head] += 0.1 * np.eye(head)
+    a[head:, head:] += (q * eigenvalues) @ q.T
+    return 0.5 * (a + a.T), generator
 
 
 def test_jitter_escalates_from_a_later_block_to_the_dense_level():
-    a = _matrix_indefinite_in_its_last_block(-5e-8)
+    a, generator = _matrix_indefinite_in_its_last_block(-5e-8)
     n = len(a)
-    np.linalg.cholesky(a[:1024, :1024] + 1e-10 * np.eye(1024))
+    assert [r1 - r0 for r0, r1 in datagen._block_bounds(n)] == [512, 128, 128, 32]
+    np.linalg.cholesky(a[:768, :768] + 1e-10 * np.eye(768))
     level = _dense_jitter_level(a)
-    assert level > 1e-9
-    chol, used = _factor_of(a)
+    assert level == pytest.approx(1e-7)
+    chol, used = _factor_of(a, generator)
     assert used == level
+    # every block restarted at that level, the first one included
+    assert np.array_equal(chol[:512, :512], np.linalg.cholesky(a[:512, :512] + level * np.eye(512)))
     assert np.max(np.abs(chol @ chol.T - (a + level * np.eye(n)))) <= 1e-12
     # no level up to 1e-6 fixes -1e-3
     with pytest.raises(NumericalError):
-        _factor_of(_matrix_indefinite_in_its_last_block(-1e-3))
+        _factor_of(*_matrix_indefinite_in_its_last_block(-1e-3))
 
 
 def test_grf_sampler_peak_memory_stays_near_the_covariance():
     import tracemalloc
 
-    n = 2000
+    # the darcy_transfer union of the 40-, 500-, 1000- and 2000-point grids
+    pts = np.unique(np.concatenate([np.linspace(0, 1, r) for r in (40, 500, 1000, 2000)]))
+    assert pts.size == 3532
     tracemalloc.start()
     try:
-        sample_grf_at(np.linspace(0, 1, n), 10, 0)
+        sample_grf_at(pts, 100, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the strips stay below one (n, n) float64 array
-    assert peak < n * n * 8
+    # measured 18.2 MB (the strip factor before it peaked at 41.8 MB), against
+    # 99.8 MB for one (n, n) float64 array
+    assert peak < 20e6
 
 
 def test_grf_joint_sampling_handles_near_duplicate_points():
@@ -308,6 +334,26 @@ def test_darcy_batch_rows_do_not_depend_on_their_batch():
     assert np.array_equal(solve_darcy_batch(small), np.stack([solve_darcy_1d(f) for f in small]))
 
 
+def test_darcy_line_search_stops_on_a_step_that_no_longer_moves_u(monkeypatch):
+    # at n = 2000 the residual's rounding floor (~5e-11) sits above tol 1e-11:
+    # the last Newton step is rounding noise, and the solve is accepted on
+    # stagnation once halving it stops moving u, not after max_halvings tries
+    n = 2000
+    x = np.linspace(0, 1, n)
+    f = 2 * x * (1 - x) * (1 - 2 * x) ** 2 - 2 * (0.2 + x ** 2 * (1 - x) ** 2)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _darcy_residual(*args)
+
+    monkeypatch.setattr(datagen, "_darcy_residual", counting)
+    u = solve_darcy_1d(f, tol=1e-11, max_halvings=30)
+    final = np.max(np.abs(_darcy_residual(u, f, 1.0 / (n - 1))))
+    assert 1e-11 <= final < 1e-8
+    assert len(calls) < 30
+
+
 def test_darcy_batch_failure_names_the_failing_row():
     f = 100.0 * np.sin(np.pi * np.linspace(0, 1, 64))
     forcings = np.zeros((5, 64))
@@ -340,14 +386,21 @@ def test_grf_generators_record_the_jitter_used(monkeypatch):
     multi, _ = make_multi_output_1d(20, 2, 1, 0)
     for ds in (train, test, data[20], data[40], multi):
         assert ds.provenance["grf_jitter"] == 1e-10
+        assert ds.provenance["grf_rank"] == 0
+    # past 512 union points the factor builds a generator and records its rank
+    fine = make_darcy1d_multiresolution([40, 600], 2, 0, solve_n=600)
+    union = np.unique(np.concatenate([fine[40].input_points, fine[600].input_points]))
+    rank = _grf_factor(union, 0.04, 1.0)[0].shape[1]
+    assert fine[40].provenance["grf_rank"] == fine[600].provenance["grf_rank"] == rank > 50
     # a factor that settles on a higher level records that level
     factor = datagen._cholesky_with_jitter
     monkeypatch.setattr(datagen, "_cholesky_with_jitter",
-                        lambda entries, ends: factor(entries, ends, jitter=1e-8))
+                        lambda block, generator: factor(block, generator, jitter=1e-8))
     train, test = make_darcy1d(40, 2, 1, seed=0)
-    data = make_darcy1d_multiresolution([20], 2, 0, solve_n=50)
-    for ds in (train, test, data[20]):
+    data = make_darcy1d_multiresolution([40], 2, 0, solve_n=600)
+    for ds in (train, test, data[40]):
         assert ds.provenance["grf_jitter"] == 1e-8
+    assert data[40].provenance["grf_rank"] == rank
 
 
 def test_multiresolution_targets_are_consistent():
