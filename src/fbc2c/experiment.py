@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import datagen
 from .basis import VectorBasis
@@ -90,6 +89,8 @@ def _reconstruction_matrix(basis, points: np.ndarray, c_out: int) -> np.ndarray:
     psi = basis.design_matrix(points)
     if c_out == 1 or isinstance(basis, VectorBasis):
         return psi
+    import scipy.linalg     # here, not at the top: it is most of `import fbc2c`
+
     return scipy.linalg.block_diag(*([psi] * c_out))
 
 
@@ -279,12 +280,21 @@ def evaluate_on(result: TrainedMap, dataset: datagen.FunctionDataset):
     Both bases are rebuilt from the config and evaluated at the dataset's own
     points; on a run's test split this repeats the run's evaluation bit for bit.
     """
+    return _evaluate(result, dataset, *_evaluation_bases(result.config, dataset.output_components))
+
+
+def _evaluation_bases(config: ExperimentConfig, components: int):
+    """(input basis, or None for P2C; output basis) that ``evaluate_on`` rebuilds."""
+    in_basis = None if config.p2c else config.input_basis.build()
+    return in_basis, _side_basis(config, "output", components)[0]
+
+
+def _evaluate(result: TrainedMap, dataset: datagen.FunctionDataset, in_basis, out_basis):
+    """``evaluate_on`` with both bases given."""
     config = result.config
     pts = dataset.input_points
     enc = None if config.p2c else LeastSquaresEncoder(
-        config.input_basis.build().design_matrix(pts), config.input_encode,
-        n_points=pts.shape[0])
-    out_basis, _ = _side_basis(config, "output", dataset.output_components)
+        in_basis.design_matrix(pts), config.input_encode, n_points=pts.shape[0])
     psi = _reconstruction_matrix(out_basis, dataset.output_points, dataset.output_components)
     return relative_loss(forward(result.net, _input_features(config, enc, dataset)), psi,
                          _stack_components(dataset.outputs))
@@ -365,7 +375,8 @@ def eval_resolutions(result: RunResult, resolutions) -> dict:
         seed=[spec.seed, 0x5E5], length_scale=spec.length_scale,
         amplitude=spec.amplitude, tol=spec.tol,
     )
-    return {r: evaluate_on(result, ds)[0] for r, ds in sorted(datasets.items())}
+    bases = _evaluation_bases(config, 1)
+    return {r: _evaluate(result, ds, *bases)[0] for r, ds in sorted(datasets.items())}
 
 
 @dataclass

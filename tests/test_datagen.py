@@ -9,7 +9,8 @@ import pytest
 import fbc2c
 from fbc2c import datagen
 from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, _NEWTON_BLOCK, FunctionDataset,
-                           _cholesky_with_jitter, _darcy_residual, _grf_factor,
+                           _cholesky_with_jitter, _darcy_residual, _grf_factor, _kirchhoff,
+                           _kirchhoff_inverse, _kirchhoff_start,
                            derivative_1d, gen_highd_poisson, highd_profile, make_darcy1d,
                            make_darcy1d_multiresolution, make_highd_poisson,
                            make_multi_output_1d, make_poisson2d, poisson_2d_forcing, sample_grf_at,
@@ -370,6 +371,101 @@ def test_darcy_batch_failure_names_the_failing_row():
         solve_darcy_batch(forcings, tol=1e-10, max_iter=1)
 
 
+@pytest.mark.parametrize("u1", [[0.3], [0.3, -1.2, 0.0, 2.0, 1e-3]])
+def test_darcy_three_points_match_the_closed_form(u1):
+    # with one unknown u1 at x = 1/2 and h = 1/2 the scheme reads
+    # -8 (0.2 + u1^2 / 2) u1 = f1, i.e. -1.6 u1 - 4 u1^3 = f1; the residual is
+    # below tol = 1e-10 and the map's slope is at least 1.6 in magnitude
+    u1 = np.asarray(u1)
+    forcings = np.zeros((u1.size, 3))
+    forcings[:, 1] = -1.6 * u1 - 4.0 * u1 ** 3
+    u = solve_darcy_batch(forcings)
+    assert np.all(u[:, [0, 2]] == 0.0)
+    assert np.max(np.abs(u[:, 1] - u1)) <= 1e-10 / 1.6
+
+
+def test_kirchhoff_start_is_exactly_zero_for_zero_forcing():
+    assert np.all(_kirchhoff_start(np.zeros((3, 7))) == 0.0)
+    assert _kirchhoff_inverse(np.zeros(1))[0] == 0.0
+
+
+def test_kirchhoff_inverse_inverts_the_kirchhoff_integral():
+    w = np.linspace(-10.0, 10.0, 2001)
+    u = _kirchhoff_inverse(w)
+    assert np.all(np.diff(u) > 0)
+    assert np.max(np.abs(_kirchhoff(u) - w) / np.maximum(1.0, np.abs(w))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_kirchhoff_start_solves_the_linear_scheme(n):
+    # K(u0) reproduces w, and w solves (w[i+1] - 2 w[i] + w[i-1]) / h^2 = f[i]
+    # with w = 0 at both ends
+    h = 1.0 / (n - 1)
+    f = sample_grf_at(np.linspace(0.0, 1.0, n), 5, seed=1)
+    w = solve_poisson_1d(f)
+    k = _kirchhoff(_kirchhoff_start(f))
+    scale = np.abs(w).max()
+    assert np.all(k[:, [0, -1]] == 0.0) and np.all(w[:, [0, -1]] == 0.0)
+    assert np.max(np.abs(k - w)) <= 1e-13 * scale
+    # a few eps * max|w| per entry, amplified by the stencil's 4 / h^2
+    for v in (w, k):
+        laplacian = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h ** 2
+        assert np.max(np.abs(laplacian - f[:, 1:-1])) <= 32 * np.finfo(float).eps * scale / h ** 2
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_darcy_kirchhoff_start_agrees_with_a_zero_start(monkeypatch, n):
+    f = sample_grf_at(np.linspace(0.0, 1.0, n), 20, seed=2)
+    u = solve_darcy_batch(f)
+    monkeypatch.setattr(datagen, "_kirchhoff_start", np.zeros_like)
+    assert np.max(np.abs(u - solve_darcy_batch(f))) < 1e-10
+
+
+def test_darcy_start_that_overflows_fails_with_solver_error():
+    # past |w| ~ 1e154 Cardano's 2.25 w^2 overflows; that row starts at u = 0
+    # and fails as Newton's other failures do, next to a row that solves
+    x = np.linspace(0.0, 1.0, 200)
+    forcings = np.stack([np.sin(np.pi * x), 1e200 * np.sin(np.pi * x)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="row 1: Darcy Newton stagnated"):
+            solve_darcy_batch(forcings)
+
+
+def test_darcy_batch_residual_calls_are_pinned(monkeypatch):
+    # the Kirchhoff start and the accepted trial's residual carried into the
+    # next iteration: 32 calls on 96 rows in all, against 23 calls on 190 rows
+    # from a zero start that evaluated every iterate's residual again (more
+    # calls now, on smaller sets of rows, as rows finish at different steps)
+    n = 2000
+    draws = sample_grf_at(np.linspace(0.0, 1.0, n), 20, seed=0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return _darcy_residual(*args)
+
+    monkeypatch.setattr(datagen, "_darcy_residual", counting)
+    solve_darcy_batch(draws)
+    assert (len(calls), sum(calls)) == (32, 96)
+
+
+def test_darcy_solve_records_its_newton_steps_and_stagnations():
+    # the batch of test_darcy_batch_rows_do_not_depend_on_their_batch: rows 1,
+    # 4, 8 and 21 are accepted on stagnation, the zero row takes no step
+    n = 2000
+    draws = sample_grf_at(np.linspace(0.0, 1.0, n), 20, seed=0)
+    solve_darcy_batch(np.vstack([draws, np.zeros(n), 5.0 * draws[0]]))
+    record = datagen._newton_record.get()
+    assert record["newton_stagnated"] == 4 and record["newton_steps"] >= 2
+    solve_darcy_batch(np.zeros((2, n)))
+    assert datagen._newton_record.get() == {"newton_steps": 0, "newton_stagnated": 0}
+    train, test = make_darcy1d(40, 2, 1, seed=0)
+    data = make_darcy1d_multiresolution([20, 40], 2, 0, solve_n=50)
+    for ds in (train, test, data[20], data[40]):
+        assert type(ds.provenance["newton_steps"]) is int and ds.provenance["newton_steps"] >= 1
+        assert ds.provenance["newton_stagnated"] == 0
+
+
 def test_make_darcy1d_splits_and_provenance():
     train, test = make_darcy1d(64, 4, 3, seed=5)
     assert train.n_samples == 4 and test.n_samples == 3
@@ -604,12 +700,22 @@ def test_function_dataset_validation():
         FunctionDataset(grid, grid, np.zeros((2, 9)), np.zeros((2, 10)), {})
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # only make_darcy1d_multiresolution needs it, and it imports it itself
+def _loaded_by_import_fbc2c(module):
+    """Whether ``import fbc2c`` in a fresh interpreter puts ``module`` in sys.modules."""
     src = str(pathlib.Path(fbc2c.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, fbc2c; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys, fbc2c; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only make_darcy1d_multiresolution needs it, and it imports it itself
+    assert not _loaded_by_import_fbc2c("scipy.interpolate")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # its users in datagen and experiment import it themselves
+    assert not _loaded_by_import_fbc2c("scipy.linalg")
