@@ -1,9 +1,12 @@
 """Command-line entry points.
 
-Subcommands: gen, encode, train, eval, diagnose, sweep.  Exit codes:
-0 success, 2 bad configuration (message names the field), 3 missing file,
-4 numerical failure.  Configs and encode flags are checked as their specs
-are built, before any data is read or generated.  Errors print one
+Subcommands: gen, encode, train, eval, diagnose, sweep.  The run config
+(``-c run.json``, an ``ExperimentConfig``) is the one description of the
+dataset, the bases and the encodes: ``gen`` writes the splits of its
+dataset, ``encode`` uses its basis and encode of one side, ``train`` and
+``sweep`` run it.  Exit codes: 0 success, 2 bad configuration (message names
+the field), 3 missing file, 4 numerical failure.  A config is checked as it
+loads, before any data is read or generated.  Errors print one
 machine-parsable line to stderr.
 """
 
@@ -14,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .config import BasisSpec, DatasetSpec, load_config
+from .config import load_config
 from .container import read_container, write_container
-from .encoder import EncodeSpec, diagnostics, encode
+from .encoder import diagnostics, encode
 from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
                      RankDeficiencyError, SolverError, TrainingDiverged)
 from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, run,
@@ -24,14 +27,12 @@ from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, 
 
 
 def _cmd_gen(args) -> int:
-    spec = DatasetSpec(args.problem, n=args.n, m_train=args.train, m_test=args.test,
-                       seed=args.seed, tol=args.tol, d=args.dim, n_points=args.n)
+    spec = load_config(args.config).dataset
     data = prepare_data(spec)
-    splits = {"train": data.train, "test": data.test, **data.extra}
     arrays = {"input_points": data.train.input_points,
               "output_points": data.train.output_points}
-    meta = {"kind": "function_dataset", "problem": args.problem}
-    for label, ds in splits.items():
+    meta = {"kind": "function_dataset", "problem": spec.kind}
+    for label, ds in (("train", data.train), ("test", data.test)):
         arrays[f"inputs_{label}"] = ds.inputs
         arrays[f"outputs_{label}"] = ds.outputs
         meta[f"m_{label}"] = ds.n_samples
@@ -51,35 +52,22 @@ def _comma_list(text: str, convert, flag: str) -> list:
         ) from None
 
 
-def _basis_from_args(args, dim: int):
-    partitions = bounds = None
-    if args.basis == "rfm":
-        partitions = _comma_list(args.partitions, int, "--partitions")
-        if len(partitions) != dim:
-            raise ConfigurationError(
-                f"partitions: got {len(partitions)} counts for a {dim}-dimensional problem"
-            )
-        if args.bounds:
-            bounds = _comma_list(args.bounds, float, "--bounds")
-            if len(bounds) == 2:
-                bounds = bounds * dim
-    return BasisSpec(kind=args.basis, partitions=partitions,
-                     features_per_partition=args.features, range_bound=args.range_bound,
-                     window=args.window, activation=args.activation, seed=args.basis_seed,
-                     bounds=bounds, n_nodes=args.fem_nodes).build()
-
-
 def _cmd_encode(args) -> int:
-    spec = EncodeSpec(args.method, args.lam, args.cut, args.cut_mode)
-    arrays, meta = read_container(args.dataset)
-    side = "inputs" if args.side == "input" else "outputs"
+    config = load_config(args.config)
+    spec = getattr(config, f"{args.side}_basis")
+    if spec is None:
+        raise ConfigurationError("config.input_basis: a p2c config has no input basis")
+    arrays, _ = read_container(args.dataset)
     points = arrays[f"{args.side}_points"]
-    values = np.concatenate([arrays[f"{side}_train"], arrays[f"{side}_test"]])
+    values = np.concatenate([arrays[f"{args.side}s_train"], arrays[f"{args.side}s_test"]])
     if values.ndim == 3:
         raise ConfigurationError("side: inline encoding covers scalar components only")
     dim = 1 if points.ndim == 1 else points.shape[1]
-    basis = _basis_from_args(args, dim)
-    coeffs = encode(basis, points, values, spec)
+    if spec.dim != dim:
+        what = f"partitions: {spec.dim} counts" if spec.kind == "rfm" else "kind: a 1-D fem basis"
+        raise ConfigurationError(f"config.{args.side}_basis.{what} for {dim}-dimensional data")
+    basis = spec.build()
+    coeffs = encode(basis, points, values, getattr(config, f"{args.side}_encode"))
     diag = diagnostics(coeffs)
     write_container(args.output,
                     arrays={"coefficients": coeffs,
@@ -147,35 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a function dataset container")
-    p.add_argument("--problem", required=True,
-                   choices=["darcy1d", "poisson2d", "highd_poisson", "multi_output_1d"])
-    p.add_argument("--n", type=int, required=True,
-                   help="grid points (per side for poisson2d, total for highd)")
-    p.add_argument("--train", type=int, default=500)
-    p.add_argument("--test", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=4, help="dimension for highd_poisson")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p = sub.add_parser("gen", help="write the dataset a run config describes")
+    p.add_argument("-c", "--config", required=True, help="run config (its dataset section)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("encode", help="encode a dataset against a basis")
+    p = sub.add_parser("encode", help="encode a dataset with a run config's basis and encode")
     p.add_argument("dataset")
+    p.add_argument("-c", "--config", required=True,
+                   help="run config (its <side>_basis and <side>_encode sections)")
     p.add_argument("--side", choices=["input", "output"], default="input")
-    p.add_argument("--basis", choices=["rfm", "fem"], default="rfm")
-    p.add_argument("--partitions", default="8", help="comma-separated counts per dim")
-    p.add_argument("--features", type=int, default=16)
-    p.add_argument("--range-bound", type=float, default=3.0)
-    p.add_argument("--window", choices=["smooth", "characteristic"], default="smooth")
-    p.add_argument("--activation", choices=["tanh", "sin"], default="tanh")
-    p.add_argument("--basis-seed", type=int, default=0)
-    p.add_argument("--bounds", default="0,1", help="comma-separated lo,hi per dim, or one pair for all")
-    p.add_argument("--fem-nodes", type=int, default=33)
-    p.add_argument("--method", choices=["ridge", "tsvd"], default="tsvd")
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--cut", type=float, default=1e-2)
-    p.add_argument("--cut-mode", choices=["relative", "absolute"], default="relative")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_encode)
 

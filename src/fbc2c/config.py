@@ -15,18 +15,20 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .basis import ActivationKind, WindowKind, build_rfm, build_vector_rfm, uniform_fem_basis
 from .encoder import EncodeSpec
 from .errors import ConfigurationError
 from .neuralop import TrainConfig
 
-# the size and sample-count fields each dataset kind reads; each must be >= 1
+# the size fields each dataset kind reads; each must be >= 1
 _DATASET_SIZES = {
     "darcy1d": ("n", "m_train", "m_test"),
     "poisson2d": ("n", "m_train", "m_test", "modes"),
-    "highd_poisson": ("d", "n_points", "n_train", "n_gen1", "n_gen2"),
     "multi_output_1d": ("n", "m_train", "m_test"),
 }
 # the GRF and solver settings each dataset kind reads; each must be finite and > 0
@@ -36,14 +38,23 @@ _DATASET_SCALES = {
 }
 
 
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise ConfigurationError(f"seed: must be >= 0, got {seed}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class DatasetSpec:
     """Which generator to run and with what parameters.
 
-    ``n`` is the grid size for the 1D problems and the points per side for
-    poisson2d; highd_poisson uses ``d``/``n_points`` and the three fixed
-    amplitude splits instead of m_train/m_test.  The fields the kind reads
-    are checked on construction; an error names the field.
+    Every kind draws a train and a test split on one grid; ``n`` is the grid
+    size for the 1D problems and the points per side for poisson2d.  The
+    fields the kind reads, and the seed, are checked on construction; an
+    error names the field.
     """
 
     kind: str
@@ -55,11 +66,6 @@ class DatasetSpec:
     amplitude: float = 1.0
     tol: float = 1e-10
     modes: int = 5
-    d: int | None = None
-    n_points: int | None = None
-    n_train: int = 8
-    n_gen1: int = 2
-    n_gen2: int = 10
 
     def __post_init__(self):
         if self.kind not in _DATASET_SIZES:
@@ -76,11 +82,17 @@ class DatasetSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
 class BasisSpec:
-    """Structural description of a basis; building it is deterministic."""
+    """Structural description of a basis; building it is deterministic.
+
+    The fields the kind reads are checked on construction, so a spec that
+    exists builds; ``build_rfm`` and ``uniform_fem_basis`` repeat the checks
+    for direct callers.
+    """
 
     kind: str                       # "rfm" or "fem"
     partitions: list | None = None  # rfm: counts per dimension
@@ -96,15 +108,46 @@ class BasisSpec:
     def __post_init__(self):
         if self.kind not in ("rfm", "fem"):
             raise ConfigurationError(f"kind: unknown kind {self.kind!r}, expected 'rfm' or 'fem'")
-        if self.kind == "rfm" and (self.partitions is None or self.features_per_partition is None):
-            raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
-        if self.kind == "fem" and self.n_nodes is None:
-            raise ConfigurationError("n_nodes: fem needs n_nodes")
         for name, kind in (("window", WindowKind), ("activation", ActivationKind)):
             choices = tuple(k.value for k in kind)
             if getattr(self, name) not in choices:
                 raise ConfigurationError(
                     f"{name}: unknown {name} {getattr(self, name)!r}, expected one of {choices}")
+        _check_seed(self.seed)
+        if self.kind == "fem":
+            if self.n_nodes is None:
+                raise ConfigurationError("n_nodes: fem needs n_nodes")
+            if self.n_nodes < 2:
+                raise ConfigurationError(f"n_nodes: must be >= 2, got {self.n_nodes}")
+            return
+        if self.partitions is None or self.features_per_partition is None:
+            raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
+        if not (self.partitions and all(_is_count(p) for p in self.partitions)):
+            raise ConfigurationError(
+                f"partitions: must be one integer count >= 1 per dimension, got {self.partitions!r}")
+        if self.features_per_partition < 1:
+            raise ConfigurationError(
+                f"features_per_partition: must be >= 1, got {self.features_per_partition}")
+        if not (math.isfinite(self.range_bound) and self.range_bound > 0):
+            raise ConfigurationError(f"range_bound: must be finite and > 0, got {self.range_bound!r}")
+        if self.bounds is not None:
+            self._check_bounds()
+
+    def _check_bounds(self) -> None:
+        dim = len(self.partitions)
+        try:
+            box = np.asarray(self.bounds, dtype=np.float64).reshape(dim, 2)
+        except (TypeError, ValueError):
+            box = None
+        if box is None or not (np.all(np.isfinite(box)) and np.all(box[:, 1] > box[:, 0])):
+            raise ConfigurationError(
+                f"bounds: must be {dim} [lo, hi] pair(s) of finite numbers with hi > lo, "
+                f"one per partition count, got {self.bounds!r}")
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the points the basis is evaluated at."""
+        return 1 if self.kind == "fem" else len(self.partitions)
 
     def build(self, n_components: int = 1):
         if self.kind == "fem":
@@ -126,6 +169,11 @@ class BasisSpec:
 class NetSpec:
     hidden: int = 512
     seed: int = 0
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ConfigurationError(f"hidden: must be >= 1, got {self.hidden}")
+        _check_seed(self.seed)
 
 
 @dataclass

@@ -11,7 +11,6 @@ Problems covered:
   independent of the batch it is solved in.
 * 2D Poisson on the unit square with a truncated sine-expansion forcing,
   solved exactly through the eigenfunction identity.
-* High-dimensional Poisson with a scaled analytic solution.
 * A synthetic two-output 1D problem (solution and its derivative) used to
   exercise vector-valued output bases.
 
@@ -690,67 +689,6 @@ def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
             },
         ))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# high-dimensional Poisson with analytic solution
-
-
-def highd_profile(points: np.ndarray) -> np.ndarray:
-    """sum_i sin(pi x_i / 2) over the coordinates of each point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return np.sin(0.5 * np.pi * pts).sum(axis=1)
-
-
-def gen_highd_poisson(d: int, alphas, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forcing/solution pairs of -Laplacian(u) = f on [-1, 1]^d.
-
-    u = alpha * sum_i sin(pi x_i / 2) and f = alpha * (pi^2 / 4) * that sum,
-    both evaluated exactly at the supplied points; one row per alpha.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[1] != d:
-        raise ConfigurationError(f"points have dimension {pts.shape[1]}, expected {d}")
-    alphas = np.asarray(alphas, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(alphas)):
-        raise DataError("alpha values contain NaN or Inf")
-    profile = highd_profile(pts)
-    u = alphas[:, None] * profile[None, :]
-    f = (np.pi ** 2 / 4.0) * u
-    return f, u
-
-
-def uniform_points(d: int, count: int, seed, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """i.i.d. uniform points in [lo, hi]^d; stand-in for a full grid when d is large."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(lo, hi, size=(count, d))
-
-
-def make_highd_poisson(d: int, n_points: int, seed: int, n_train: int = 8,
-                       n_gen1: int = 2, n_gen2: int = 10):
-    """Train plus two generalization splits sharing one sampled point set.
-
-    Training amplitudes are uniform draws from [-1, 1]; Gen1 holds out fresh
-    amplitudes from the same range, Gen2 extrapolates to [1, 2].
-    """
-    seed = _seed_provenance(seed)
-    pts_seed, a_train_seed, gen1_seed, gen2_seed = np.random.SeedSequence(seed).spawn(4)
-    pts = uniform_points(d, n_points, pts_seed)
-    a_train = np.random.default_rng(a_train_seed).uniform(-1.0, 1.0, n_train)
-    a_gen1 = np.random.default_rng(gen1_seed).uniform(-1.0, 1.0, n_gen1)
-    a_gen2 = np.random.default_rng(gen2_seed).uniform(1.0, 2.0, n_gen2)
-    datasets = []
-    for label, alphas in (("train", a_train), ("gen1", a_gen1), ("gen2", a_gen2)):
-        f, u = gen_highd_poisson(d, alphas, pts)
-        datasets.append(FunctionDataset(
-            input_points=pts, output_points=pts, inputs=f, outputs=u,
-            provenance={
-                "generator": "highd_poisson", "split": label, "d": d,
-                "n_points": n_points, "seed": seed,
-                "alphas": alphas.tolist(),
-            },
-        ))
-    return tuple(datasets)
 
 
 # ---------------------------------------------------------------------------

@@ -44,28 +44,23 @@ class PreparedData:
 
     train: datagen.FunctionDataset
     test: datagen.FunctionDataset
-    extra: dict = field(default_factory=dict)
     designs: dict = field(default_factory=dict)
 
 
 def prepare_data(spec: DatasetSpec) -> PreparedData:
+    """The train and test splits ``spec`` describes, both on one grid."""
     if spec.kind == "darcy1d":
-        tr, te = datagen.make_darcy1d(spec.n, spec.m_train, spec.m_test, spec.seed,
+        splits = datagen.make_darcy1d(spec.n, spec.m_train, spec.m_test, spec.seed,
                                       spec.length_scale, spec.amplitude, spec.tol)
-        return PreparedData(tr, te)
-    if spec.kind == "poisson2d":
-        tr, te = datagen.make_poisson2d(spec.n, spec.m_train, spec.m_test,
+    elif spec.kind == "poisson2d":
+        splits = datagen.make_poisson2d(spec.n, spec.m_train, spec.m_test,
                                         spec.seed, spec.modes)
-        return PreparedData(tr, te)
-    if spec.kind == "highd_poisson":
-        tr, gen1, gen2 = datagen.make_highd_poisson(spec.d, spec.n_points, spec.seed,
-                                                    spec.n_train, spec.n_gen1, spec.n_gen2)
-        return PreparedData(tr, gen1, extra={"gen2": gen2})
-    if spec.kind == "multi_output_1d":
-        tr, te = datagen.make_multi_output_1d(spec.n, spec.m_train, spec.m_test,
+    elif spec.kind == "multi_output_1d":
+        splits = datagen.make_multi_output_1d(spec.n, spec.m_train, spec.m_test,
                                               spec.seed, spec.length_scale, spec.amplitude)
-        return PreparedData(tr, te)
-    raise ConfigurationError(f"dataset.kind: no generator for {spec.kind!r}")
+    else:
+        raise ConfigurationError(f"dataset.kind: no generator for {spec.kind!r}")
+    return PreparedData(*splits)
 
 
 # ---------------------------------------------------------------------------

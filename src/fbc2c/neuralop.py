@@ -271,6 +271,8 @@ class TrainConfig:
                 raise ConfigurationError(f"{name}: must be in [0, 1), got {beta!r}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ConfigurationError(f"eps: must be finite and > 0, got {self.eps!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 
 
 def learning_rate(epoch: int, config: TrainConfig) -> float:

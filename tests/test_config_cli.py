@@ -1,16 +1,20 @@
 import json
+import pathlib
 import re
+import shlex
 import shutil
 
 import numpy as np
 import pytest
 
-from fbc2c.cli import main
+from fbc2c.cli import build_parser, main
 from fbc2c.config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
                           NetSpec, config_from_dict, config_hash,
                           config_to_dict, dump_config, load_config)
 from fbc2c.container import read_container, write_container
+from fbc2c.encoder import encode
 from fbc2c.errors import ConfigurationError
+from fbc2c.experiment import prepare_data
 from fbc2c.neuralop import TrainConfig
 
 
@@ -26,6 +30,21 @@ def _tiny_config_dict():
         "net": {"hidden": 16, "seed": 5},
         "train": {"epochs": 40, "seed": 6, "eval_interval": 20},
     }
+
+
+def _write_config(tmp_path, cfg, name="run.json"):
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        json.dump(cfg, fh, allow_nan=True)
+    return path
+
+
+def _gen(tmp_path, cfg, name="data"):
+    """(config path, dataset path) of ``fbc2c gen`` run on ``cfg``."""
+    path = _write_config(tmp_path, cfg, f"{name}.json")
+    data = tmp_path / f"{name}.fbc"
+    assert main(["gen", "-c", str(path), "-o", str(data)]) == 0
+    return path, data
 
 
 def test_config_round_trip():
@@ -94,16 +113,16 @@ def test_basis_spec_builds():
 def test_dataset_spec_validation():
     with pytest.raises(ConfigurationError):
         DatasetSpec(kind="darcy1d", n=100)
-    with pytest.raises(ConfigurationError):
-        DatasetSpec(kind="highd_poisson", n_points=10)
+    with pytest.raises(ConfigurationError, match=r"^kind: unknown kind 'highd_poisson'"):
+        DatasetSpec(kind="highd_poisson", n=10, m_train=1, m_test=1)
     with pytest.raises(ConfigurationError):
         DatasetSpec(kind="nope", n=10, m_train=1, m_test=1)
     with pytest.raises(ConfigurationError, match=r"^m_test: must be >= 1, got 0"):
         DatasetSpec(kind="darcy1d", n=10, m_train=1, m_test=0)
-    with pytest.raises(ConfigurationError, match=r"^n_points: must be >= 1"):
-        DatasetSpec(kind="highd_poisson", d=3, n_points=0)
+    with pytest.raises(ConfigurationError, match=r"^modes: must be >= 1"):
+        DatasetSpec(kind="poisson2d", n=3, m_train=1, m_test=1, modes=0)
     # a field the kind does not read is not checked
-    DatasetSpec(kind="highd_poisson", d=3, n_points=5, m_train=0, tol=0.0)
+    DatasetSpec(kind="poisson2d", n=3, m_train=1, m_test=1, tol=0.0, length_scale=0.0)
     DatasetSpec(kind="multi_output_1d", n=10, m_train=1, m_test=1, tol=-1.0)
 
 
@@ -118,64 +137,118 @@ def test_config_accepts_an_int_for_a_float_field():
 
 
 def test_cli_gen_round_trip(tmp_path, capsys):
-    out = tmp_path / "data.fbc"
-    code = main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "4",
-                 "--test", "2", "--seed", "1", "-o", str(out)])
-    assert code == 0
+    cfg = _tiny_config_dict()
+    path, out = _gen(tmp_path, cfg)
     arrays, meta = read_container(out)
-    assert meta["m_train"] == 4 and meta["m_test"] == 2
-    assert arrays["inputs_train"].shape == (4, 60)
+    assert meta["m_train"] == 6 and meta["m_test"] == 4
+    assert arrays["inputs_train"].shape == (6, 80)
     # regeneration is bitwise identical
     out2 = tmp_path / "data2.fbc"
-    main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "4",
-          "--test", "2", "--seed", "1", "-o", str(out2)])
+    assert main(["gen", "-c", str(path), "-o", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
-    # highd_poisson writes its extrapolation split as well
-    highd = tmp_path / "highd.fbc"
-    assert main(["gen", "--problem", "highd_poisson", "--n", "30", "--dim", "3",
-                 "-o", str(highd)]) == 0
-    arrays, meta = read_container(highd)
-    assert (meta["m_train"], meta["m_test"], meta["m_gen2"]) == (8, 2, 10)
-    assert arrays["inputs_gen2"].shape == (10, 30)
-    assert meta["provenance_gen2"]["split"] == "gen2"
     capsys.readouterr()
-    assert main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "0",
-                 "-o", str(tmp_path / "empty.fbc")]) == 2
-    assert "m_train: must be >= 1, got 0" in capsys.readouterr().err
+    cfg["dataset"]["m_train"] = 0
+    empty = tmp_path / "empty.fbc"
+    assert main(["gen", "-c", str(_write_config(tmp_path, cfg)), "-o", str(empty)]) == 2
+    assert "config.dataset.m_train: must be >= 1, got 0" in capsys.readouterr().err
+    assert not empty.exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    {"kind": "darcy1d", "n": 40, "m_train": 3, "m_test": 2, "seed": 4, "length_scale": 0.1},
+    {"kind": "poisson2d", "n": 5, "m_train": 3, "m_test": 2, "seed": 4, "modes": 3},
+    {"kind": "multi_output_1d", "n": 40, "m_train": 3, "m_test": 2, "seed": 4},
+], ids=lambda dataset: dataset["kind"])
+def test_cli_gen_writes_what_prepare_data_returns(tmp_path, dataset):
+    cfg = _tiny_config_dict()
+    cfg["dataset"] = dataset
+    _, out = _gen(tmp_path, cfg)
+    arrays, meta = read_container(out)
+    data = prepare_data(config_from_dict(cfg).dataset)
+    expected = {"input_points": data.train.input_points,
+                "output_points": data.train.output_points}
+    for label, ds in (("train", data.train), ("test", data.test)):
+        expected[f"inputs_{label}"] = ds.inputs
+        expected[f"outputs_{label}"] = ds.outputs
+        assert meta[f"m_{label}"] == ds.n_samples
+        assert meta[f"provenance_{label}"] == json.loads(json.dumps(ds.provenance))
+    assert sorted(arrays) == sorted(expected)
+    for name, array in expected.items():
+        assert arrays[name].shape == array.shape and np.array_equal(arrays[name], array)
 
 
 def test_cli_encode_and_diagnose(tmp_path, capsys):
-    data = tmp_path / "data.fbc"
-    main(["gen", "--problem", "darcy1d", "--n", "60", "--train", "4", "--test", "2",
-          "--seed", "1", "-o", str(data)])
+    path, data = _gen(tmp_path, _tiny_config_dict())
     coeffs = tmp_path / "coeffs.fbc"
-    code = main(["encode", str(data), "--partitions", "2", "--features", "8",
-                 "--basis-seed", "3", "--cut", "1e-2", "-o", str(coeffs)])
-    assert code == 0
+    assert main(["encode", str(data), "-c", str(path), "-o", str(coeffs)]) == 0
     arrays, meta = read_container(coeffs)
-    assert arrays["coefficients"].shape == (6, 16)
+    assert arrays["coefficients"].shape == (10, 16)
     assert meta["erank"] >= 1.0
-    code = main(["diagnose", str(coeffs)])
-    assert code == 0
+    capsys.readouterr()
+    assert main(["diagnose", str(coeffs)]) == 0
     assert "erank" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_cli_encode_matches_the_pipeline(tmp_path, side):
+    cfg = _tiny_config_dict()
+    path, data = _gen(tmp_path, cfg)
+    coeffs = tmp_path / "coeffs.fbc"
+    assert main(["encode", str(data), "-c", str(path), "--side", side, "-o", str(coeffs)]) == 0
+    config = config_from_dict(cfg)
+    prepared = prepare_data(config.dataset)
+    values = np.concatenate([getattr(prepared.train, f"{side}s"),
+                             getattr(prepared.test, f"{side}s")])
+    expected = encode(getattr(config, f"{side}_basis").build(),
+                      getattr(prepared.train, f"{side}_points"), values,
+                      getattr(config, f"{side}_encode"))
+    assert np.array_equal(read_container(coeffs)[0]["coefficients"], expected)
+
+
 def test_cli_encode_on_2d_data(tmp_path, capsys):
-    data = tmp_path / "data.fbc"
-    main(["gen", "--problem", "poisson2d", "--n", "5", "--train", "3", "--test", "2",
-          "--seed", "1", "-o", str(data)])
-    args = ["encode", str(data), "--partitions", "2,2", "--features", "3"]
-    # the default --bounds 0,1 is one lo,hi pair for both dimensions
-    assert main(args + ["-o", str(tmp_path / "one_pair.fbc")]) == 0
-    assert main(args + ["--bounds", "0,1,0,1", "-o", str(tmp_path / "per_dim.fbc")]) == 0
-    one_pair, _ = read_container(tmp_path / "one_pair.fbc")
+    cfg = _tiny_config_dict()
+    cfg["dataset"] = {"kind": "poisson2d", "n": 5, "m_train": 3, "m_test": 2, "seed": 1}
+    cfg["input_basis"].update(partitions=[2, 2], features_per_partition=3,
+                              bounds=[[0.0, 1.0], [0.0, 1.0]])
+    path, data = _gen(tmp_path, cfg)
+    assert main(["encode", str(data), "-c", str(path), "-o", str(tmp_path / "per_dim.fbc")]) == 0
+    # a flat [lo, hi, lo, hi] list is the same box
+    cfg["input_basis"]["bounds"] = [0.0, 1.0, 0.0, 1.0]
+    flat = _write_config(tmp_path, cfg, "flat.json")
+    assert main(["encode", str(data), "-c", str(flat), "-o", str(tmp_path / "flat.fbc")]) == 0
     per_dim, _ = read_container(tmp_path / "per_dim.fbc")
-    assert one_pair["coefficients"].shape == (5, 12)
-    assert np.array_equal(one_pair["coefficients"], per_dim["coefficients"])
+    flat, _ = read_container(tmp_path / "flat.fbc")
+    assert per_dim["coefficients"].shape == (5, 12)
+    assert np.array_equal(per_dim["coefficients"], flat["coefficients"])
+    # without bounds the basis tiles [-1, 1]^2, not the unit square
+    del cfg["input_basis"]["bounds"]
+    wide = _write_config(tmp_path, cfg, "wide.json")
+    assert main(["encode", str(data), "-c", str(wide), "-o", str(tmp_path / "wide.fbc")]) == 0
+    assert not np.array_equal(read_container(tmp_path / "wide.fbc")[0]["coefficients"],
+                              per_dim["coefficients"])
     capsys.readouterr()
-    assert main(args + ["--bounds", "0,1,0", "-o", str(tmp_path / "bad.fbc")]) == 2
+    cfg["input_basis"]["bounds"] = [[0.0, 1.0]]
+    bad = _write_config(tmp_path, cfg, "bad.json")
+    assert main(["encode", str(data), "-c", str(bad), "-o", str(tmp_path / "bad.fbc")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error code=2") and "bounds" in err
+    assert err.startswith("error code=2") and "config.input_basis.bounds: must be 2" in err
+    assert not (tmp_path / "bad.fbc").exists()
+
+
+def test_cli_encode_refuses_a_side_it_cannot_encode(tmp_path, capsys):
+    cfg = _tiny_config_dict()
+    cfg["dataset"] = {"kind": "multi_output_1d", "n": 30, "m_train": 3, "m_test": 2}
+    path, data = _gen(tmp_path, cfg)
+    capsys.readouterr()
+    out = tmp_path / "c.fbc"
+    assert main(["encode", str(data), "-c", str(path), "--side", "output", "-o", str(out)]) == 2
+    assert "side: inline encoding covers scalar components only" in capsys.readouterr().err
+    del cfg["input_basis"]
+    cfg["p2c"] = True
+    p2c = _write_config(tmp_path, cfg, "p2c.json")
+    assert main(["encode", str(data), "-c", str(p2c), "-o", str(out)]) == 2
+    assert "config.input_basis: a p2c config has no input basis" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_diagnose_rank_one(tmp_path, capsys):
@@ -190,39 +263,37 @@ def test_cli_diagnose_rank_one(tmp_path, capsys):
 def test_cli_exit_codes(tmp_path, capsys):
     # missing file -> 3
     assert main(["diagnose", str(tmp_path / "missing.fbc")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error code=3")
+    assert capsys.readouterr().err.startswith("error code=3")
+    assert main(["gen", "-c", str(tmp_path / "missing.json"), "-o", str(tmp_path / "d.fbc")]) == 3
+    assert capsys.readouterr().err.startswith("error code=3")
+    cfg = _tiny_config_dict()
+    path, data = _gen(tmp_path, cfg)
+    assert main(["encode", str(tmp_path / "missing.fbc"), "-c", str(path),
+                 "-o", str(tmp_path / "c.fbc")]) == 3
+    assert capsys.readouterr().err.startswith("error code=3")
     # bad configuration -> 2 (2-d partitions for 1-d data)
-    data = tmp_path / "data.fbc"
-    main(["gen", "--problem", "darcy1d", "--n", "50", "--train", "3", "--test", "2",
-          "--seed", "1", "-o", str(data)])
-    code = main(["encode", str(data), "--partitions", "2,2", "-o", str(tmp_path / "c.fbc")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error code=2")
+    cfg["input_basis"].update(partitions=[2, 2], bounds=[[0.0, 1.0], [0.0, 1.0]])
+    two_d = _write_config(tmp_path, cfg, "two_d.json")
+    assert main(["encode", str(data), "-c", str(two_d), "-o", str(tmp_path / "c.fbc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2")
+    assert "config.input_basis.partitions: 2 counts for 1-dimensional data" in err
     # numerical failure -> 4 (unregularized ridge on an underdetermined system)
-    code = main(["encode", str(data), "--partitions", "4", "--features", "32",
-                 "--method", "ridge", "--lam", "0", "-o", str(tmp_path / "c.fbc")])
-    assert code == 4
+    cfg["input_basis"].update(partitions=[4], features_per_partition=32, bounds=[[0.0, 1.0]])
+    cfg["input_encode"] = {"method": "ridge", "lam": 0}
+    ridge = _write_config(tmp_path, cfg, "ridge.json")
+    assert main(["encode", str(data), "-c", str(ridge), "-o", str(tmp_path / "c.fbc")]) == 4
     assert capsys.readouterr().err.startswith("error code=4")
+    assert not (tmp_path / "c.fbc").exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    ("encode", "--partitions", "x"),
-    ("encode", "--bounds", "0,y"),
     ("sweep", "--cuts", "1e-2,z"),
     ("eval", "--resolutions", "40,1.5"),
-], ids=["partitions", "bounds", "cuts", "resolutions"])
+], ids=["cuts", "resolutions"])
 def test_cli_refuses_malformed_comma_lists(tmp_path, capsys, command, flag, value):
-    if command == "encode":
-        source = tmp_path / "data.fbc"
-        main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
-              "-o", str(source)])
-        args = ["encode", str(source), "-o", str(tmp_path / "c.fbc")]
-    elif command == "sweep":
-        source = tmp_path / "run.json"
-        with open(source, "w") as fh:
-            json.dump(_tiny_config_dict(), fh)
-        args = [command, "-c", str(source)]
+    if command == "sweep":
+        args = [command, "-c", str(_write_config(tmp_path, _tiny_config_dict()))]
     else:
         # the list is refused before the run directory is read
         args = [command, str(tmp_path / "run")]
@@ -230,6 +301,37 @@ def test_cli_refuses_malformed_comma_lists(tmp_path, capsys, command, flag, valu
     assert main(args + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error code=2") and flag in err and repr(value) in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("partitions", ["x"]),
+    ("bounds", [[0.0, "y"]]),
+], ids=["partitions", "bounds"])
+def test_cli_encode_refuses_malformed_basis_lists(tmp_path, capsys, key, value):
+    cfg = _tiny_config_dict()
+    cfg["input_basis"][key] = value
+    path = _write_config(tmp_path, cfg)
+    capsys.readouterr()
+    # the config is refused before the (missing) dataset is read
+    assert main(["encode", str(tmp_path / "missing.fbc"), "-c", str(path),
+                 "-o", str(tmp_path / "c.fbc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error code=2 kind=config msg=config.input_basis.{key}: must be")
+    assert repr(value) in err
+
+
+def test_readme_commands_parse():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("fbc2c ")]
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(command[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(command)}")
+    assert {command[1] for command in commands} == {"gen", "encode", "train", "eval",
+                                                   "diagnose", "sweep"}
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +402,19 @@ def test_cli_eval_refuses_a_config_edited_after_training(trained_run, tmp_path, 
     assert trained_hash in err and config_hash(config) in err
 
 
+def test_cli_eval_refuses_a_run_directory_with_the_old_dataset_fields(trained_run, tmp_path,
+                                                                     capsys):
+    outdir = _copy_run(trained_run, tmp_path)
+    with open(outdir / "config.json") as fh:
+        config = json.load(fh)
+    config["dataset"].update(d=None, n_points=None, n_train=8, n_gen1=2, n_gen2=10)
+    with open(outdir / "config.json", "w") as fh:
+        json.dump(config, fh)
+    capsys.readouterr()
+    assert main(["eval", str(outdir)]) == 2
+    assert "config.dataset.d: unknown key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("missing", ["directory", "not_a_directory", "config.json",
                                      "checkpoint.fbc"])
 def test_cli_eval_missing_run_files_exit_3(trained_run, tmp_path, capsys, missing):
@@ -351,22 +466,42 @@ def no_data_generation(monkeypatch):
     monkeypatch.setattr("fbc2c.experiment.prepare_data", no_data)
 
 
-@pytest.mark.parametrize("section, key, value, field", [
-    ("train", "epochs", "3", r"config\.train\.epochs: expected int"),
-    ("dataset", "n", "50", r"config\.dataset\.n: expected int \| None"),
-    ("dataset", "m_test", 0, r"config\.dataset\.m_test: must be >= 1"),
-    ("net", "hidden", True, r"config\.net\.hidden: expected int, got bool"),
-    ("train", "lr_start", False, r"config\.train\.lr_start: expected float, got bool"),
-    ("input_basis", "window", "bogus", r"config\.input_basis\.window: unknown window"),
-    ("output_basis", "activation", "bogus", r"config\.output_basis\.activation: unknown"),
-    ("output_encode", "cut_mode", "bogus", r"config\.output_encode\.cut_mode: unknown"),
-    ("train", "beta1", 1.0, r"config\.train\.beta1: must be in \[0, 1\), got 1\.0"),
+@pytest.mark.parametrize("section, edits, field", [
+    ("train", {"epochs": "3"}, r"config\.train\.epochs: expected int"),
+    ("dataset", {"n": "50"}, r"config\.dataset\.n: expected int \| None"),
+    ("dataset", {"m_test": 0}, r"config\.dataset\.m_test: must be >= 1"),
+    ("net", {"hidden": True}, r"config\.net\.hidden: expected int, got bool"),
+    ("train", {"lr_start": False}, r"config\.train\.lr_start: expected float, got bool"),
+    ("input_basis", {"window": "bogus"}, r"config\.input_basis\.window: unknown window"),
+    ("output_basis", {"activation": "bogus"}, r"config\.output_basis\.activation: unknown"),
+    ("output_encode", {"cut_mode": "bogus"}, r"config\.output_encode\.cut_mode: unknown"),
+    ("train", {"beta1": 1.0}, r"config\.train\.beta1: must be in \[0, 1\), got 1\.0"),
+    ("dataset", {"seed": -1}, r"config\.dataset\.seed: must be >= 0, got -1"),
+    ("net", {"seed": -1}, r"config\.net\.seed: must be >= 0, got -1"),
+    ("train", {"seed": -1}, r"config\.train\.seed: must be >= 0, got -1"),
+    ("input_basis", {"seed": -1}, r"config\.input_basis\.seed: must be >= 0, got -1"),
+    ("output_basis", {"seed": -1}, r"config\.output_basis\.seed: must be >= 0, got -1"),
+    ("net", {"hidden": 0}, r"config\.net\.hidden: must be >= 1, got 0"),
+    ("input_basis", {"features_per_partition": 0},
+     r"config\.input_basis\.features_per_partition: must be >= 1, got 0"),
+    ("input_basis", {"partitions": [0]},
+     r"config\.input_basis\.partitions: must be one integer count >= 1 per dimension"),
+    ("output_basis", {"range_bound": -1},
+     r"config\.output_basis\.range_bound: must be finite and > 0, got -1"),
+    ("input_basis", {"bounds": [[1, 0]]},
+     r"config\.input_basis\.bounds: must be 1 \[lo, hi\] pair\(s\) .* with hi > lo"),
+    ("output_basis", {"kind": "fem", "n_nodes": 1},
+     r"config\.output_basis\.n_nodes: must be >= 2, got 1"),
 ], ids=["string_epochs", "string_n", "zero_m_test", "bool_hidden", "bool_lr",
-        "bogus_window", "bogus_activation", "bogus_cut_mode", "beta1_one"])
-def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, section, key,
-                                       value, field):
+        "bogus_window", "bogus_activation", "bogus_cut_mode", "beta1_one",
+        "negative_dataset_seed", "negative_net_seed", "negative_train_seed",
+        "negative_input_basis_seed", "negative_output_basis_seed", "zero_hidden",
+        "zero_features", "zero_partition_count", "negative_range_bound", "inverted_bounds",
+        "one_fem_node"])
+def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, section, edits,
+                                       field):
     cfg = _tiny_config_dict()
-    cfg[section][key] = value
+    cfg[section].update(edits)
     path = tmp_path / "run.json"
     with open(path, "w") as fh:
         json.dump(cfg, fh)
@@ -377,9 +512,9 @@ def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, sec
 
 
 def test_config_hash_of_a_literal_config_is_pinned():
-    # recorded before EncodeSpec moved into fbc2c.encoder; old run directories
+    # recorded when DatasetSpec lost the highd_poisson fields; run directories
     # load only while the hash of an unchanged config stays the same
-    assert config_hash(config_from_dict(_tiny_config_dict())) == "b3ccc303697b0c3c"
+    assert config_hash(config_from_dict(_tiny_config_dict())) == "bcdb30e496b9a4ac"
 
 
 @pytest.mark.parametrize("key, value, field", [
@@ -461,24 +596,24 @@ def test_basis_spec_refuses_an_unknown_kind_by_field(field):
 
 
 def test_cli_encode_refuses_a_nan_cut(tmp_path, capsys):
-    data = tmp_path / "data.fbc"
-    main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
-          "-o", str(data)])
+    path, data = _gen(tmp_path, _tiny_config_dict())
+    cfg = _tiny_config_dict()
+    cfg["input_encode"]["cut"] = float("nan")
+    nan_cut = _write_config(tmp_path, cfg, "nan_cut.json")
     capsys.readouterr()
-    assert main(["encode", str(data), "--cut", "nan", "-o", str(tmp_path / "c.fbc")]) == 2
+    assert main(["encode", str(data), "-c", str(nan_cut), "-o", str(tmp_path / "c.fbc")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error code=2") and "cut: must be finite" in err
+    assert err.startswith("error code=2") and "config.input_encode.cut: must be finite" in err
     assert not (tmp_path / "c.fbc").exists()
 
 
 def test_cli_encode_records_the_basis_identity(tmp_path):
-    data = tmp_path / "data.fbc"
-    main(["gen", "--problem", "darcy1d", "--n", "30", "--train", "3", "--test", "2",
-          "-o", str(data)])
+    cfg = _tiny_config_dict()
+    cfg["input_basis"].update(features_per_partition=4, seed=7)
+    path, data = _gen(tmp_path, cfg)
     coeffs = tmp_path / "c.fbc"
-    assert main(["encode", str(data), "--partitions", "2", "--features", "4",
-                 "--basis-seed", "7", "-o", str(coeffs)]) == 0
+    assert main(["encode", str(data), "-c", str(path), "-o", str(coeffs)]) == 0
     basis = BasisSpec(kind="rfm", partitions=[2], features_per_partition=4, seed=7,
-                      bounds=[0.0, 1.0]).build()
+                      bounds=[[0.0, 1.0]]).build()
     _, meta = read_container(coeffs)
     assert meta["basis_id"] == basis.identity()

@@ -11,8 +11,7 @@ from fbc2c import datagen
 from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, _NEWTON_BLOCK, FunctionDataset,
                            _cholesky_with_jitter, _darcy_residual, _grf_factor, _kirchhoff,
                            _kirchhoff_inverse, _kirchhoff_start,
-                           derivative_1d, gen_highd_poisson, highd_profile, make_darcy1d,
-                           make_darcy1d_multiresolution, make_highd_poisson,
+                           derivative_1d, make_darcy1d, make_darcy1d_multiresolution,
                            make_multi_output_1d, make_poisson2d, poisson_2d_forcing, sample_grf_at,
                            solve_darcy_1d, solve_darcy_batch, solve_poisson_1d,
                            solve_poisson_2d_square, squared_exp_covariance,
@@ -527,8 +526,7 @@ def test_generators_refuse_an_unrecordable_seed_before_drawing(monkeypatch, seed
     for make in (lambda: make_darcy1d(20, 2, 2, seed),
                  lambda: make_darcy1d_multiresolution([20], 2, seed, solve_n=30),
                  lambda: make_multi_output_1d(20, 2, 2, seed),
-                 lambda: make_poisson2d(4, 2, 2, seed),
-                 lambda: make_highd_poisson(2, 10, seed)):
+                 lambda: make_poisson2d(4, 2, 2, seed)):
         with pytest.raises(ConfigurationError, match="seed"):
             make()
 
@@ -620,36 +618,6 @@ def test_make_poisson2d_splits_equal_the_per_sample_functions():
         assert np.array_equal(ds.inputs, np.stack([poisson_2d_forcing(a, pts) for a in alphas]))
         assert np.array_equal(ds.outputs,
                               np.stack([solve_poisson_2d_square(a, pts) for a in alphas]))
-
-
-# ---------------------------------------------------------------------------
-# high-dimensional Poisson
-
-
-def test_highd_analytic_values():
-    f, u = gen_highd_poisson(4, [1.0], np.array([[1.0, 1.0, 1.0, 1.0]]))
-    assert u[0, 0] == pytest.approx(4.0, abs=1e-12)
-    assert f[0, 0] == pytest.approx(np.pi ** 2, abs=1e-12)
-    f0, u0 = gen_highd_poisson(3, [2.5], np.zeros((1, 3)))
-    assert u0[0, 0] == 0.0 and f0[0, 0] == 0.0
-
-
-def test_highd_profile_oddness():
-    pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 6))
-    assert highd_profile(-pts) == pytest.approx(-highd_profile(pts), abs=1e-12)
-
-
-def test_highd_split_protocol():
-    train, gen1, gen2 = make_highd_poisson(4, 100, seed=3)
-    assert train.n_samples == 8 and gen1.n_samples == 2 and gen2.n_samples == 10
-    a_train = np.asarray(train.provenance["alphas"])
-    a_gen2 = np.asarray(gen2.provenance["alphas"])
-    assert np.all((a_train >= -1) & (a_train <= 1))
-    assert np.all((a_gen2 >= 1) & (a_gen2 <= 2))
-    assert np.array_equal(train.input_points, gen1.input_points)
-    # dimension mismatch is rejected
-    with pytest.raises(ConfigurationError):
-        gen_highd_poisson(3, [1.0], np.zeros((5, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,14 @@ def test_study_members_change_only_the_studied_field():
     assert comparison.vector.config == dataclasses.replace(multi, output_mode="vector")
 
 
-def test_prepare_data_highd_splits():
-    prepared = prepare_data(DatasetSpec(kind="highd_poisson", d=3, n_points=50, seed=2))
-    assert prepared.train.n_samples == 8
-    assert prepared.test.n_samples == 2
-    assert prepared.extra["gen2"].n_samples == 10
+@pytest.mark.parametrize("spec", [
+    DatasetSpec(kind="darcy1d", n=30, m_train=3, m_test=2, seed=1),
+    DatasetSpec(kind="poisson2d", n=4, m_train=3, m_test=2, seed=1),
+    DatasetSpec(kind="multi_output_1d", n=30, m_train=3, m_test=2, seed=1),
+], ids=lambda spec: spec.kind)
+def test_prepare_data_gives_a_train_and_test_split_on_one_grid(spec):
+    prepared = prepare_data(spec)
+    assert [f.name for f in dataclasses.fields(prepared)] == ["train", "test", "designs"]
+    assert (prepared.train.n_samples, prepared.test.n_samples) == (3, 2)
+    for name in ("input_points", "output_points"):
+        assert np.array_equal(getattr(prepared.train, name), getattr(prepared.test, name))
