@@ -5,27 +5,26 @@ Run:  python demos/01_basis_systems.py
 
 import numpy as np
 
-from fbc2c.basis import (WindowKind, build_rfm, eval_window, uniform_fem_basis,
-                         window_values)
+from fbc2c.basis import build_rfm, uniform_fem_basis
 
 # A windowed random-feature basis: 4 partitions on [0, 1], 2 features each,
 # feature parameters drawn uniformly from [-3, 3].
 rfm = build_rfm(dim=1, partitions_per_dim=[4], features_per_partition=2,
                 range_bound=3.0, seed=7, bounds=[[0.0, 1.0]])
 print(f"random-feature basis: m = {rfm.size} functions, "
-      f"{len(rfm.partitions)} partitions x {rfm.features_per_partition[0]} features")
+      f"{rfm.partitions_per_dim[0]} partitions x {rfm.features_per_partition[0]} features")
 
 # The smooth windows form a partition of unity: they sum to one everywhere on
 # the (closed) domain because edge windows are clamped outward.
 x = np.linspace(0.0, 1.0, 2001)
-total = sum(window_values(p, x[:, None]) for p in rfm.partitions)
+total = rfm.windows(x).sum(axis=1)
 print(f"partition-of-unity deviation: {np.abs(total - 1).max():.2e}")
 
-# Window anatomy: plateau, sine ramp, and cutoff, on the rescaled coordinate.
-part = rfm.partitions[1]
-for xi in (part.center[0], part.center[0] + part.radius[0],
-           part.center[0] + 1.3 * part.radius[0]):
-    print(f"  window at x = {xi:.4f}: {eval_window(part, [xi]):.4f}")
+# Window anatomy of the second partition (center 0.375, radius 0.125):
+# plateau at the center, sine ramp at one radius, cutoff beyond 1.25 radii.
+center, radius = 0.375, 0.125
+for xi in (center, center + radius, center + 1.3 * radius):
+    print(f"  window at x = {xi:.4f}: {rfm.windows([xi])[0, 1]:.4f}")
 
 # Basis values are windowed activations, so they live in [-1, 1].
 phi = rfm.design_matrix(x)

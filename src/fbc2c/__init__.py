@@ -6,9 +6,8 @@ network, and reproduce the standard diagnostics: effective rank, cutoff
 sensitivity, output-space projection floor, and resolution transfer.
 """
 
-from .basis import (ActivationKind, FemBasis1D, Partition, RfmBasis, VectorBasis,
-                    WindowKind, build_rfm, build_vector_rfm, eval_window,
-                    uniform_fem_basis)
+from .basis import (ActivationKind, FemBasis1D, RfmBasis, VectorBasis, WindowKind,
+                    build_rfm, build_vector_rfm, uniform_fem_basis)
 from .container import read_container, write_container
 from .datagen import (FunctionDataset, make_darcy1d, make_multi_output_1d, make_poisson2d,
                       sample_grf_at, solve_darcy_1d, solve_poisson_2d_square)

@@ -11,7 +11,8 @@ dumps.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -37,75 +38,22 @@ def apply_activation(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# partitions and window functions
+# window functions
 
 
-@dataclass(frozen=True)
-class Partition:
-    """One partition-of-unity window: a center, per-dimension radii, a kind.
+def _smooth_profile(t: np.ndarray) -> np.ndarray:
+    """Piecewise sine-ramp windows of one axis on the rescaled coordinate.
 
-    The rescaled coordinate ``t = (x - center) / radius`` maps the nominal
-    support onto [-1, 1] per dimension.  ``clamp_lo``/``clamp_hi`` mark
-    dimensions where the window sits at the edge of the tiled domain and is
-    held at 1 on its outward side, so that the family still sums to one on
+    ``t`` is (n, count), one column per window of the axis.  Value 1 on
+    [-3/4, 3/4), sine ramps on [-5/4, -3/4) and [3/4, 5/4), 0 elsewhere;
+    breakpoints are left-closed.  The first and last windows sit at the
+    edges of the tiled domain and are clamped: the outward ramp (and the
+    zero region beyond it) is the constant 1, so the family sums to one on
     the closed domain.
-
-    ``lo``/``hi`` are the per-dimension cell edges, default
-    ``center -/+ radius``.  A characteristic window is the half-open cell
-    ``lo <= x < hi`` on the raw coordinate, open outward on a clamped side.
-    Tiled partitions take their edges from one ``np.linspace`` per axis, so
-    neighbouring cells share the very same float edge and every point of the
-    closed box lies in exactly one cell.
     """
-
-    center: np.ndarray
-    radius: np.ndarray
-    window_kind: WindowKind
-    clamp_lo: np.ndarray = field(default=None)  # type: ignore[assignment]
-    clamp_hi: np.ndarray = field(default=None)  # type: ignore[assignment]
-    lo: np.ndarray = field(default=None)  # type: ignore[assignment]
-    hi: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        center = np.atleast_1d(np.asarray(self.center, dtype=np.float64))
-        radius = np.atleast_1d(np.asarray(self.radius, dtype=np.float64))
-        if center.shape != radius.shape:
-            raise ConfigurationError("partition center and radius dimensions differ")
-        if not np.all(radius > 0):
-            raise ConfigurationError("partition radii must be strictly positive")
-        clamp_lo = self.clamp_lo
-        clamp_hi = self.clamp_hi
-        clamp_lo = np.zeros(center.shape, bool) if clamp_lo is None else np.asarray(clamp_lo, bool)
-        clamp_hi = np.zeros(center.shape, bool) if clamp_hi is None else np.asarray(clamp_hi, bool)
-        lo = center - radius if self.lo is None else np.asarray(self.lo, dtype=np.float64).reshape(center.shape)
-        hi = center + radius if self.hi is None else np.asarray(self.hi, dtype=np.float64).reshape(center.shape)
-        if not np.all(hi > lo):
-            raise ConfigurationError("partition cell edges must have hi > lo")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "clamp_lo", clamp_lo)
-        object.__setattr__(self, "clamp_hi", clamp_hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    def local_coords(self, points: np.ndarray) -> np.ndarray:
-        pts = as_points(points, self.dim)
-        return (pts - self.center) / self.radius
-
-
-def _smooth_profile(t: np.ndarray, clamp_lo: bool, clamp_hi: bool) -> np.ndarray:
-    """Piecewise sine-ramp window on the rescaled coordinate.
-
-    Value 1 on [-3/4, 3/4), sine ramps on [-5/4, -3/4) and [3/4, 5/4),
-    0 elsewhere; breakpoints are left-closed.  A clamped side replaces the
-    ramp (and the zero region beyond it) with the constant 1.
-    """
-    up = (1.0 + np.sin(2.0 * np.pi * t)) / 2.0
-    down = (1.0 - np.sin(2.0 * np.pi * t)) / 2.0
+    sine = np.sin(2.0 * np.pi * t)
+    up = (1.0 + sine) / 2.0
+    down = (1.0 - sine) / 2.0
     w = np.select(
         [
             (t >= -1.25) & (t < -0.75),
@@ -115,58 +63,36 @@ def _smooth_profile(t: np.ndarray, clamp_lo: bool, clamp_hi: bool) -> np.ndarray
         [up, np.ones_like(t), down],
         default=0.0,
     )
-    if clamp_lo:
-        w = np.where(t < -0.75, 1.0, w)
-    if clamp_hi:
-        w = np.where(t >= 0.75, 1.0, w)
+    w[t[:, 0] < -0.75, 0] = 1.0
+    w[t[:, -1] >= 0.75, -1] = 1.0
     return w
 
 
-def _characteristic_profile(x: np.ndarray, lo: float, hi: float,
-                            clamp_lo: bool, clamp_hi: bool) -> np.ndarray:
-    """Half-open indicator of the cell [lo, hi) on the raw coordinate.
+def _characteristic_profile(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Half-open indicators of the cells [edges[i], edges[i+1]) of one axis.
 
-    Testing the raw coordinate against the stored edges, not the rescaled
-    one against -1 and 1, keeps the test free of rounding: a point on an
-    edge shared by two tiled cells lands in exactly one of them.  A clamped
-    side skips its edge test, so the last tiled cell also holds x = hi.
+    ``x`` is (n, 1).  Testing the raw coordinate against the shared edges,
+    not the rescaled one against -1 and 1, keeps the test free of rounding:
+    a point on an edge shared by two cells lands in exactly one of them.
+    The first cell is open downward and the last upward, so the last cell
+    also holds x = hi and every point of the closed box lies in one cell.
     """
-    lo_ok = np.ones_like(x, dtype=bool) if clamp_lo else (x >= lo)
-    hi_ok = np.ones_like(x, dtype=bool) if clamp_hi else (x < hi)
+    lo_ok = x >= edges[:-1]
+    hi_ok = x < edges[1:]
+    lo_ok[:, 0] = True
+    hi_ok[:, -1] = True
     return np.where(lo_ok & hi_ok, 1.0, 0.0)
 
 
-def window_values(partition: Partition, points: np.ndarray) -> np.ndarray:
-    """Evaluate the window at many points; product over dimensions.
-
-    A smooth window is evaluated on the rescaled coordinate, a
-    characteristic one as the half-open cell [lo, hi) on the raw coordinate.
-    """
-    smooth = partition.window_kind == WindowKind.SMOOTH
-    x = partition.local_coords(points) if smooth else as_points(points, partition.dim)
-    out = np.ones(x.shape[0], dtype=np.float64)
-    for k in range(partition.dim):
-        if smooth:
-            wk = _smooth_profile(x[:, k], partition.clamp_lo[k], partition.clamp_hi[k])
-        else:
-            wk = _characteristic_profile(x[:, k], partition.lo[k], partition.hi[k],
-                                         partition.clamp_lo[k], partition.clamp_hi[k])
-        out *= wk
-    return out
-
-
-def eval_window(partition: Partition, x) -> float:
-    """Window value at a single point."""
-    return float(window_values(partition, np.atleast_2d(np.asarray(x, dtype=np.float64)))[0])
-
-
 def as_points(points, dim: int) -> np.ndarray:
-    """Normalize point input to an (n, dim) float array."""
+    """Normalize point input to an (n, dim) float array.
+
+    A 1-D array is n points of a 1-D basis; any other shape but (n, dim) is
+    refused.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if dim == 1 and pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim == 1:
-        pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ConfigurationError(
             f"points have shape {pts.shape}, expected (n, {dim})"
@@ -182,15 +108,17 @@ def as_points(points, dim: int) -> np.ndarray:
 class RfmBasis:
     """Windowed random features: phi_{nj}(x) = w_n(x) * act(k_nj . x + b_nj).
 
-    The affine feature argument uses the raw coordinate; only the window is
-    expressed in the partition-local frame.  Weights and biases are i.i.d.
-    uniform on [-range_bound, range_bound], drawn feature-by-feature from one
-    child stream per partition: growing features_per_partition keeps the
-    earlier features of every partition unchanged, which gives nested bases.
+    The partitions tile ``bounds`` with ``partitions_per_dim[k]`` equal cells
+    along axis k, numbered in ``np.ndindex`` order; window w_n is the product
+    over axes of one 1-D window per axis.  The affine feature argument uses
+    the raw coordinate; only the window is expressed in the partition-local
+    frame.  Weights and biases are i.i.d. uniform on [-range_bound,
+    range_bound], drawn feature-by-feature from one child stream per
+    partition: growing features_per_partition keeps the earlier features of
+    every partition unchanged, which gives nested bases.
     """
 
-    dim: int
-    partitions: tuple
+    partitions_per_dim: tuple
     weights: tuple          # per partition: (J_n, dim)
     biases: tuple           # per partition: (J_n,)
     range_bound: float
@@ -200,6 +128,10 @@ class RfmBasis:
     bounds: np.ndarray      # (dim, 2) tiled bounding box
 
     @property
+    def dim(self) -> int:
+        return len(self.partitions_per_dim)
+
+    @property
     def size(self) -> int:
         return sum(w.shape[0] for w in self.weights)
 
@@ -207,21 +139,50 @@ class RfmBasis:
     def features_per_partition(self) -> tuple:
         return tuple(w.shape[0] for w in self.weights)
 
+    def _axes(self) -> list:
+        """Per axis: the window centers, their common radius and the cell edges."""
+        axes = []
+        for count, (lo, hi) in zip(self.partitions_per_dim, self.bounds):
+            spacing = (hi - lo) / count
+            centers = lo + spacing * (np.arange(count) + 0.5)
+            # One edge array per axis: neighbouring cells share the same float.
+            axes.append((centers, spacing / 2.0, np.linspace(lo, hi, count + 1)))
+        return axes
+
     def identity(self) -> str:
+        rounded = [np.round(centers, 15).tolist() for centers, _, _ in self._axes()]
+        centers = tuple([rounded[k][i] for k, i in enumerate(idx)]
+                        for idx in np.ndindex(*self.partitions_per_dim))
         h = hashlib.sha256()
         h.update(repr((
-            "rfm", self.dim, self.features_per_partition,
-            tuple(np.round(p.center, 15).tolist() for p in self.partitions),
+            "rfm", self.dim, self.features_per_partition, centers,
             float(self.range_bound), self.activation.value,
             self.window_kind.value, int(self.seed),
         )).encode())
         return h.hexdigest()[:16]
 
+    def windows(self, points) -> np.ndarray:
+        """The (n, P) window values, one column per partition.
+
+        Each axis's 1-D family is evaluated once, a smooth window on the
+        rescaled coordinate ``(x - center) / radius`` and a characteristic
+        one as the half-open cell on the raw coordinate; the columns are
+        then the products over axes, taken in axis order.
+        """
+        pts = as_points(points, self.dim)
+        out = np.ones((len(pts), 1))
+        for x, (centers, radius, edges) in zip(pts.T[:, :, None], self._axes()):
+            if self.window_kind == WindowKind.SMOOTH:
+                wk = _smooth_profile((x - centers) / radius)
+            else:
+                wk = _characteristic_profile(x, edges)
+            out = (out[:, :, None] * wk[:, None, :]).reshape(len(pts), -1)
+        return out
+
     def design_matrix(self, points) -> np.ndarray:
         pts = as_points(points, self.dim)
         cols = []
-        for part, kw, bw in zip(self.partitions, self.weights, self.biases):
-            w = window_values(part, pts)
+        for kw, bw, w in zip(self.weights, self.biases, self.windows(pts).T, strict=True):
             feats = apply_activation(self.activation, pts @ kw.T + bw)
             cols.append(feats * w[:, None])
         return np.concatenate(cols, axis=1)
@@ -237,32 +198,6 @@ def _draw_partition_features(rng: np.random.Generator, n_features: int,
         weights[j] = rng.uniform(-range_bound, range_bound, size=dim)
         biases[j] = rng.uniform(-range_bound, range_bound)
     return weights, biases
-
-
-def _tile_partitions(dim: int, partitions_per_dim: Sequence[int],
-                     window_kind: WindowKind, bounds: np.ndarray):
-    axes = []
-    for k in range(dim):
-        count = partitions_per_dim[k]
-        lo, hi = bounds[k]
-        spacing = (hi - lo) / count
-        centers = lo + spacing * (np.arange(count) + 0.5)
-        # One edge array per axis: neighbouring cells share the same float.
-        edges = np.linspace(lo, hi, count + 1)
-        axes.append((centers, spacing / 2.0, edges))
-    parts = []
-    for idx in np.ndindex(*[len(a[0]) for a in axes]):
-        center = np.array([axes[k][0][idx[k]] for k in range(dim)])
-        radius = np.array([axes[k][1] for k in range(dim)])
-        cell_lo = np.array([axes[k][2][idx[k]] for k in range(dim)])
-        cell_hi = np.array([axes[k][2][idx[k] + 1] for k in range(dim)])
-        # Edge windows hold value 1 outward so the family sums to one on the
-        # whole closed box: this closes the last characteristic cell at hi.
-        clamp_lo = np.array([idx[k] == 0 for k in range(dim)])
-        clamp_hi = np.array([idx[k] == partitions_per_dim[k] - 1 for k in range(dim)])
-        parts.append(Partition(center, radius, window_kind, clamp_lo, clamp_hi,
-                               cell_lo, cell_hi))
-    return tuple(parts)
 
 
 def build_rfm(dim: int,
@@ -302,8 +237,8 @@ def build_rfm(dim: int,
     if not np.all(bounds[:, 1] > bounds[:, 0]):
         raise ConfigurationError("bounding box must have hi > lo in every dimension")
 
-    parts = _tile_partitions(dim, [int(p) for p in partitions_per_dim], window_kind, bounds)
-    children = np.random.SeedSequence(seed).spawn(len(parts))
+    partitions_per_dim = tuple(int(p) for p in partitions_per_dim)
+    children = np.random.SeedSequence(seed).spawn(math.prod(partitions_per_dim))
     weights, biases = [], []
     for child in children:
         rng = np.random.default_rng(child)
@@ -311,8 +246,7 @@ def build_rfm(dim: int,
         weights.append(w)
         biases.append(b)
     return RfmBasis(
-        dim=dim,
-        partitions=parts,
+        partitions_per_dim=partitions_per_dim,
         weights=tuple(weights),
         biases=tuple(biases),
         range_bound=float(range_bound),

@@ -62,10 +62,7 @@ def _cmd_encode(args) -> int:
     values = np.concatenate([arrays[f"{args.side}s_train"], arrays[f"{args.side}s_test"]])
     if values.ndim == 3:
         raise ConfigurationError("side: inline encoding covers scalar components only")
-    dim = 1 if points.ndim == 1 else points.shape[1]
-    if spec.dim != dim:
-        what = f"partitions: {spec.dim} counts" if spec.kind == "rfm" else "kind: a 1-D fem basis"
-        raise ConfigurationError(f"config.{args.side}_basis.{what} for {dim}-dimensional data")
+    spec.check_dim(1 if points.ndim == 1 else points.shape[1], f"config.{args.side}_basis")
     basis = spec.build()
     coeffs = encode(basis, points, values, getattr(config, f"{args.side}_encode"))
     diag = diagnostics(coeffs)

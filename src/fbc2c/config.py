@@ -25,12 +25,15 @@ from .encoder import EncodeSpec
 from .errors import ConfigurationError
 from .neuralop import TrainConfig
 
-# the size fields each dataset kind reads; each must be >= 1
+# the size fields each dataset kind reads and the least value each takes;
+# the 1D solvers need an interior grid point
 _DATASET_SIZES = {
-    "darcy1d": ("n", "m_train", "m_test"),
-    "poisson2d": ("n", "m_train", "m_test", "modes"),
-    "multi_output_1d": ("n", "m_train", "m_test"),
+    "darcy1d": {"n": 3, "m_train": 1, "m_test": 1},
+    "poisson2d": {"n": 1, "m_train": 1, "m_test": 1, "modes": 1},
+    "multi_output_1d": {"n": 3, "m_train": 1, "m_test": 1},
 }
+# the dimension of the points each dataset kind's functions are sampled at
+_DATASET_DIMS = {"darcy1d": 1, "poisson2d": 2, "multi_output_1d": 1}
 # the GRF and solver settings each dataset kind reads; each must be finite and > 0
 _DATASET_SCALES = {
     "darcy1d": ("length_scale", "amplitude", "tol"),
@@ -45,6 +48,15 @@ def _check_seed(seed) -> None:
 
 def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _is_box(value, dim: int) -> bool:
+    """Whether ``value`` is ``dim`` [lo, hi] pairs of finite numbers with hi > lo."""
+    try:
+        box = np.asarray(value, dtype=np.float64).reshape(dim, 2)
+    except (TypeError, ValueError):
+        return False
+    return bool(np.all(np.isfinite(box)) and np.all(box[:, 1] > box[:, 0]))
 
 
 @dataclass
@@ -72,12 +84,12 @@ class DatasetSpec:
             raise ConfigurationError(
                 f"kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_SIZES)}"
             )
-        for name in _DATASET_SIZES[self.kind]:
+        for name, least in _DATASET_SIZES[self.kind].items():
             value = getattr(self, name)
             if value is None:
                 raise ConfigurationError(f"{name}: {self.kind} needs it")
-            if value < 1:
-                raise ConfigurationError(f"{name}: must be >= 1, got {value}")
+            if value < least:
+                raise ConfigurationError(f"{name}: must be >= {least}, got {value}")
         for name in _DATASET_SCALES.get(self.kind, ()):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -119,6 +131,10 @@ class BasisSpec:
                 raise ConfigurationError("n_nodes: fem needs n_nodes")
             if self.n_nodes < 2:
                 raise ConfigurationError(f"n_nodes: must be >= 2, got {self.n_nodes}")
+            if not _is_box(self.domain, 1):
+                raise ConfigurationError(
+                    f"domain: must be [lo, hi], two finite numbers with lo < hi, "
+                    f"got {self.domain!r}")
             return
         if self.partitions is None or self.features_per_partition is None:
             raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
@@ -130,24 +146,21 @@ class BasisSpec:
                 f"features_per_partition: must be >= 1, got {self.features_per_partition}")
         if not (math.isfinite(self.range_bound) and self.range_bound > 0):
             raise ConfigurationError(f"range_bound: must be finite and > 0, got {self.range_bound!r}")
-        if self.bounds is not None:
-            self._check_bounds()
-
-    def _check_bounds(self) -> None:
-        dim = len(self.partitions)
-        try:
-            box = np.asarray(self.bounds, dtype=np.float64).reshape(dim, 2)
-        except (TypeError, ValueError):
-            box = None
-        if box is None or not (np.all(np.isfinite(box)) and np.all(box[:, 1] > box[:, 0])):
+        if self.bounds is not None and not _is_box(self.bounds, self.dim):
             raise ConfigurationError(
-                f"bounds: must be {dim} [lo, hi] pair(s) of finite numbers with hi > lo, "
+                f"bounds: must be {self.dim} [lo, hi] pair(s) of finite numbers with hi > lo, "
                 f"one per partition count, got {self.bounds!r}")
 
     @property
     def dim(self) -> int:
         """The dimension of the points the basis is evaluated at."""
         return 1 if self.kind == "fem" else len(self.partitions)
+
+    def check_dim(self, dim: int, path: str) -> None:
+        """Refuse ``dim``-dimensional data unless it is the basis's; ``path`` names the spec."""
+        if self.dim != dim:
+            what = f"partitions: {self.dim} counts" if self.kind == "rfm" else "kind: a 1-D fem basis"
+            raise ConfigurationError(f"{path}.{what} for {dim}-dimensional data")
 
     def build(self, n_components: int = 1):
         if self.kind == "fem":
@@ -195,6 +208,10 @@ class ExperimentConfig:
             raise ConfigurationError("input_basis is required unless p2c is set")
         if self.output_mode not in ("scalar", "vector"):
             raise ConfigurationError("output_mode: must be 'scalar' or 'vector'")
+        for name in ("input_basis", "output_basis"):
+            spec = getattr(self, name)
+            if spec is not None:
+                spec.check_dim(_DATASET_DIMS[self.dataset.kind], name)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +263,7 @@ def _from_dict(cls, data: dict, path: str):
         return cls(**kwargs)
     except ConfigurationError as exc:
         # a message that starts with one of the fields continues the path
-        joint = "." if str(exc).split(":", 1)[0] in fields else ": "
+        joint = "." if str(exc).split(":", 1)[0].split(".", 1)[0] in fields else ": "
         raise ConfigurationError(f"{path}{joint}{exc}") from exc
 
 

@@ -162,6 +162,10 @@ def test_cli_gen_round_trip(tmp_path, capsys):
 def test_cli_gen_writes_what_prepare_data_returns(tmp_path, dataset):
     cfg = _tiny_config_dict()
     cfg["dataset"] = dataset
+    if dataset["kind"] == "poisson2d":
+        # a config whose bases do not match its data is refused on load
+        for side in ("input_basis", "output_basis"):
+            cfg[side].update(partitions=[2, 2], bounds=[[0.0, 1.0]] * 2)
     _, out = _gen(tmp_path, cfg)
     arrays, meta = read_container(out)
     data = prepare_data(config_from_dict(cfg).dataset)
@@ -210,6 +214,7 @@ def test_cli_encode_on_2d_data(tmp_path, capsys):
     cfg["dataset"] = {"kind": "poisson2d", "n": 5, "m_train": 3, "m_test": 2, "seed": 1}
     cfg["input_basis"].update(partitions=[2, 2], features_per_partition=3,
                               bounds=[[0.0, 1.0], [0.0, 1.0]])
+    cfg["output_basis"].update(partitions=[2, 2], bounds=[[0.0, 1.0], [0.0, 1.0]])
     path, data = _gen(tmp_path, cfg)
     assert main(["encode", str(data), "-c", str(path), "-o", str(tmp_path / "per_dim.fbc")]) == 0
     # a flat [lo, hi, lo, hi] list is the same box
@@ -492,12 +497,20 @@ def no_data_generation(monkeypatch):
      r"config\.input_basis\.bounds: must be 1 \[lo, hi\] pair\(s\) .* with hi > lo"),
     ("output_basis", {"kind": "fem", "n_nodes": 1},
      r"config\.output_basis\.n_nodes: must be >= 2, got 1"),
+    ("dataset", {"n": 2}, r"config\.dataset\.n: must be >= 3, got 2"),
+    ("output_basis", {"kind": "fem", "n_nodes": 5, "domain": [1.0, 0.0]},
+     r"config\.output_basis\.domain: must be \[lo, hi\], .* with lo < hi, got \[1\.0, 0\.0\]"),
+    ("output_basis", {"kind": "fem", "n_nodes": 5, "domain": [0.0]},
+     r"config\.output_basis\.domain: must be \[lo, hi\], .* got \[0\.0\]"),
+    ("input_basis", {"partitions": [2, 2], "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+     r"config\.input_basis\.partitions: 2 counts for 1-dimensional data"),
 ], ids=["string_epochs", "string_n", "zero_m_test", "bool_hidden", "bool_lr",
         "bogus_window", "bogus_activation", "bogus_cut_mode", "beta1_one",
         "negative_dataset_seed", "negative_net_seed", "negative_train_seed",
         "negative_input_basis_seed", "negative_output_basis_seed", "zero_hidden",
         "zero_features", "zero_partition_count", "negative_range_bound", "inverted_bounds",
-        "one_fem_node"])
+        "one_fem_node", "two_point_grid", "inverted_fem_domain", "one_value_fem_domain",
+        "basis_of_the_wrong_dimension"])
 def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, section, edits,
                                        field):
     cfg = _tiny_config_dict()

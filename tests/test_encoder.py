@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbc2c import encoder
-from fbc2c.basis import (ActivationKind, Partition, RfmBasis, VectorBasis,
-                         WindowKind, build_rfm, build_vector_rfm,
-                         uniform_fem_basis)
+from fbc2c.basis import (ActivationKind, RfmBasis, VectorBasis, WindowKind, build_rfm,
+                         build_vector_rfm, uniform_fem_basis)
 from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
                            effective_rank_of_singular_values, encode,
                            projection_error)
@@ -170,7 +169,7 @@ def test_encode_through_basis():
 
 
 def _zero_basis_like(basis):
-    return RfmBasis(dim=basis.dim, partitions=basis.partitions,
+    return RfmBasis(partitions_per_dim=basis.partitions_per_dim,
                     weights=tuple(np.zeros_like(w) for w in basis.weights),
                     biases=tuple(np.zeros_like(b) for b in basis.biases),
                     range_bound=basis.range_bound, activation=ActivationKind.TANH,
