@@ -26,10 +26,11 @@ from .errors import ConfigurationError
 from .neuralop import TrainConfig
 
 # the size fields each dataset kind reads and the least value each takes;
-# the 1D solvers need an interior grid point
+# the 1D solvers need an interior grid point, and a poisson2d grid below 3x3
+# holds only boundary points, where its solutions vanish
 _DATASET_SIZES = {
     "darcy1d": {"n": 3, "m_train": 1, "m_test": 1},
-    "poisson2d": {"n": 1, "m_train": 1, "m_test": 1, "modes": 1},
+    "poisson2d": {"n": 3, "m_train": 1, "m_test": 1, "modes": 1},
     "multi_output_1d": {"n": 3, "m_train": 1, "m_test": 1},
 }
 # the dimension of the points each dataset kind's functions are sampled at

@@ -138,6 +138,15 @@ class LeastSquaresEncoder:
         return int(np.count_nonzero(self._filt))
 
     @property
+    def coefficient_span(self) -> np.ndarray:
+        """The (m, kept_rank) right singular vectors with a nonzero filter factor.
+
+        Every row ``encode_values`` returns is a combination of them, since
+        the other filter factors are exact zeros.
+        """
+        return self.svd[2][self._filt != 0.0].T
+
+    @property
     def sigma_max(self) -> float:
         return float(self.svd[1][0])
 

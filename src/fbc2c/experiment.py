@@ -232,10 +232,14 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
     std = a_train.std(axis=0)
     floor = 1e-12 * max(float(std.max(initial=0.0)), 1e-300)
     scale = np.where(std > floor, std, 1.0)
+    # coefficient rows lie in span(V_in), so the standardized ones lie in
+    # span(diag(1/scale) V_in); train steps through it when that saves work
+    span = None if in_enc is None else in_enc.coefficient_span / scale[:, None]
     net0 = init_net(a_train.shape[1], config.net.hidden, m_out, config.net.seed)
     try:
         net, trace = train(net0, (a_train - mean) / scale, u_train, psi_eff, config.train,
-                           test_inputs=(a_test - mean) / scale, test_targets=u_test)
+                           test_inputs=(a_test - mean) / scale, test_targets=u_test,
+                           input_span=span)
     except TrainingDiverged as exc:
         if exc.checkpoint is not None:
             _fold_standardization(exc.checkpoint, mean, scale)

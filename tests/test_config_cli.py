@@ -498,6 +498,10 @@ def no_data_generation(monkeypatch):
     ("output_basis", {"kind": "fem", "n_nodes": 1},
      r"config\.output_basis\.n_nodes: must be >= 2, got 1"),
     ("dataset", {"n": 2}, r"config\.dataset\.n: must be >= 3, got 2"),
+    ("dataset", {"kind": "poisson2d", "n": 1, "modes": 3},
+     r"config\.dataset\.n: must be >= 3, got 1"),
+    ("dataset", {"kind": "poisson2d", "n": 2, "modes": 3},
+     r"config\.dataset\.n: must be >= 3, got 2"),
     ("output_basis", {"kind": "fem", "n_nodes": 5, "domain": [1.0, 0.0]},
      r"config\.output_basis\.domain: must be \[lo, hi\], .* with lo < hi, got \[1\.0, 0\.0\]"),
     ("output_basis", {"kind": "fem", "n_nodes": 5, "domain": [0.0]},
@@ -509,7 +513,8 @@ def no_data_generation(monkeypatch):
         "negative_dataset_seed", "negative_net_seed", "negative_train_seed",
         "negative_input_basis_seed", "negative_output_basis_seed", "zero_hidden",
         "zero_features", "zero_partition_count", "negative_range_bound", "inverted_bounds",
-        "one_fem_node", "two_point_grid", "inverted_fem_domain", "one_value_fem_domain",
+        "one_fem_node", "two_point_grid", "one_point_poisson2d_grid",
+        "two_point_poisson2d_grid", "inverted_fem_domain", "one_value_fem_domain",
         "basis_of_the_wrong_dimension"])
 def test_cli_refuses_bad_config_values(tmp_path, capsys, no_data_generation, section, edits,
                                        field):

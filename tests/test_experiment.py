@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fbc2c import experiment, neuralop
 from fbc2c.basis import RfmBasis
 from fbc2c.config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
                           NetSpec, config_to_dict)
@@ -89,6 +90,31 @@ def test_run_is_deterministic_except_wall_clock():
                           r2.report.test_error_per_sample)
     assert np.array_equal(r1.net.flat_parameters(), r2.net.flat_parameters())
     assert np.array_equal(r1.trace.train_loss, r2.trace.train_loss)
+
+
+def test_run_trains_through_the_input_span_as_without_it(monkeypatch):
+    calls, folds = [], []
+    fold = experiment._fold_standardization
+
+    def spy_train(*args, **kwargs):
+        calls.append((args, dict(kwargs)))
+        return neuralop.train(*args, **kwargs)
+
+    def spy_fold(net, mean, scale):
+        folds.append((mean, scale))
+        fold(net, mean, scale)
+
+    monkeypatch.setattr("fbc2c.experiment.train", spy_train)
+    monkeypatch.setattr("fbc2c.experiment._fold_standardization", spy_fold)
+    result = run(_darcy_config())
+    batch = result.config.dataset.m_train       # full batch
+    (args, kwargs), = calls
+    m1, k = kwargs.pop("input_span").shape
+    assert k == result.report.input_kept_rank and k * (m1 + batch) < batch * m1
+    plain, _ = neuralop.train(*args, **kwargs)
+    fold(plain, *folds[0])
+    change = np.linalg.norm(result.net.parameters - plain.parameters)
+    assert change <= 1e-10 * np.linalg.norm(plain.parameters)
 
 
 def test_diverged_run_hands_back_a_checkpoint_on_raw_inputs(monkeypatch):

@@ -374,6 +374,46 @@ def test_trace_shapes_and_eval_interval():
     assert trace.wall_seconds > 0
 
 
+@pytest.mark.parametrize("k, bad", [(3, None), (6, None), (5, "missing"), (5, "nan")],
+                         ids=["below_break_even", "at_break_even", "span_misses_a_row",
+                              "nan_span"])
+def test_train_through_the_input_span(k, bad):
+    # m1 = 24 and batches of 8 break even at k = 8 * 24 / (24 + 8) = 6
+    rng = np.random.default_rng(k)
+    m1, batch = 24, 8
+    basis = rng.standard_normal((m1, k))
+    a = rng.standard_normal((40, k)) @ basis.T
+    psi = rng.standard_normal((20, 6))
+    u = rng.standard_normal((40, 20))
+    test_a, test_u = rng.standard_normal((10, m1)), rng.standard_normal((10, 20))
+    span = basis * rng.uniform(0.5, 2.0, size=k)
+    if bad == "missing":
+        span = span[:, :-1]
+    elif bad == "nan":
+        span[0, 0] = np.nan
+    net = init_net(m1, 16, 6, seed=1)
+    cfg = TrainConfig(epochs=40, batch_size=batch, lr_start=1e-2, lr_end=1e-4, seed=2,
+                      eval_interval=7)
+    if bad:
+        with pytest.raises(ConfigurationError, match="do not lie in input_span"):
+            train(net, a, u, psi, cfg, input_span=span)
+        return
+    plain, plain_trace = train(net, a, u, psi, cfg, test_inputs=test_a, test_targets=test_u)
+    through, trace = train(net, a, u, psi, cfg, test_inputs=test_a, test_targets=test_u,
+                           input_span=span)
+    if k * (m1 + batch) >= batch * m1:
+        assert np.array_equal(through.parameters, plain.parameters)
+        assert np.array_equal(trace.train_loss, plain_trace.train_loss)
+        assert np.array_equal(trace.test_loss, plain_trace.test_loss)
+        return
+    # the factored steps round differently, and agree to that level
+    assert not np.array_equal(through.parameters, plain.parameters)
+    change = np.linalg.norm(through.parameters - plain.parameters)
+    assert change <= 1e-10 * np.linalg.norm(plain.parameters)
+    np.testing.assert_allclose(trace.train_loss, plain_trace.train_loss, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(trace.test_loss, plain_trace.test_loss, rtol=1e-10, atol=0)
+
+
 def test_train_shape_validation():
     a, psi, u = _identity_problem()
     net = init_net(4, 8, 4, seed=2)
