@@ -58,8 +58,12 @@ def _cmd_encode(args) -> int:
     if spec is None:
         raise ConfigurationError("config.input_basis: a p2c config has no input basis")
     arrays, _ = read_container(args.dataset)
-    points = arrays[f"{args.side}_points"]
-    values = np.concatenate([arrays[f"{args.side}s_train"], arrays[f"{args.side}s_test"]])
+    names = [f"{args.side}_points", f"{args.side}s_train", f"{args.side}s_test"]
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise DataError(f"{args.dataset} is not a dataset: it has no {missing[0]!r} array")
+    points = arrays[names[0]]
+    values = np.concatenate([arrays[names[1]], arrays[names[2]]])
     if values.ndim == 3:
         raise ConfigurationError("side: inline encoding covers scalar components only")
     spec.check_dim(1 if points.ndim == 1 else points.shape[1], f"config.{args.side}_basis")
@@ -176,7 +180,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, DataError) as exc:
         print(f"error code=2 kind=config msg={exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, NotADirectoryError) as exc:
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error code=3 kind=missing-file msg={exc}", file=sys.stderr)
         return 3
     except (RankDeficiencyError, SolverError, NumericalError, TrainingDiverged) as exc:

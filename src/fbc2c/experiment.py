@@ -463,9 +463,8 @@ def _checkpoint_net(arrays: dict, meta: dict, path) -> OperatorNet:
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise DataError(f"checkpoint {path}: meta {key} must be a positive integer, "
                             f"got {value!r}")
-    return OperatorNet.from_flat(arrays["parameters"], meta["input_dim"],
-                                 meta["hidden_dim"], meta["output_dim"],
-                                 meta.get("net_seed", 0))
+    return OperatorNet(arrays["parameters"], meta["input_dim"], meta["hidden_dim"],
+                       meta["output_dim"], meta.get("net_seed", 0))
 
 
 def load_checkpoint(path) -> OperatorNet:

@@ -71,10 +71,6 @@ class OperatorNet:
         """A copy of the flat vector [hidden_weights, hidden_biases, output_weights]."""
         return self.parameters.copy()
 
-    @staticmethod
-    def from_flat(flat: np.ndarray, m1: int, hidden: int, m2: int, seed: int = 0) -> "OperatorNet":
-        return OperatorNet(np.array(flat, dtype=np.float64), m1, hidden, m2, seed)
-
 
 def init_net(m1: int, hidden: int, m2: int, seed: int = 0) -> OperatorNet:
     """Uniform init scaled by 1/sqrt(fan_in) per layer, zero biases."""

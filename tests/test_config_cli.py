@@ -193,6 +193,18 @@ def test_cli_encode_and_diagnose(tmp_path, capsys):
     assert "erank" in capsys.readouterr().out
 
 
+def test_cli_encode_refuses_a_container_that_is_not_a_dataset(tmp_path, capsys):
+    path, data = _gen(tmp_path, _tiny_config_dict())
+    coeffs, out = tmp_path / "coeffs.fbc", tmp_path / "x.fbc"
+    assert main(["encode", str(data), "-c", str(path), "-o", str(coeffs)]) == 0
+    capsys.readouterr()
+    assert main(["encode", str(coeffs), "-c", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2")
+    assert f"{coeffs} is not a dataset: it has no 'input_points' array" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("side", ["input", "output"])
 def test_cli_encode_matches_the_pipeline(tmp_path, side):
     cfg = _tiny_config_dict()
@@ -266,8 +278,10 @@ def test_cli_diagnose_rank_one(tmp_path, capsys):
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    # missing file -> 3
+    # missing file, or a directory where a file belongs -> 3
     assert main(["diagnose", str(tmp_path / "missing.fbc")]) == 3
+    assert capsys.readouterr().err.startswith("error code=3")
+    assert main(["diagnose", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error code=3")
     assert main(["gen", "-c", str(tmp_path / "missing.json"), "-o", str(tmp_path / "d.fbc")]) == 3
     assert capsys.readouterr().err.startswith("error code=3")

@@ -1,11 +1,12 @@
+import io
 import json
-import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from fbc2c.cli import main
-from fbc2c.container import MAGIC, read_container, write_container
+from fbc2c.container import read_container, write_container
 from fbc2c.errors import ConfigurationError, DataError
 
 
@@ -38,17 +39,31 @@ def test_casts_to_little_endian_float64(tmp_path):
     assert arrays["ints"] == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
 
-def test_header_layout(tmp_path):
+def test_file_is_an_npz_with_a_json_meta_member(tmp_path):
     path = tmp_path / "x.fbc"
     write_container(path, {"v": np.ones(2)}, {"k": 1})
-    raw = path.read_bytes()
-    assert raw[:6] == MAGIC
-    (header_len,) = struct.unpack("<I", raw[6:10])
-    header = json.loads(raw[10:10 + header_len])
-    assert header["arrays"][0]["name"] == "v"
-    assert header["arrays"][0]["dtype"] == "<f8"
-    assert header["arrays"][0]["offset"] == 0
-    assert len(raw) == 10 + header_len + 16
+    assert not (tmp_path / "x.fbc.npz").exists()
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["v", "__meta__"]
+        assert npz["v"].dtype == np.dtype("<f8")
+        assert json.loads(npz["__meta__"].item()) == {"k": 1}
+
+
+def test_round_trip_keeps_empty_and_big_endian_arrays(tmp_path):
+    path = tmp_path / "x.fbc"
+    big = np.arange(6.0).reshape(2, 3).astype(">f8")
+    write_container(path, {"big": big, "empty": np.zeros((0, 4))})
+    arrays, meta = read_container(path)
+    assert meta == {}
+    assert arrays["big"].dtype == np.dtype("<f8") and np.array_equal(arrays["big"], big)
+    assert arrays["empty"].shape == (0, 4)
+
+
+@pytest.mark.parametrize("name", ["__meta__", "file", "allow_pickle"])
+def test_refuses_a_reserved_array_name(tmp_path, name):
+    with pytest.raises(ConfigurationError, match="reserved"):
+        write_container(tmp_path / "x.fbc", {"v": np.ones(2), name: np.ones(1)})
+    assert not (tmp_path / "x.fbc").exists()
 
 
 def test_rejects_bad_magic(tmp_path):
@@ -58,34 +73,11 @@ def test_rejects_bad_magic(tmp_path):
         read_container(path)
 
 
-def test_rejects_gapped_offsets(tmp_path):
-    path = tmp_path / "x.fbc"
-    header = json.dumps({
-        "arrays": [{"name": "v", "dtype": "<f8", "shape": [1], "offset": 8}],
-        "meta": {},
-    }).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(b"\x00" * 16)
-    with pytest.raises(DataError):
-        read_container(path)
-
-
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "x.fbc"
     write_container(path, {"v": np.ones(4)})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(DataError):
-        read_container(path)
-
-
-def test_rejects_trailing_garbage(tmp_path):
-    path = tmp_path / "x.fbc"
-    write_container(path, {"v": np.ones(2)})
-    path.write_bytes(path.read_bytes() + b"extra!!!")
     with pytest.raises(DataError):
         read_container(path)
 
@@ -100,30 +92,64 @@ def test_missing_file_raises_oserror(tmp_path):
         read_container(tmp_path / "absent.fbc")
 
 
-def _header_bytes(header) -> bytes:
-    raw = json.dumps(header).encode()
-    return MAGIC + struct.pack("<I", len(raw)) + raw + b"\x00" * 8
+def _npz(**members) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
 
 
-_ENTRY = {"name": "v", "dtype": "<f8", "shape": [1], "offset": 0}
+def _old_format() -> bytes:
+    header = json.dumps({"arrays": [{"name": "v", "dtype": "<f8", "shape": [1], "offset": 0}],
+                         "meta": {}}).encode()
+    return b"FBC2C1" + len(header).to_bytes(4, "little") + header + b"\x00" * 8
+
+
+def _npy() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.ones(3))
+    return buf.getvalue()
+
+
+def _with_text_member(raw: bytes) -> bytes:
+    buf = io.BytesIO(raw)
+    with zipfile.ZipFile(buf, "a") as zf:
+        zf.writestr("w", b"not an array")
+    return buf.getvalue()
+
+
+def _patched(raw: bytes, record: bytes, offset: int, value: bytes) -> bytes:
+    """``raw`` with ``value`` written ``offset`` bytes into its first zip ``record``."""
+    at = raw.index(record) + offset
+    return raw[:at] + value + raw[at + len(value):]
+
+
+_META = np.array("{}")
+_GOOD = _npz(v=np.ones(4), __meta__=_META)
 
 
 @pytest.mark.parametrize("raw", [
-    MAGIC + b"\x01\x00",
-    _header_bytes(["arrays"]),
-    _header_bytes({"arrays": [[0, 1]], "meta": {}}),
-    _header_bytes({"arrays": [dict(_ENTRY, name=None)]}),
-    _header_bytes({"arrays": [{k: v for k, v in _ENTRY.items() if k != "name"}]}),
-    _header_bytes({"arrays": [dict(_ENTRY, shape=[1.5])]}),
-    _header_bytes({"arrays": [dict(_ENTRY, shape=3)]}),
-    _header_bytes({"arrays": [dict(_ENTRY, offset="0")]}),
-    _header_bytes({"arrays": [_ENTRY], "meta": [1, 2]}),
-], ids=["short_length", "header_list", "entry_list", "name_null", "no_name",
-        "float_shape", "scalar_shape", "string_offset", "meta_list"])
-def test_malformed_header_raises_data_error(tmp_path, capsys, raw):
+    _GOOD[:-8],
+    b"not a zip file\n",
+    b"",
+    _npy(),
+    _old_format(),
+    _npz(v=np.array([{"a": 1}], dtype=object), __meta__=_META),
+    _npz(v=np.ones(4)),
+    _npz(v=np.ones(4), __meta__=np.array([1.0])),
+    _npz(v=np.ones(4), __meta__=np.array("[1, 2]")),
+    _npz(v=np.ones(4), __meta__=np.array("{")),
+    _npz(__meta__=_META),
+    _npz(v=np.arange(4), __meta__=_META),
+    _with_text_member(_GOOD),
+    _patched(_GOOD, b"PK\x01\x02", 10, b"\x63\x00"),
+    _patched(_GOOD, b"PK\x05\x06", 16, b"\xff\xff\xff\x7f"),
+], ids=["truncated", "not_zip", "empty", "npy", "old_fbc2c1", "object_array",
+        "no_meta", "meta_not_string", "meta_not_object", "meta_not_json", "no_arrays",
+        "int_array", "not_an_array", "unknown_compression", "directory_offset"])
+def test_malformed_file_raises_data_error(tmp_path, capsys, raw):
     path = tmp_path / "x.fbc"
     path.write_bytes(raw)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="x.fbc"):
         read_container(path)
     assert main(["diagnose", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error code=2")

@@ -57,8 +57,6 @@ def test_wrong_size_parameter_vector_is_rejected(size):
     # (3, 4, 2) has 12 + 4 + 8 = 24 parameters
     with pytest.raises(ConfigurationError, match="expected"):
         OperatorNet(np.zeros(size), 3, 4, 2)
-    with pytest.raises(ConfigurationError, match="expected"):
-        OperatorNet.from_flat(np.zeros(size), 3, 4, 2)
 
 
 def _assert_adam_matches_per_array_update(shapes, seed):
@@ -222,8 +220,8 @@ def test_gradient_matches_finite_differences():
             fp, fm = flat.copy(), flat.copy()
             fp[idx] += h
             fm[idx] -= h
-            lp = relative_loss(forward(OperatorNet.from_flat(fp, m1, hidden, m2), a), psi, u)[0]
-            lm = relative_loss(forward(OperatorNet.from_flat(fm, m1, hidden, m2), a), psi, u)[0]
+            lp = relative_loss(forward(OperatorNet(fp, m1, hidden, m2), a), psi, u)[0]
+            lm = relative_loss(forward(OperatorNet(fm, m1, hidden, m2), a), psi, u)[0]
             fd = (lp - lm) / (2 * h)
             assert flat_g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
