@@ -104,10 +104,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    arrays, meta = read_container(args.container)
-    name = "coefficients" if "coefficients" in arrays else next(iter(arrays))
-    diag = diagnostics(np.atleast_2d(arrays[name]))
-    print(f"array = {name}  shape = {arrays[name].shape}")
+    arrays, _ = read_container(args.container)
+    if "coefficients" not in arrays:
+        raise DataError(f"{args.container} is not a coefficient container: "
+                        f"it has no 'coefficients' array")
+    coeffs = arrays["coefficients"]
+    diag = diagnostics(np.atleast_2d(coeffs))
+    print(f"array = coefficients  shape = {coeffs.shape}")
     print(f"erank = {diag.effective_rank:.3f}")
     print(f"variance_entropy = {diag.variance_entropy:.3f}")
     print(f"sigma_max = {diag.singular_values.max():.6e}")
@@ -160,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid sizes for resolution transfer")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("diagnose", help="effective rank and variance of a container")
+    p = sub.add_parser("diagnose", help="effective rank and variance of encoded coefficients")
     p.add_argument("container")
     p.set_defaults(func=_cmd_diagnose)
 

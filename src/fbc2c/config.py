@@ -25,20 +25,16 @@ from .encoder import EncodeSpec
 from .errors import ConfigurationError
 from .neuralop import TrainConfig
 
-# the size fields each dataset kind reads and the least value each takes;
-# the 1D solvers need an interior grid point, and a poisson2d grid below 3x3
-# holds only boundary points, where its solutions vanish
-_DATASET_SIZES = {
-    "darcy1d": {"n": 3, "m_train": 1, "m_test": 1},
-    "poisson2d": {"n": 3, "m_train": 1, "m_test": 1, "modes": 1},
-    "multi_output_1d": {"n": 3, "m_train": 1, "m_test": 1},
-}
-# the dimension of the points each dataset kind's functions are sampled at
-_DATASET_DIMS = {"darcy1d": 1, "poisson2d": 2, "multi_output_1d": 1}
-# the GRF and solver settings each dataset kind reads; each must be finite and > 0
-_DATASET_SCALES = {
-    "darcy1d": ("length_scale", "amplitude", "tol"),
-    "multi_output_1d": ("length_scale", "amplitude"),
+# Per dataset kind: the size fields it reads with the least value each takes
+# (the 1D solvers need an interior grid point, and a poisson2d grid below 3x3
+# holds only boundary points, where its solutions vanish); the GRF settings it
+# reads, each finite and > 0; the dimension of the points its functions are
+# sampled at; and the number of its output components.
+_GRF = ("length_scale", "amplitude")
+_DATASET_KINDS = {
+    "darcy1d": ({"n": 3, "m_train": 1, "m_test": 1}, _GRF, 1, 1),
+    "poisson2d": ({"n": 3, "m_train": 1, "m_test": 1, "modes": 1}, (), 2, 1),
+    "multi_output_1d": ({"n": 3, "m_train": 1, "m_test": 1}, _GRF, 1, 2),
 }
 
 
@@ -77,21 +73,21 @@ class DatasetSpec:
     seed: int = 0
     length_scale: float = 0.04
     amplitude: float = 1.0
-    tol: float = 1e-10
     modes: int = 5
 
     def __post_init__(self):
-        if self.kind not in _DATASET_SIZES:
+        if self.kind not in _DATASET_KINDS:
             raise ConfigurationError(
-                f"kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_SIZES)}"
+                f"kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_KINDS)}"
             )
-        for name, least in _DATASET_SIZES[self.kind].items():
+        sizes, scales, _, _ = _DATASET_KINDS[self.kind]
+        for name, least in sizes.items():
             value = getattr(self, name)
             if value is None:
                 raise ConfigurationError(f"{name}: {self.kind} needs it")
             if value < least:
                 raise ConfigurationError(f"{name}: must be >= {least}, got {value}")
-        for name in _DATASET_SCALES.get(self.kind, ()):
+        for name in scales:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
@@ -209,10 +205,15 @@ class ExperimentConfig:
             raise ConfigurationError("input_basis is required unless p2c is set")
         if self.output_mode not in ("scalar", "vector"):
             raise ConfigurationError("output_mode: must be 'scalar' or 'vector'")
+        _, _, dim, components = _DATASET_KINDS[self.dataset.kind]
         for name in ("input_basis", "output_basis"):
             spec = getattr(self, name)
             if spec is not None:
-                spec.check_dim(_DATASET_DIMS[self.dataset.kind], name)
+                spec.check_dim(dim, name)
+        if self.output_mode == "vector" and components > 1 and self.output_basis.kind == "fem":
+            raise ConfigurationError(
+                f"output_basis.kind: a fem basis has no vector-valued form for the "
+                f"{components} output components of {self.dataset.kind}; use output_mode 'scalar'")
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,10 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
 # does not raise the solve's peak memory.
 _NEWTON_BLOCK = 32_768
 
+# Newton stops once the interior residual inf-norm is below this; the
+# Darcy generators solve every sample to it
+DARCY_TOL = 1e-10
+
 # a(u) = _A0 + u^2, the Darcy coefficient, and K(u) = _A0 u + u^3 / 3 its
 # Kirchhoff integral from 0 (Carslaw & Jaeger, Conduction of Heat in Solids,
 # 2nd ed., 1959): K turns d/dx(a(u) du/dx) = f into the linear K(u)'' = f.
@@ -398,7 +402,7 @@ def _darcy_residual(u: np.ndarray, f: np.ndarray, h: float,
     return np.diff(flux) / h - f[..., 1:-1]
 
 
-def solve_darcy_1d(f: np.ndarray, tol: float = 1e-10, max_iter: int = 100,
+def solve_darcy_1d(f: np.ndarray, tol: float = DARCY_TOL, max_iter: int = 100,
                    max_halvings: int = 30) -> np.ndarray:
     """Newton solve of d/dx((0.2 + u^2) du/dx) = f on [0, 1], u(0) = u(1) = 0.
 
@@ -418,7 +422,7 @@ def solve_darcy_1d(f: np.ndarray, tol: float = 1e-10, max_iter: int = 100,
     return solve_darcy_batch(f[None], tol, max_iter, max_halvings)[0]
 
 
-def solve_darcy_batch(forcings: np.ndarray, tol: float = 1e-10, max_iter: int = 100,
+def solve_darcy_batch(forcings: np.ndarray, tol: float = DARCY_TOL, max_iter: int = 100,
                       max_halvings: int = 30) -> np.ndarray:
     """Solve the Darcy problem of ``solve_darcy_1d`` for each row of ``forcings``, (M, n).
 
@@ -553,9 +557,12 @@ def _newton_chunk(f: np.ndarray, out: np.ndarray, first_row: int, tol: float,
 
 
 def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
-                 length_scale: float = 0.04, amplitude: float = 1.0,
-                 tol: float = 1e-10):
-    """GRF-forced Darcy dataset on a uniform n-point grid; disjoint seeded splits."""
+                 length_scale: float = 0.04, amplitude: float = 1.0):
+    """GRF-forced Darcy dataset on a uniform n-point grid; disjoint seeded splits.
+
+    Each forcing is solved to ``solve_darcy_batch``'s default tolerance,
+    ``DARCY_TOL``, which provenance records as ``solver_tol``.
+    """
     seed = _seed_provenance(seed)
     train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     grid = np.linspace(0.0, 1.0, n)
@@ -563,13 +570,13 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
     for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
         f = sample_grf_at(grid, count, child, length_scale, amplitude)
         grf = _grf_record.get()
-        u = solve_darcy_batch(f, tol=tol)
+        u = solve_darcy_batch(f)
         out.append(FunctionDataset(
             input_points=grid, output_points=grid, inputs=f, outputs=u,
             provenance={
                 "generator": "darcy1d", "split": label, "n": n, "count": count,
                 "seed": seed, "length_scale": length_scale,
-                "amplitude": amplitude, **grf, "solver_tol": tol, **_newton_record.get(),
+                "amplitude": amplitude, **grf, "solver_tol": DARCY_TOL, **_newton_record.get(),
             },
         ))
     return tuple(out)
@@ -577,12 +584,13 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
 
 def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
                                  solve_n: int = 2000, length_scale: float = 0.04,
-                                 amplitude: float = 1.0, tol: float = 1e-10) -> dict:
+                                 amplitude: float = 1.0) -> dict:
     """One set of forcing functions evaluated consistently at several grids.
 
     The field is drawn jointly on the union of all requested grids plus a
-    fine solver grid; the PDE is solved once per sample on the fine grid and
-    the solution is interpolated (cubic spline) onto coarser grids.  This
+    fine solver grid; the PDE is solved once per sample on the fine grid, to
+    ``DARCY_TOL`` as in ``make_darcy1d``, and the solution is interpolated
+    (cubic spline) onto coarser grids.  This
     keeps the targets at every resolution consistent with a single underlying
     function pair instead of re-discretizing the PDE per resolution.
     """
@@ -599,7 +607,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
     grf = _grf_record.get()
     idx_solve = np.searchsorted(union, solve_grid)
     f_solve = draws[:, idx_solve]
-    u_solve = solve_darcy_batch(f_solve, tol=tol)
+    u_solve = solve_darcy_batch(f_solve)
     newton = _newton_record.get()
     spline = scipy.interpolate.CubicSpline(solve_grid, u_solve, axis=1)
     datasets = {}
@@ -612,7 +620,7 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
                 "generator": "darcy1d_multires", "n": r, "count": count,
                 "seed": seed, "solve_n": solve_n,
                 "length_scale": length_scale, "amplitude": amplitude,
-                **grf, "solver_tol": tol, **newton,
+                **grf, "solver_tol": DARCY_TOL, **newton,
             },
         )
     return datasets

@@ -42,8 +42,8 @@ class EncodeSpec:
     Phi^T Phi: a = V diag(s / (s^2 + lam * n)) U^T f.
 
     ``method`` "tsvd" is the pseudo-inverse that discards singular values
-    below a threshold: ``cut * sigma_1`` when ``cut_mode`` is "relative"
-    (the scale-portable default), ``cut`` itself when it is "absolute".
+    below ``cut * sigma_1``, a threshold relative to the largest one, so a
+    cut means the same at any scale of the design.
 
     Every field is checked on construction; an error names the field.
     """
@@ -51,15 +51,11 @@ class EncodeSpec:
     method: str = "tsvd"
     lam: float = 0.0
     cut: float = 1e-2
-    cut_mode: str = "relative"
 
     def __post_init__(self):
         if self.method not in ("ridge", "tsvd"):
             raise ConfigurationError(
                 f"method: unknown method {self.method!r}, expected 'ridge' or 'tsvd'")
-        if self.cut_mode not in ("relative", "absolute"):
-            raise ConfigurationError(
-                f"cut_mode: unknown mode {self.cut_mode!r}, expected 'relative' or 'absolute'")
         for name in ("lam", "cut"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -122,12 +118,8 @@ class LeastSquaresEncoder:
                     )
             filt = s / (s * s + spec.lam * self.n_points)
         else:
-            if spec.cut_mode == "relative":
-                threshold = spec.cut * s[0]
-            else:
-                threshold = spec.cut
             filt = np.zeros_like(s)
-            keep = (s >= threshold) & (s > 0)
+            keep = (s >= spec.cut * s[0]) & (s > 0)
             filt[keep] = 1.0 / s[keep]
         self.svd = (u, s, vt)
         self._filt = filt

@@ -51,7 +51,7 @@ def prepare_data(spec: DatasetSpec) -> PreparedData:
     """The train and test splits ``spec`` describes, both on one grid."""
     if spec.kind == "darcy1d":
         splits = datagen.make_darcy1d(spec.n, spec.m_train, spec.m_test, spec.seed,
-                                      spec.length_scale, spec.amplitude, spec.tol)
+                                      spec.length_scale, spec.amplitude)
     elif spec.kind == "poisson2d":
         splits = datagen.make_poisson2d(spec.n, spec.m_train, spec.m_test,
                                         spec.seed, spec.modes)
@@ -337,8 +337,8 @@ def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None =
         raise ConfigurationError("sweep needs at least one cut value")
     if config.p2c:
         raise ConfigurationError("cutoff sweep requires coefficient inputs, not P2C")
-    members = [dataclasses.replace(config, input_encode=EncodeSpec(
-        method="tsvd", cut=float(cut), cut_mode=config.input_encode.cut_mode)) for cut in cuts]
+    members = [dataclasses.replace(config, input_encode=EncodeSpec(method="tsvd", cut=float(cut)))
+               for cut in cuts]
     data = prepared if prepared is not None else prepare_data(config.dataset)
     rows = []
     results = []
@@ -371,8 +371,7 @@ def eval_resolutions(result: RunResult, resolutions) -> dict:
     spec = config.dataset
     datasets = datagen.make_darcy1d_multiresolution(
         sorted(set(int(r) for r in resolutions)), spec.m_test,
-        seed=[spec.seed, 0x5E5], length_scale=spec.length_scale,
-        amplitude=spec.amplitude, tol=spec.tol,
+        seed=[spec.seed, 0x5E5], length_scale=spec.length_scale, amplitude=spec.amplitude,
     )
     bases = _evaluation_bases(config, 1)
     return {r: _evaluate(result, ds, *bases)[0] for r, ds in sorted(datasets.items())}
@@ -447,7 +446,6 @@ def write_artifacts(result: RunResult, outdir) -> None:
                         "input_dim": result.net.input_dim,
                         "hidden_dim": result.net.hidden_dim,
                         "output_dim": result.net.output_dim,
-                        "net_seed": result.net.seed,
                         "epochs": config.train.epochs,
                         "config_hash": report.config_hash,
                     })
@@ -464,7 +462,7 @@ def _checkpoint_net(arrays: dict, meta: dict, path) -> OperatorNet:
             raise DataError(f"checkpoint {path}: meta {key} must be a positive integer, "
                             f"got {value!r}")
     return OperatorNet(arrays["parameters"], meta["input_dim"], meta["hidden_dim"],
-                       meta["output_dim"], meta.get("net_seed", 0))
+                       meta["output_dim"])
 
 
 def load_checkpoint(path) -> OperatorNet:

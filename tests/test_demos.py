@@ -1,11 +1,13 @@
 """The demo scripts stay in step with the package.
 
 Demos 01 and 02 take about a second each and are run; the others train for
-tens of seconds to minutes, so only the names they import are checked.
+tens of seconds to minutes, so only the names they import from fbc2c and the
+arguments they pass to those names are checked.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -21,17 +23,41 @@ def test_all_six_demos_are_found():
     assert [path.name[:2] for path in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
+def _fbc2c_imports(tree):
+    """(module, alias) of every ``from fbc2c... import`` name in a demo's syntax tree."""
+    return [(node.module, alias) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "fbc2c"
+            for alias in node.names]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_imports_exist(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
-    imported = [(node.module, alias.name) for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module
-                and node.module.split(".")[0] == "fbc2c"
-                for alias in node.names]
+    imported = _fbc2c_imports(ast.parse(demo.read_text(), filename=str(demo)))
     assert imported
-    missing = [f"{module}.{name}" for module, name in imported
-               if not hasattr(importlib.import_module(module), name)]
+    missing = [f"{module}.{alias.name}" for module, alias in imported
+               if not hasattr(importlib.import_module(module), alias.name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_calls_pass_only_parameters_that_exist(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    imported = {alias.asname or alias.name: getattr(importlib.import_module(module), alias.name)
+                for module, alias in _fbc2c_imports(tree)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in imported]
+    assert calls
+    refused = []
+    for call in calls:
+        # binding checks the count of positional arguments and the keyword
+        # names, not the values, so each argument stands in as None
+        try:
+            inspect.signature(imported[call.func.id]).bind_partial(
+                *[None] * len(call.args), **{kw.arg: None for kw in call.keywords})
+        except TypeError as exc:
+            refused.append(f"line {call.lineno}: {call.func.id}: {exc}")
+    assert refused == []
 
 
 @pytest.mark.parametrize("demo", DEMOS[:2], ids=[path.stem for path in DEMOS[:2]])

@@ -28,15 +28,6 @@ def test_tsvd_discards_small_singular_values():
     assert enc.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
 
 
-def test_tsvd_absolute_mode():
-    enc = LeastSquaresEncoder(np.diag([1.0, 1e-8]),
-                              EncodeSpec(cut=1e-3, cut_mode="absolute"))
-    assert enc.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
-    enc2 = LeastSquaresEncoder(np.diag([1.0, 0.5]),
-                               EncodeSpec(cut=0.6, cut_mode="absolute"))
-    assert enc2.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
-
-
 def test_ridge_penalty_scales_with_point_count():
     # closed form (Phi^T Phi + lam n I)^{-1} Phi^T f, n = number of points
     rng = np.random.default_rng(2)

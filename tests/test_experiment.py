@@ -282,6 +282,26 @@ def test_artifacts_round_trip(tmp_path, darcy_result):
     assert "final_test_relative_error" in report_text
 
 
+def _diagnostics_row(outdir):
+    lines = (outdir / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "cut_or_lambda,erank,variance_entropy,mean_projection_error"
+    assert len(lines) == 2
+    return [float(value) for value in lines[1].split(",")]
+
+
+def test_diagnostics_csv_holds_the_report(tmp_path, darcy_result):
+    write_artifacts(darcy_result, tmp_path / "c2c")
+    report = darcy_result.report
+    assert _diagnostics_row(tmp_path / "c2c") == [
+        darcy_result.config.input_encode.cut, report.erank, report.variance_entropy,
+        report.projection.mean]
+    # a P2C run encodes no inputs, so it has no input diagnostics
+    p2c = run(_darcy_config(p2c=True, train=TrainConfig(epochs=1, seed=6)), outdir=tmp_path / "p2c")
+    cut, erank, entropy, projection = _diagnostics_row(tmp_path / "p2c")
+    assert np.isnan(erank) and np.isnan(entropy)
+    assert (cut, projection) == (p2c.config.input_encode.cut, p2c.report.projection.mean)
+
+
 # ---------------------------------------------------------------------------
 # multi-component datasets
 
@@ -344,12 +364,11 @@ def test_study_members_change_only_the_studied_field():
     quick = TrainConfig(epochs=2, seed=6)
     odd = dict(output_encode=EncodeSpec(method="ridge", lam=1e-6),
                net=NetSpec(hidden=7, seed=11), train=quick)
-    cfg = _darcy_config(input_encode=EncodeSpec(method="tsvd", cut=1e-2, cut_mode="absolute"),
-                        **odd)
+    cfg = _darcy_config(**odd)
     sweep = sweep_cutoff(cfg, [1e-6, 1e-3], keep_results=True)
     for cut, member in zip([1e-6, 1e-3], sweep.results):
         assert member.config == dataclasses.replace(
-            cfg, input_encode=EncodeSpec(method="tsvd", cut=cut, cut_mode="absolute"))
+            cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
 
     multi = _multi_config(**odd)
     comparison = compare_vector_scalar(multi)
