@@ -122,12 +122,14 @@ class LeastSquaresEncoder:
             keep = (s >= spec.cut * s[0]) & (s > 0)
             filt[keep] = 1.0 / s[keep]
         self.svd = (u, s, vt)
-        self._filt = filt
+        # s descends, so both filters are nonzero on a prefix of it, and the
+        # columns past that prefix contribute nothing to an encoding
+        self._filt = filt[:np.count_nonzero(filt)]
 
     @property
     def kept_rank(self) -> int:
         """Number of singular values with a nonzero filter factor."""
-        return int(np.count_nonzero(self._filt))
+        return self._filt.size
 
     @property
     def coefficient_span(self) -> np.ndarray:
@@ -136,7 +138,7 @@ class LeastSquaresEncoder:
         Every row ``encode_values`` returns is a combination of them, since
         the other filter factors are exact zeros.
         """
-        return self.svd[2][self._filt != 0.0].T
+        return self.svd[2][:self.kept_rank].T
 
     @property
     def sigma_max(self) -> float:
@@ -145,8 +147,8 @@ class LeastSquaresEncoder:
     @property
     def sigma_min_kept(self) -> float:
         """Smallest kept singular value; 0.0 when none is kept."""
-        kept = self.svd[1][self._filt != 0.0]
-        return float(kept[-1]) if kept.size else 0.0
+        k = self.kept_rank
+        return float(self.svd[1][k - 1]) if k else 0.0
 
     @property
     def condition(self) -> float:
@@ -157,10 +159,11 @@ class LeastSquaresEncoder:
     def encode_values(self, values: np.ndarray) -> np.ndarray:
         """Encode a batch of sampled functions, shape (M, n) -> (M, m).
 
-        Both products run on zero-padded tiles of ``_TILE_ROWS`` rows, one
-        matrix multiply each, so a row encodes to the same bits alone, in any
-        batch and in any order on a BLAS that picks its kernel by operand
-        shape (OpenBLAS does); no BLAS promises it.
+        Both products run through the kept singular vectors only, on
+        zero-padded tiles of ``_TILE_ROWS`` rows, one matrix multiply each,
+        so a row encodes to the same bits alone, in any batch and in any
+        order on a BLAS that picks its kernel by operand shape (OpenBLAS
+        does); no BLAS promises it.
         """
         values = np.asarray(values, dtype=np.float64)
         squeeze = values.ndim == 1
@@ -171,11 +174,12 @@ class LeastSquaresEncoder:
                 f"sample vectors have {values.shape[1]} entries, design matrix has "
                 f"{self.design.shape[0]} rows"
             )
-        u, _, vt = self.svd
+        k = self.kept_rank
+        u, vt = self.svd[0][:, :k], self.svd[2][:k]
         rows = values.shape[0]
         padded = np.zeros((-(-rows // _TILE_ROWS) * _TILE_ROWS, values.shape[1]))
         padded[:rows] = values
-        inner = np.empty((padded.shape[0], u.shape[1]))
+        inner = np.empty((padded.shape[0], k))
         coeffs = np.empty((padded.shape[0], vt.shape[1]))
         for start in range(0, rows, _TILE_ROWS):
             tile = slice(start, start + _TILE_ROWS)

@@ -370,7 +370,7 @@ def eval_resolutions(result: RunResult, resolutions) -> dict:
         raise ConfigurationError("P2C inputs pin the grid size; resolution transfer needs C2C")
     spec = config.dataset
     datasets = datagen.make_darcy1d_multiresolution(
-        sorted(set(int(r) for r in resolutions)), spec.m_test,
+        resolutions, spec.m_test,
         seed=[spec.seed, 0x5E5], length_scale=spec.length_scale, amplitude=spec.amplitude,
     )
     bases = _evaluation_bases(config, 1)

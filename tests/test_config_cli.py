@@ -399,6 +399,13 @@ def test_cli_eval_trains_nothing(trained_run, tmp_path, capsys, monkeypatch):
     assert [line.split(":")[0] for line in out[1:]] == ["resolution 40", "resolution 120"]
 
 
+def test_cli_eval_refuses_a_grid_without_an_interior_point(trained_run, capsys):
+    capsys.readouterr()
+    assert main(["eval", str(trained_run), "--resolutions", "40,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2") and "resolution must be an integer of at least 3, got 2" in err
+
+
 @pytest.mark.parametrize("drop_array, meta_edit, key", [
     (True, {}, "parameters"),
     (False, {"input_dim": None}, "input_dim"),

@@ -9,7 +9,8 @@ import pytest
 import fbc2c
 from fbc2c import datagen
 from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, _NEWTON_BLOCK, FunctionDataset,
-                           _cholesky_with_jitter, _darcy_residual, _grf_factor, _kirchhoff,
+                           _cholesky_with_jitter, _darcy_residual, _four_node_cubic,
+                           _grf_factor, _kirchhoff,
                            _kirchhoff_inverse, _kirchhoff_start,
                            derivative_1d, make_darcy1d, make_darcy1d_multiresolution,
                            make_multi_output_1d, make_poisson2d, poisson_2d_forcing, sample_grf_at,
@@ -510,10 +511,37 @@ def test_multiresolution_targets_are_consistent():
     # same underlying functions: coarse grids share the endpoints
     assert d25.inputs[0, 0] == d50.inputs[0, 0]
     assert d25.inputs[0, -1] == d50.inputs[0, -1]
-    # interpolated solutions stay close to a direct coarse restriction
-    assert np.max(np.abs(d50.outputs)) > 0
+    # the interpolated targets stay close to solving each coarse grid's own
+    # forcings, and closer on the finer grid; the bounds are about twice the
+    # measured 1.40e-2 (25 points) and 1.27e-3 (50 points)
+    gaps = {}
+    for r, bound in ((25, 3e-2), (50, 3e-3)):
+        ds = data[r]
+        gaps[r] = np.max(np.abs(ds.outputs - solve_darcy_batch(ds.inputs))) / np.max(np.abs(ds.outputs))
+        assert gaps[r] < bound
+    assert gaps[50] < gaps[25]
     with pytest.raises(ConfigurationError):
         make_darcy1d_multiresolution([], count=2, seed=0)
+
+
+@pytest.mark.parametrize("resolutions, solve_n, name, value", [
+    ([40, 0], 50, "resolution", "0"),
+    ([1], 50, "resolution", "1"),
+    ([2], 50, "resolution", "2"),
+    ([True], 50, "resolution", "True"),
+    ([40.5], 50, "resolution", "40.5"),
+    ([np.float64(40)], 50, "resolution", "40.0"),
+    ([40], 3, "solve_n", "3"),
+    ([40], 50.0, "solve_n", "50.0"),
+])
+def test_multiresolution_refuses_degenerate_grids_before_drawing(monkeypatch, resolutions,
+                                                                  solve_n, name, value):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a field before checking the grids")
+
+    monkeypatch.setattr(datagen, "sample_grf_at", no_draw)
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer .* got .*{value}"):
+        make_darcy1d_multiresolution(resolutions, 2, 0, solve_n=solve_n)
 
 
 def test_multiresolution_records_a_numpy_integer_seed():
@@ -550,14 +578,51 @@ def test_darcy_generators_record_integer_and_list_seeds_alike():
             assert np.array_equal(make(data.provenance["seed"]).inputs, data.inputs)
 
 
-def test_multiresolution_spline_matches_one_spline_per_sample():
+def test_multiresolution_targets_interpolate_each_sample_as_alone():
+    data = make_darcy1d_multiresolution([25, 400], count=3, seed=2, solve_n=400)
+    points = data[25].output_points
+    assert np.array_equal(data[25].outputs, _four_node_cubic(data[400].outputs, points))
+    per_sample = np.vstack([_four_node_cubic(u[None, :], points) for u in data[400].outputs])
+    assert np.array_equal(data[25].outputs, per_sample)
+
+
+def test_four_node_cubic_reproduces_cubics_nodes_and_endpoints():
+    rng = np.random.default_rng(3)
+    n = 60
+    nodes = np.linspace(0.0, 1.0, n)
+    points = np.concatenate([np.linspace(0.0, 1.0, 47), rng.uniform(0.0, 1.0, 200)])
+    cubics = rng.uniform(-1.0, 1.0, (5, 4))
+    values = np.stack([np.polyval(c, nodes) for c in cubics])
+    exact = np.stack([np.polyval(c, points) for c in cubics])
+    assert np.max(np.abs(_four_node_cubic(values, points) - exact)) < 1e-13
+    # at the nodes, the endpoints among them, the node values come back bit for bit
+    rough = rng.standard_normal((4, n))
+    assert np.array_equal(_four_node_cubic(rough, nodes), rough)
+    ends = _four_node_cubic(rough, np.array([0.0, 1.0]))
+    assert np.array_equal(ends, rough[:, [0, -1]])
+
+
+def test_four_node_cubic_error_is_fourth_order():
+    def u(x):
+        return np.sin(3.0 * x) + x * x * np.exp(x)
+
+    points = np.linspace(0.0, 1.0, 37)
+    errors = [np.max(np.abs(_four_node_cubic(u(np.linspace(0.0, 1.0, n))[None, :], points)[0]
+                            - u(points)))
+              for n in (101, 201)]
+    # halving h divides an O(h^4) error by about 16 (measured 16.1)
+    assert 14.0 < errors[0] / errors[1] < 18.0
+
+
+def test_four_node_cubic_agrees_with_a_cubic_spline():
     import scipy.interpolate
 
     data = make_darcy1d_multiresolution([25, 400], count=3, seed=2, solve_n=400)
-    solve_grid = data[400].output_points
-    per_sample = np.stack([scipy.interpolate.CubicSpline(solve_grid, u)(data[25].output_points)
-                           for u in data[400].outputs])
-    assert np.array_equal(data[25].outputs, per_sample)
+    solution = data[400].outputs
+    spline = scipy.interpolate.CubicSpline(data[400].output_points, solution, axis=1)
+    gap = np.max(np.abs(data[25].outputs - spline(data[25].output_points)))
+    # measured 4.1e-8 of max|u|; both are within O(h^4) of the same u
+    assert gap < 1e-7 * np.max(np.abs(solution))
 
 
 # ---------------------------------------------------------------------------
@@ -674,20 +739,30 @@ def test_function_dataset_validation():
         FunctionDataset(grid, grid, np.zeros((2, 9)), np.zeros((2, 10)), {})
 
 
-def _loaded_by_import_fbc2c(module):
-    """Whether ``import fbc2c`` in a fresh interpreter puts ``module`` in sys.modules."""
+def _loaded_by_import_fbc2c(module, then=""):
+    """Whether ``import fbc2c`` in a fresh interpreter puts ``module`` in sys.modules.
+
+    ``then`` is a statement run after the import, before the check.
+    """
     src = str(pathlib.Path(fbc2c.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import sys, fbc2c; print({module!r} in sys.modules)"
+    code = f"import sys, fbc2c; {then or 'pass'}; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     return out.stdout.strip() == "True"
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
-    # only make_darcy1d_multiresolution needs it, and it imports it itself
+    # nothing in fbc2c uses it
     assert not _loaded_by_import_fbc2c("scipy.interpolate")
+
+
+def test_resolution_transfer_data_leaves_scipy_interpolate_unloaded():
+    # its targets are interpolated by datagen's own cubic
+    assert not _loaded_by_import_fbc2c(
+        "scipy.interpolate",
+        then="fbc2c.datagen.make_darcy1d_multiresolution([40], 2, 0, solve_n=50)")
 
 
 def test_import_leaves_scipy_linalg_unloaded():

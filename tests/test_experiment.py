@@ -258,6 +258,9 @@ def test_eval_resolutions_basic(darcy_result):
     assert table[120] == pytest.approx(darcy_result.report.final_test_error, rel=0.8)
     with pytest.raises(ConfigurationError):
         eval_resolutions(darcy_result, [])
+    # a fractional grid size reaches the generator's check instead of being truncated
+    with pytest.raises(ConfigurationError, match="resolution .* got 40.5"):
+        eval_resolutions(darcy_result, [40, 40.5])
 
 
 def test_eval_resolutions_rejects_p2c():
