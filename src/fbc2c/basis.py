@@ -181,11 +181,13 @@ class RfmBasis:
 
     def design_matrix(self, points) -> np.ndarray:
         pts = as_points(points, self.dim)
-        cols = []
+        out = np.empty((len(pts), self.size))
+        hi = 0
         for kw, bw, w in zip(self.weights, self.biases, self.windows(pts).T, strict=True):
+            lo, hi = hi, hi + kw.shape[0]
             feats = apply_activation(self.activation, pts @ kw.T + bw)
-            cols.append(feats * w[:, None])
-        return np.concatenate(cols, axis=1)
+            np.multiply(feats, w[:, None], out=out[:, lo:hi])
+        return out
 
 
 def _draw_partition_features(rng: np.random.Generator, n_features: int,

@@ -55,8 +55,6 @@ def _comma_list(text: str, convert, flag: str) -> list:
 def _cmd_encode(args) -> int:
     config = load_config(args.config)
     spec = getattr(config, f"{args.side}_basis")
-    if spec is None:
-        raise ConfigurationError("config.input_basis: a p2c config has no input basis")
     arrays, _ = read_container(args.dataset)
     names = [f"{args.side}_points", f"{args.side}s_train", f"{args.side}s_test"]
     missing = [name for name in names if name not in arrays]
@@ -94,12 +92,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     resolutions = _comma_list(args.resolutions, int, "--resolutions") if args.resolutions else None
     trained = load_run(args.run_dir)
+    # the transfer table comes first, so a bad grid size is refused before anything prints
+    table = eval_resolutions(trained, resolutions) if resolutions else {}
     error, _ = evaluate_on(trained, prepare_data(trained.config.dataset).test)
     print(f"final_test_relative_error = {error!r}")
-    if resolutions:
-        table = eval_resolutions(trained, resolutions)
-        for r, err in table.items():
-            print(f"resolution {r}: test_relative_error = {err!r}")
+    for r, err in table.items():
+        print(f"resolution {r}: test_relative_error = {err!r}")
     return 0
 
 

@@ -191,25 +191,20 @@ class ExperimentConfig:
     """Everything one run needs: data, bases, encoders, net, training."""
 
     dataset: DatasetSpec
+    input_basis: BasisSpec
     output_basis: BasisSpec
     train: TrainConfig
-    input_basis: BasisSpec | None = None
     input_encode: EncodeSpec = field(default_factory=EncodeSpec)
     output_encode: EncodeSpec = field(default_factory=EncodeSpec)
     net: NetSpec = field(default_factory=NetSpec)
-    p2c: bool = False
     output_mode: str = "scalar"     # "scalar" or "vector" for multi-component outputs
 
     def __post_init__(self):
-        if not self.p2c and self.input_basis is None:
-            raise ConfigurationError("input_basis is required unless p2c is set")
         if self.output_mode not in ("scalar", "vector"):
             raise ConfigurationError("output_mode: must be 'scalar' or 'vector'")
         _, _, dim, components = _DATASET_KINDS[self.dataset.kind]
         for name in ("input_basis", "output_basis"):
-            spec = getattr(self, name)
-            if spec is not None:
-                spec.check_dim(dim, name)
+            getattr(self, name).check_dim(dim, name)
         if self.output_mode == "vector" and components > 1 and self.output_basis.kind == "fem":
             raise ConfigurationError(
                 f"output_basis.kind: a fem basis has no vector-valued form for the "

@@ -3,11 +3,11 @@
 ``run`` executes one full pipeline and returns a RunResult whose report
 carries the test error, the output-space projection floor, the input
 coefficient diagnostics and the kept rank and condition of both encoders.
-Its net maps raw input coefficients (raw values for P2C) to output
-coefficients, as does the checkpoint of a ``TrainingDiverged`` it raises, and
-the bases are rebuilt from config seeds, so the config and net that a run
-directory stores (``load_run``) are all ``evaluate_on`` needs.  The encode
-sections of the config are the ``EncodeSpec`` the encoders take.
+Its net maps raw input coefficients to output coefficients, as does the
+checkpoint of a ``TrainingDiverged`` it raises, and the bases are rebuilt
+from config seeds, so the config and net that a run directory stores
+(``load_run``) are all ``evaluate_on`` needs.  The encode sections of the
+config are the ``EncodeSpec`` the encoders take.
 ``sweep_cutoff``, ``eval_resolutions`` and ``compare_vector_scalar`` drive
 the cutoff sensitivity, resolution transfer, and scalar-vs-vector-output
 studies on top of it.
@@ -115,11 +115,6 @@ def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
     return basis, enc
 
 
-def _input_features(config: ExperimentConfig, enc, dataset: datagen.FunctionDataset):
-    """Network input rows for one dataset: coefficients from ``enc``, or raw values for P2C."""
-    return dataset.inputs if config.p2c else enc.encode_values(dataset.inputs)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -129,10 +124,10 @@ class RunReport:
     final_test_error: float
     test_error_per_sample: np.ndarray
     projection: ProjectionError
-    erank: float | None
-    variance_entropy: float | None
-    input_kept_rank: int | None
-    input_condition: float | None
+    erank: float
+    variance_entropy: float
+    input_kept_rank: int
+    input_condition: float
     output_kept_rank: int
     output_condition: float
     input_dim: int
@@ -143,19 +138,14 @@ class RunReport:
     config_hash: str
 
     def summary_lines(self) -> list:
-        lines = [
+        return [
             f"config_hash = {self.config_hash}",
             f"final_test_relative_error = {self.final_test_error!r}",
             f"mean_projection_error = {self.projection.mean!r}",
-        ]
-        if self.erank is not None:
-            lines += [
-                f"input_coefficient_erank = {self.erank!r}",
-                f"input_variance_entropy = {self.variance_entropy!r}",
-                f"input_kept_rank = {self.input_kept_rank}",
-                f"input_condition = {self.input_condition!r}",
-            ]
-        return lines + [
+            f"input_coefficient_erank = {self.erank!r}",
+            f"input_variance_entropy = {self.variance_entropy!r}",
+            f"input_kept_rank = {self.input_kept_rank}",
+            f"input_condition = {self.input_condition!r}",
             f"projection_zero_norm_count = {self.projection.zero_norm_count}",
             f"output_kept_rank = {self.output_kept_rank}",
             f"output_condition = {self.output_condition!r}",
@@ -210,21 +200,16 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
                 f"test {name}: the test split is not on the training grid; run encodes and "
                 f"reconstructs it through the training design, use evaluate_on for another grid")
 
-    in_basis = in_enc = erank = entropy = None
-    if not config.p2c:
-        in_basis, in_enc = _side_encoder(config, data, "input")
+    in_basis, in_enc = _side_encoder(config, data, "input")
     out_basis, out_enc = _side_encoder(config, data, "output")
     psi_eff = out_enc.design
     m_out = psi_eff.shape[1]
     u_train = _stack_components(train_ds.outputs)
     u_test = _stack_components(test_ds.outputs)
 
-    a_train = _input_features(config, in_enc, train_ds)
-    a_test = _input_features(config, in_enc, test_ds)
-    if in_enc is not None:
-        # diagnostics describe the raw coefficient representation
-        diag = diagnostics(a_train)
-        erank, entropy = diag.effective_rank, diag.variance_entropy
+    a_train = in_enc.encode_values(train_ds.inputs)
+    a_test = in_enc.encode_values(test_ds.inputs)
+    diag = diagnostics(a_train)                 # of the raw coefficient representation
 
     # Train on standardized columns (small singular values amplify coefficient
     # scales); the net handed back, trained or diverged, takes raw inputs.
@@ -234,7 +219,7 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
     scale = np.where(std > floor, std, 1.0)
     # coefficient rows lie in span(V_in), so the standardized ones lie in
     # span(diag(1/scale) V_in); train steps through it when that saves work
-    span = None if in_enc is None else in_enc.coefficient_span / scale[:, None]
+    span = in_enc.coefficient_span / scale[:, None]
     net0 = init_net(a_train.shape[1], config.net.hidden, m_out, config.net.seed)
     try:
         net, trace = train(net0, (a_train - mean) / scale, u_train, psi_eff, config.train,
@@ -253,10 +238,10 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
         final_test_error=final_err,
         test_error_per_sample=per_sample,
         projection=proj,
-        erank=erank,
-        variance_entropy=entropy,
-        input_kept_rank=None if in_enc is None else in_enc.kept_rank,
-        input_condition=None if in_enc is None else in_enc.condition,
+        erank=diag.effective_rank,
+        variance_entropy=diag.variance_entropy,
+        input_kept_rank=in_enc.kept_rank,
+        input_condition=in_enc.condition,
         output_kept_rank=out_enc.kept_rank,
         output_condition=out_enc.condition,
         input_dim=a_train.shape[1],
@@ -283,19 +268,18 @@ def evaluate_on(result: TrainedMap, dataset: datagen.FunctionDataset):
 
 
 def _evaluation_bases(config: ExperimentConfig, components: int):
-    """(input basis, or None for P2C; output basis) that ``evaluate_on`` rebuilds."""
-    in_basis = None if config.p2c else config.input_basis.build()
-    return in_basis, _side_basis(config, "output", components)[0]
+    """(input basis, output basis) that ``evaluate_on`` rebuilds."""
+    return config.input_basis.build(), _side_basis(config, "output", components)[0]
 
 
 def _evaluate(result: TrainedMap, dataset: datagen.FunctionDataset, in_basis, out_basis):
     """``evaluate_on`` with both bases given."""
     config = result.config
     pts = dataset.input_points
-    enc = None if config.p2c else LeastSquaresEncoder(
-        in_basis.design_matrix(pts), config.input_encode, n_points=pts.shape[0])
+    enc = LeastSquaresEncoder(in_basis.design_matrix(pts), config.input_encode,
+                              n_points=pts.shape[0])
     psi = _reconstruction_matrix(out_basis, dataset.output_points, dataset.output_components)
-    return relative_loss(forward(result.net, _input_features(config, enc, dataset)), psi,
+    return relative_loss(forward(result.net, enc.encode_values(dataset.inputs)), psi,
                          _stack_components(dataset.outputs))
 
 
@@ -314,7 +298,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list
-    results: list
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -325,8 +308,8 @@ class SweepResult:
                                  repr(row.variance_entropy), repr(row.final_test_error)])
 
 
-def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None = None,
-                 keep_results: bool = False) -> SweepResult:
+def sweep_cutoff(config: ExperimentConfig, cuts,
+                 prepared: PreparedData | None = None) -> SweepResult:
     """One run per input-side cutoff, reusing the dataset and all seeds.
 
     The member runs share one PreparedData, so each design matrix is built
@@ -335,23 +318,19 @@ def sweep_cutoff(config: ExperimentConfig, cuts, prepared: PreparedData | None =
     """
     if len(cuts) < 1:
         raise ConfigurationError("sweep needs at least one cut value")
-    if config.p2c:
-        raise ConfigurationError("cutoff sweep requires coefficient inputs, not P2C")
     members = [dataclasses.replace(config, input_encode=EncodeSpec(method="tsvd", cut=float(cut)))
                for cut in cuts]
     data = prepared if prepared is not None else prepare_data(config.dataset)
     rows = []
-    results = []
     for cut, member in zip(cuts, members):
-        result = run(member, prepared=data)
+        report = run(member, prepared=data).report
         rows.append(SweepRow(
             cut=float(cut),
-            erank=result.report.erank,
-            variance_entropy=result.report.variance_entropy,
-            final_test_error=result.report.final_test_error,
+            erank=report.erank,
+            variance_entropy=report.variance_entropy,
+            final_test_error=report.final_test_error,
         ))
-        results.append(result if keep_results else None)
-    return SweepResult(rows=rows, results=results)
+    return SweepResult(rows=rows)
 
 
 def eval_resolutions(result: RunResult, resolutions) -> dict:
@@ -366,8 +345,6 @@ def eval_resolutions(result: RunResult, resolutions) -> dict:
     config = result.config
     if config.dataset.kind != "darcy1d":
         raise ConfigurationError("resolution transfer is defined for darcy1d datasets")
-    if config.p2c:
-        raise ConfigurationError("P2C inputs pin the grid size; resolution transfer needs C2C")
     spec = config.dataset
     datasets = datagen.make_darcy1d_multiresolution(
         resolutions, spec.m_test,
@@ -435,8 +412,8 @@ def write_artifacts(result: RunResult, outdir) -> None:
 
     write_diagnostics_csv(out / "diagnostics.csv", [(
         config.input_encode.cut_or_lambda,
-        report.erank if report.erank is not None else float("nan"),
-        report.variance_entropy if report.variance_entropy is not None else float("nan"),
+        report.erank,
+        report.variance_entropy,
         report.projection.mean,
     )])
 

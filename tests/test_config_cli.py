@@ -79,14 +79,14 @@ def test_config_rejects_missing_required():
         config_from_dict(data)
 
 
-def test_config_requires_input_basis_unless_p2c():
+def test_config_requires_input_basis():
     data = _tiny_config_dict()
     del data["input_basis"]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"config\.input_basis: required key missing"):
         config_from_dict(data)
-    data["p2c"] = True
-    cfg = config_from_dict(data)
-    assert cfg.p2c
+    data["input_basis"] = None
+    with pytest.raises(ConfigurationError, match=r"config\.input_basis: expected BasisSpec"):
+        config_from_dict(data)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -259,11 +259,11 @@ def test_cli_encode_refuses_a_side_it_cannot_encode(tmp_path, capsys):
     out = tmp_path / "c.fbc"
     assert main(["encode", str(data), "-c", str(path), "--side", "output", "-o", str(out)]) == 2
     assert "side: inline encoding covers scalar components only" in capsys.readouterr().err
-    del cfg["input_basis"]
+    # raw grid values are no input side: a config that asks for them is refused
     cfg["p2c"] = True
     p2c = _write_config(tmp_path, cfg, "p2c.json")
     assert main(["encode", str(data), "-c", str(p2c), "-o", str(out)]) == 2
-    assert "config.input_basis: a p2c config has no input basis" in capsys.readouterr().err
+    assert "config.p2c: unknown key" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -402,7 +402,8 @@ def test_cli_eval_trains_nothing(trained_run, tmp_path, capsys, monkeypatch):
 def test_cli_eval_refuses_a_grid_without_an_interior_point(trained_run, capsys):
     capsys.readouterr()
     assert main(["eval", str(trained_run), "--resolutions", "40,2"]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""                            # refused before anything is evaluated
     assert err.startswith("error code=2") and "resolution must be an integer of at least 3, got 2" in err
 
 
@@ -593,11 +594,10 @@ def test_cli_refuses_a_vector_fem_output_basis(tmp_path, capsys, no_data_generat
 
 
 def test_config_hash_of_a_literal_config_is_pinned():
-    # recorded when TrainConfig lost beta1, beta2, eps and lr_stage_epochs,
-    # EncodeSpec its cut_mode and DatasetSpec its tol (bcdb30e496b9a4ac
+    # recorded when ExperimentConfig lost its p2c field (e0ba1397eb19cd8e
     # before); run directories load only while the hash of an unchanged
     # config stays the same
-    assert config_hash(config_from_dict(_tiny_config_dict())) == "e0ba1397eb19cd8e"
+    assert config_hash(config_from_dict(_tiny_config_dict())) == "972b43916034cc02"
 
 
 @pytest.mark.parametrize("key, value, field", [

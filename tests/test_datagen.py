@@ -768,3 +768,14 @@ def test_resolution_transfer_data_leaves_scipy_interpolate_unloaded():
 def test_import_leaves_scipy_linalg_unloaded():
     # its users in datagen and experiment import it themselves
     assert not _loaded_by_import_fbc2c("scipy.linalg")
+
+
+def test_poisson2d_run_leaves_scipy_linalg_unloaded():
+    # the encoder factors with numpy's SVD; scipy.linalg would add its own
+    # import to every standalone Poisson run
+    config = ("fbc2c.config.config_from_dict({"
+              "'dataset': {'kind': 'poisson2d', 'n': 9, 'm_train': 4, 'm_test': 2}, "
+              "'input_basis': {'kind': 'rfm', 'partitions': [2, 2], 'features_per_partition': 4}, "
+              "'output_basis': {'kind': 'rfm', 'partitions': [2, 2], 'features_per_partition': 3}, "
+              "'net': {'hidden': 4}, 'train': {'epochs': 2}})")
+    assert not _loaded_by_import_fbc2c("scipy.linalg", then=f"fbc2c.run({config})")

@@ -65,11 +65,6 @@ def test_run_reports_both_encoders(darcy_result, tmp_path):
     for name in ("input_kept_rank", "input_condition", "output_kept_rank", "output_condition"):
         assert f"{name} = {getattr(report, name)!r}" in lines
 
-    p2c = run(_darcy_config(p2c=True, train=TrainConfig(epochs=1, seed=6))).report
-    assert (p2c.input_kept_rank, p2c.input_condition) == (None, None)
-    assert p2c.output_kept_rank == report.output_kept_rank
-    assert not any(line.startswith("input_") and "rank" in line for line in p2c.summary_lines())
-
 
 @pytest.mark.parametrize("field", ["input_points", "output_points"])
 def test_run_refuses_a_test_split_on_another_grid(field):
@@ -121,16 +116,18 @@ def test_diverged_run_hands_back_a_checkpoint_on_raw_inputs(monkeypatch):
     seen = {}
 
     def diverging(net, inputs, *args, **kwargs):
-        seen["outputs"] = forward(net, inputs)
+        seen["outputs"] = forward(net, inputs)  # on the standardized coefficients
         raise TrainingDiverged("training loss became non-finite at epoch 0", epoch=0,
                                checkpoint=net.copy())
 
     monkeypatch.setattr("fbc2c.experiment.train", diverging)
-    cfg = _darcy_config(p2c=True)              # raw values are the net's inputs
+    cfg = _darcy_config()
     data = prepare_data(cfg.dataset)
     with pytest.raises(TrainingDiverged) as info:
         run(cfg, prepared=data)
-    got = forward(info.value.checkpoint, data.train.inputs)
+    design = cfg.input_basis.build().design_matrix(data.train.input_points)
+    raw = LeastSquaresEncoder(design, cfg.input_encode).encode_values(data.train.inputs)
+    got = forward(info.value.checkpoint, raw)
     assert got == pytest.approx(seen["outputs"], rel=1e-10, abs=1e-12)
 
 
@@ -150,22 +147,9 @@ def test_fem_output_at_grid_nodes_gives_zero_projection():
     assert result.report.projection.mean < 1e-10
 
 
-def test_p2c_flag_changes_only_input_side():
-    c2c = _darcy_config()
-    p2c = _darcy_config(p2c=True)
-    d1, d2 = config_to_dict(c2c), config_to_dict(p2c)
-    diff = {k for k in d1 if d1[k] != d2[k]}
-    assert diff == {"p2c"}
-    r = run(p2c)
-    assert r.report.input_dim == 120           # raw point values feed the net
-    assert r.report.erank is None
-    r2 = run(c2c)
-    assert r2.report.input_dim == 32           # coefficients feed the net
-
-
 def test_sweep_singleton_matches_run():
     cfg = _darcy_config()
-    table = sweep_cutoff(cfg, [cfg.input_encode.cut], keep_results=True)
+    table = sweep_cutoff(cfg, [cfg.input_encode.cut])
     assert len(table.rows) == 1
     row = table.rows[0]
     single = run(cfg)
@@ -184,8 +168,6 @@ def test_sweep_reuses_dataset_and_orders_rows(tmp_path):
     assert len(lines) == 3
     with pytest.raises(ConfigurationError):
         sweep_cutoff(cfg, [])
-    with pytest.raises(ConfigurationError):
-        sweep_cutoff(_darcy_config(p2c=True), [1e-2])
 
 
 def _poisson_config():
@@ -263,12 +245,6 @@ def test_eval_resolutions_basic(darcy_result):
         eval_resolutions(darcy_result, [40, 40.5])
 
 
-def test_eval_resolutions_rejects_p2c():
-    result = run(_darcy_config(p2c=True))
-    with pytest.raises(ConfigurationError):
-        eval_resolutions(result, [40])
-
-
 def test_artifacts_round_trip(tmp_path, darcy_result):
     outdir = tmp_path / "art"
     from fbc2c.experiment import write_artifacts
@@ -293,16 +269,11 @@ def _diagnostics_row(outdir):
 
 
 def test_diagnostics_csv_holds_the_report(tmp_path, darcy_result):
-    write_artifacts(darcy_result, tmp_path / "c2c")
+    write_artifacts(darcy_result, tmp_path)
     report = darcy_result.report
-    assert _diagnostics_row(tmp_path / "c2c") == [
+    assert _diagnostics_row(tmp_path) == [
         darcy_result.config.input_encode.cut, report.erank, report.variance_entropy,
         report.projection.mean]
-    # a P2C run encodes no inputs, so it has no input diagnostics
-    p2c = run(_darcy_config(p2c=True, train=TrainConfig(epochs=1, seed=6)), outdir=tmp_path / "p2c")
-    cut, erank, entropy, projection = _diagnostics_row(tmp_path / "p2c")
-    assert np.isnan(erank) and np.isnan(entropy)
-    assert (cut, projection) == (p2c.config.input_encode.cut, p2c.report.projection.mean)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +334,22 @@ def test_compare_vector_scalar_single_component_degenerates():
     assert comparison.parameter_difference == 0
 
 
-def test_study_members_change_only_the_studied_field():
+def test_study_members_change_only_the_studied_field(monkeypatch):
     quick = TrainConfig(epochs=2, seed=6)
     odd = dict(output_encode=EncodeSpec(method="ridge", lam=1e-6),
                net=NetSpec(hidden=7, seed=11), train=quick)
     cfg = _darcy_config(**odd)
-    sweep = sweep_cutoff(cfg, [1e-6, 1e-3], keep_results=True)
-    for cut, member in zip([1e-6, 1e-3], sweep.results):
-        assert member.config == dataclasses.replace(
-            cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
+    members = []
+
+    def spy_run(config, *args, **kwargs):
+        members.append(config)
+        return run(config, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("fbc2c.experiment.run", spy_run)
+        sweep_cutoff(cfg, [1e-6, 1e-3])
+    assert members == [dataclasses.replace(cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
+                       for cut in (1e-6, 1e-3)]
 
     multi = _multi_config(**odd)
     comparison = compare_vector_scalar(multi)
