@@ -1,8 +1,9 @@
 """End-to-end coefficient-to-coefficient run on 1D nonlinear Darcy flow.
 
-Generates a random-field-forced dataset with the built-in Newton solver,
-encodes both sides against fixed random-feature bases, trains the small
-coefficient-mapping network, and reports the test error next to the
+Generates a random-field-forced dataset with the built-in Darcy solver (one
+linear solve of the Kirchhoff-transformed problem, then a closed-form
+inverse), encodes both sides against fixed random-feature bases, trains the
+small coefficient-mapping network, and reports the test error next to the
 output-space projection floor that lower-bounds it.
 
 Desk-scale sizes keep this to roughly a minute.

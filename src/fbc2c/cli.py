@@ -21,7 +21,7 @@ from .config import load_config
 from .container import read_container, write_container
 from .encoder import diagnostics, encode
 from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
-                     RankDeficiencyError, SolverError, TrainingDiverged)
+                     RankDeficiencyError, TrainingDiverged)
 from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, run,
                          sweep_cutoff)
 
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error code=3 kind=missing-file msg={exc}", file=sys.stderr)
         return 3
-    except (RankDeficiencyError, SolverError, NumericalError, TrainingDiverged) as exc:
+    except (RankDeficiencyError, NumericalError, TrainingDiverged) as exc:
         print(f"error code=4 kind=numeric msg={exc}", file=sys.stderr)
         return 4
 

@@ -29,16 +29,8 @@ class RankDeficiencyError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
-class SolverError(RuntimeError):
-    """A PDE solver failed to converge."""
-
-    def __init__(self, message: str, residual_history=None):
-        super().__init__(message)
-        self.residual_history = list(residual_history or [])
-
-
 class NumericalError(RuntimeError):
-    """A numerical factorization failed beyond recovery."""
+    """A numerical factorization or solve failed beyond recovery."""
 
 
 class TrainingDiverged(RuntimeError):
