@@ -5,12 +5,13 @@ Run:  python demos/01_basis_systems.py
 
 import numpy as np
 
-from fbc2c.basis import build_rfm, uniform_fem_basis
+from fbc2c.basis import BasisSpec
 
 # A windowed random-feature basis: 4 partitions on [0, 1], 2 features each,
-# feature parameters drawn uniformly from [-3, 3].
-rfm = build_rfm(dim=1, partitions_per_dim=[4], features_per_partition=2,
-                range_bound=3.0, seed=7, bounds=[[0.0, 1.0]])
+# feature parameters drawn uniformly from [-3, 3].  A BasisSpec describes a
+# basis; build() makes it.
+rfm = BasisSpec(kind="rfm", partitions=[4], features_per_partition=2,
+                range_bound=3.0, seed=7, bounds=[[0.0, 1.0]]).build()
 print(f"random-feature basis: m = {rfm.size} functions, "
       f"{rfm.partitions_per_dim[0]} partitions x {rfm.features_per_partition[0]} features")
 
@@ -32,11 +33,12 @@ print(f"design matrix {phi.shape}, value range [{phi.min():.3f}, {phi.max():.3f}
 
 # Rebuilding with the same seed reproduces the basis bit for bit; datasets
 # therefore store only structural parameters plus the seed.
-again = build_rfm(1, [4], 2, 3.0, seed=7, bounds=[[0.0, 1.0]])
+again = BasisSpec(kind="rfm", partitions=[4], features_per_partition=2,
+                  range_bound=3.0, seed=7, bounds=[[0.0, 1.0]]).build()
 print(f"deterministic rebuild: {np.array_equal(phi, again.design_matrix(x))}")
 
 # The 1D P1 family: hat functions that interpolate nodal values exactly.
-fem = uniform_fem_basis(9)
+fem = BasisSpec(kind="fem", n_nodes=9).build()
 nodes = fem.nodes
 print(f"\nP1 basis: m = {fem.size} nodes, design at nodes is identity: "
       f"{np.array_equal(fem.design_matrix(nodes), np.eye(9))}")

@@ -10,7 +10,7 @@ Run:  python demos/02_encoding_and_effective_rank.py
 
 import numpy as np
 
-from fbc2c.basis import build_rfm
+from fbc2c.basis import BasisSpec
 from fbc2c.datagen import sample_grf_at
 from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
                            projection_error)
@@ -18,7 +18,8 @@ from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
 grid = np.linspace(0.0, 1.0, 600)
 fields = sample_grf_at(grid, count=300, seed=11)
 
-basis = build_rfm(1, [8], 16, 3.0, seed=5, bounds=[[0.0, 1.0]])
+basis = BasisSpec(kind="rfm", partitions=[8], features_per_partition=16,
+                  range_bound=3.0, seed=5, bounds=[[0.0, 1.0]]).build()
 phi = basis.design_matrix(grid)
 spectrum = np.linalg.svd(phi, compute_uv=False)
 print("design-matrix spectrum decays fast (correlated random features):")

@@ -1,40 +1,25 @@
 """Fixed basis systems: windowed random-feature bases and 1D P1 nodal bases.
 
-A basis object is immutable after construction and evaluation is pure, so
-instances can be shared freely across threads.  Random-feature bases are
-fully determined by their structural parameters plus a 64-bit seed; two
-builds with equal arguments produce bitwise-equal weights, which is what
-lets datasets serialize a basis as "parameters + seed" instead of weight
-dumps.
+``BasisSpec`` is the one description of a basis and ``BasisSpec.build`` the
+one way to make one; it is also the ``input_basis``/``output_basis`` section
+of a run config (``fbc2c.config``), so every setting is checked once, where
+the spec is made.  A basis object is immutable after construction and
+evaluation is pure, so instances can be shared freely across threads.
+Random-feature bases are fully determined by their structural parameters
+plus a 64-bit seed; two builds of equal specs produce bitwise-equal weights,
+which is what lets datasets serialize a basis as "parameters + seed" instead
+of weight dumps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-
-
-class WindowKind(str, Enum):
-    CHARACTERISTIC = "characteristic"
-    SMOOTH = "smooth"
-
-
-class ActivationKind(str, Enum):
-    TANH = "tanh"
-    SIN = "sin"
-
-
-def apply_activation(kind: ActivationKind, z: np.ndarray) -> np.ndarray:
-    if kind == ActivationKind.TANH:
-        return np.tanh(z)
-    return np.sin(z)
+from .errors import ConfigurationError, DomainError, check_int, is_int
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +107,8 @@ class RfmBasis:
     weights: tuple          # per partition: (J_n, dim)
     biases: tuple           # per partition: (J_n,)
     range_bound: float
-    activation: ActivationKind
-    window_kind: WindowKind
+    activation: str         # "tanh" or "sin"
+    window_kind: str        # "smooth" or "characteristic"
     seed: int
     bounds: np.ndarray      # (dim, 2) tiled bounding box
 
@@ -156,8 +141,8 @@ class RfmBasis:
         h = hashlib.sha256()
         h.update(repr((
             "rfm", self.dim, self.features_per_partition, centers,
-            float(self.range_bound), self.activation.value,
-            self.window_kind.value, int(self.seed),
+            float(self.range_bound), self.activation,
+            self.window_kind, int(self.seed),
         )).encode())
         return h.hexdigest()[:16]
 
@@ -172,7 +157,7 @@ class RfmBasis:
         pts = as_points(points, self.dim)
         out = np.ones((len(pts), 1))
         for x, (centers, radius, edges) in zip(pts.T[:, :, None], self._axes()):
-            if self.window_kind == WindowKind.SMOOTH:
+            if self.window_kind == "smooth":
                 wk = _smooth_profile((x - centers) / radius)
             else:
                 wk = _characteristic_profile(x, edges)
@@ -181,82 +166,14 @@ class RfmBasis:
 
     def design_matrix(self, points) -> np.ndarray:
         pts = as_points(points, self.dim)
+        act = np.tanh if self.activation == "tanh" else np.sin
         out = np.empty((len(pts), self.size))
         hi = 0
         for kw, bw, w in zip(self.weights, self.biases, self.windows(pts).T, strict=True):
             lo, hi = hi, hi + kw.shape[0]
-            feats = apply_activation(self.activation, pts @ kw.T + bw)
+            feats = act(pts @ kw.T + bw)
             np.multiply(feats, w[:, None], out=out[:, lo:hi])
         return out
-
-
-def _draw_partition_features(rng: np.random.Generator, n_features: int,
-                             dim: int, range_bound: float):
-    # Feature-by-feature draw order (k_nj then b_nj) so a longer draw extends
-    # a shorter one instead of reshuffling it.
-    weights = np.empty((n_features, dim))
-    biases = np.empty(n_features)
-    for j in range(n_features):
-        weights[j] = rng.uniform(-range_bound, range_bound, size=dim)
-        biases[j] = rng.uniform(-range_bound, range_bound)
-    return weights, biases
-
-
-def build_rfm(dim: int,
-              partitions_per_dim: Sequence[int],
-              features_per_partition: int,
-              range_bound: float,
-              window_kind: WindowKind = WindowKind.SMOOTH,
-              activation: ActivationKind = ActivationKind.TANH,
-              seed: int = 0,
-              bounds=None) -> RfmBasis:
-    """Tile a bounding box with uniform partitions and draw windowed features.
-
-    Total basis size is ``prod(partitions_per_dim) * features_per_partition``.
-    ``bounds`` defaults to [-1, 1]^dim.
-    """
-    if dim < 1:
-        raise ConfigurationError(f"dim must be >= 1, got {dim}")
-    if len(partitions_per_dim) != dim:
-        raise ConfigurationError(
-            f"partitions_per_dim has length {len(partitions_per_dim)}, expected {dim}"
-        )
-    if any(int(p) < 1 for p in partitions_per_dim):
-        raise ConfigurationError("partition counts must be positive")
-    if int(features_per_partition) < 1:
-        raise ConfigurationError("features_per_partition must be positive")
-    if not range_bound > 0:
-        raise ConfigurationError(f"range bound must be positive, got {range_bound}")
-    window_kind = WindowKind(window_kind)
-    activation = ActivationKind(activation)
-    if bounds is None:
-        bounds = np.column_stack([-np.ones(dim), np.ones(dim)])
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.size != 2 * dim:
-        raise ConfigurationError(
-            f"bounds: got {bounds.size} values for a {dim}-dimensional box, expected {2 * dim}")
-    bounds = bounds.reshape(dim, 2)
-    if not np.all(bounds[:, 1] > bounds[:, 0]):
-        raise ConfigurationError("bounding box must have hi > lo in every dimension")
-
-    partitions_per_dim = tuple(int(p) for p in partitions_per_dim)
-    children = np.random.SeedSequence(seed).spawn(math.prod(partitions_per_dim))
-    weights, biases = [], []
-    for child in children:
-        rng = np.random.default_rng(child)
-        w, b = _draw_partition_features(rng, int(features_per_partition), dim, range_bound)
-        weights.append(w)
-        biases.append(b)
-    return RfmBasis(
-        partitions_per_dim=partitions_per_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        range_bound=float(range_bound),
-        activation=activation,
-        window_kind=window_kind,
-        seed=int(seed),
-        bounds=bounds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +231,6 @@ class FemBasis1D:
         return phi
 
 
-def uniform_fem_basis(n_nodes: int, lo: float = 0.0, hi: float = 1.0) -> FemBasis1D:
-    if n_nodes < 2:
-        raise ConfigurationError("FEM basis needs at least two nodes")
-    return FemBasis1D(np.linspace(lo, hi, n_nodes))
-
-
 # ---------------------------------------------------------------------------
 # vector-valued basis
 
@@ -370,24 +281,122 @@ class VectorBasis:
         return np.concatenate([b.design_matrix(points) for b in self.components], axis=0)
 
 
-def build_vector_rfm(n_components: int,
-                     dim: int,
-                     partitions_per_dim: Sequence[int],
-                     features_per_partition: int,
-                     range_bound: float,
-                     window_kind: WindowKind = WindowKind.SMOOTH,
-                     activation: ActivationKind = ActivationKind.TANH,
-                     seed: int = 0,
-                     bounds=None) -> VectorBasis:
-    """Independent feature draw per component, from child seeds of ``seed``."""
-    if n_components < 1:
-        raise ConfigurationError("n_components must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(n_components)
-    comps = []
-    for child in children:
-        child_seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        comps.append(
-            build_rfm(dim, partitions_per_dim, features_per_partition, range_bound,
-                      window_kind, activation, seed=child_seed, bounds=bounds)
-        )
-    return VectorBasis(tuple(comps))
+# ---------------------------------------------------------------------------
+# the basis description
+
+
+_WINDOWS = ("characteristic", "smooth")
+_ACTIVATIONS = ("tanh", "sin")
+
+
+def _is_box(value, dim: int) -> bool:
+    """Whether ``value`` is ``dim`` [lo, hi] pairs of finite numbers with hi > lo."""
+    try:
+        box = np.asarray(value, dtype=np.float64).reshape(dim, 2)
+    except (TypeError, ValueError):
+        return False
+    return bool(np.all(np.isfinite(box)) and np.all(box[:, 1] > box[:, 0]))
+
+
+@dataclass
+class BasisSpec:
+    """Structural description of a basis; building it is deterministic.
+
+    "rfm" tiles ``bounds`` with ``partitions`` equal cells per dimension and
+    draws ``features_per_partition`` windowed features in each (see
+    ``RfmBasis``); "fem" is the hat basis on ``n_nodes`` equispaced nodes of
+    ``domain``.  The fields the kind reads are checked on construction, so a
+    spec that exists builds; an error names the field.
+    """
+
+    kind: str                       # "rfm" or "fem"
+    partitions: list | None = None  # rfm: counts per dimension
+    features_per_partition: int | None = None
+    range_bound: float = 3.0
+    window: str = "smooth"
+    activation: str = "tanh"
+    seed: int = 0
+    bounds: list | None = None      # [[lo, hi], ...]; None means [-1, 1]^d
+    n_nodes: int | None = None      # fem
+    domain: list = field(default_factory=lambda: [0.0, 1.0])
+
+    def __post_init__(self):
+        if self.kind not in ("rfm", "fem"):
+            raise ConfigurationError(f"kind: unknown kind {self.kind!r}, expected 'rfm' or 'fem'")
+        for name, choices in (("window", _WINDOWS), ("activation", _ACTIVATIONS)):
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(
+                    f"{name}: unknown {name} {getattr(self, name)!r}, expected one of {choices}")
+        check_int("seed", self.seed, 0)
+        if self.kind == "fem":
+            if self.n_nodes is None:
+                raise ConfigurationError("n_nodes: fem needs n_nodes")
+            check_int("n_nodes", self.n_nodes, 2)
+            if not _is_box(self.domain, 1):
+                raise ConfigurationError(
+                    f"domain: must be [lo, hi], two finite numbers with lo < hi, "
+                    f"got {self.domain!r}")
+            return
+        if self.partitions is None or self.features_per_partition is None:
+            raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
+        if not (self.partitions and all(is_int(p) and p >= 1 for p in self.partitions)):
+            raise ConfigurationError(
+                f"partitions: must be one integer count >= 1 per dimension, got {self.partitions!r}")
+        check_int("features_per_partition", self.features_per_partition, 1)
+        if not (math.isfinite(self.range_bound) and self.range_bound > 0):
+            raise ConfigurationError(f"range_bound: must be finite and > 0, got {self.range_bound!r}")
+        if self.bounds is not None and not _is_box(self.bounds, self.dim):
+            raise ConfigurationError(
+                f"bounds: must be {self.dim} [lo, hi] pair(s) of finite numbers with hi > lo, "
+                f"one per partition count, got {self.bounds!r}")
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the points the basis is evaluated at."""
+        return 1 if self.kind == "fem" else len(self.partitions)
+
+    def check_dim(self, dim: int, path: str) -> None:
+        """Refuse ``dim``-dimensional data unless it is the basis's; ``path`` names the spec."""
+        if self.dim != dim:
+            what = f"partitions: {self.dim} counts" if self.kind == "rfm" else "kind: a 1-D fem basis"
+            raise ConfigurationError(f"{path}.{what} for {dim}-dimensional data")
+
+    def build(self, n_components: int = 1):
+        """The basis: a ``FemBasis1D``, an ``RfmBasis``, or for ``n_components`` > 1 a
+        ``VectorBasis`` whose rfm components draw from child seeds of ``seed``."""
+        check_int("n_components", n_components, 1)
+        if self.kind == "fem":
+            if n_components != 1:
+                raise ConfigurationError("vector-valued FEM bases are not supported")
+            return FemBasis1D(np.linspace(self.domain[0], self.domain[1], self.n_nodes))
+        if n_components == 1:
+            return _draw_rfm(self, self.seed)
+        children = np.random.SeedSequence(self.seed).spawn(n_components)
+        return VectorBasis(tuple(
+            _draw_rfm(self, int(child.generate_state(1, dtype=np.uint64)[0]))
+            for child in children))
+
+
+def _draw_rfm(spec: BasisSpec, seed: int) -> RfmBasis:
+    """The rfm basis of a checked ``spec``, drawn from ``seed``.
+
+    One child stream of ``SeedSequence(seed)`` per partition, drawn feature
+    by feature (k_nj then b_nj), so a longer draw extends a shorter one.
+    """
+    partitions = tuple(int(p) for p in spec.partitions)
+    dim, n_features, bound = len(partitions), int(spec.features_per_partition), spec.range_bound
+    weights, biases = [], []
+    for child in np.random.SeedSequence(seed).spawn(math.prod(partitions)):
+        rng = np.random.default_rng(child)
+        w, b = np.empty((n_features, dim)), np.empty(n_features)
+        for j in range(n_features):
+            w[j] = rng.uniform(-bound, bound, size=dim)
+            b[j] = rng.uniform(-bound, bound)
+        weights.append(w)
+        biases.append(b)
+    bounds = (np.column_stack([-np.ones(dim), np.ones(dim)]) if spec.bounds is None
+              else np.asarray(spec.bounds, dtype=np.float64).reshape(dim, 2))
+    return RfmBasis(partitions_per_dim=partitions, weights=tuple(weights),
+                    biases=tuple(biases), range_bound=float(bound),
+                    activation=spec.activation, window_kind=spec.window,
+                    seed=int(seed), bounds=bounds)

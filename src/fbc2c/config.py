@@ -5,8 +5,11 @@ applied) is re-emitted next to run artifacts so results can be reproduced
 exactly.  Each section checks its fields when it is built, so a bad value is
 refused on load, before any data is generated.  Unknown keys, values of the
 wrong JSON type and refused values are reported with their field path
-(``config.input_basis.window: ...``).  The encode sections are
-``encoder.EncodeSpec``, which the encoders take as they are.
+(``config.input_basis.window: ...``).  The basis sections are
+``basis.BasisSpec`` and the encode sections ``encoder.EncodeSpec``, each
+checked where it is made and used as it is; ``BasisSpec`` is re-exported
+here.  Sizes, counts and seeds must be integers (a bool is not one) also
+in a spec built in Python.
 """
 
 from __future__ import annotations
@@ -15,14 +18,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .basis import ActivationKind, WindowKind, build_rfm, build_vector_rfm, uniform_fem_basis
+from .basis import BasisSpec
 from .encoder import EncodeSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .neuralop import TrainConfig
 
 # Per dataset kind: the size fields it reads with the least value each takes
@@ -36,24 +36,6 @@ _DATASET_KINDS = {
     "poisson2d": ({"n": 3, "m_train": 1, "m_test": 1, "modes": 1}, (), 2, 1),
     "multi_output_1d": ({"n": 3, "m_train": 1, "m_test": 1}, _GRF, 1, 2),
 }
-
-
-def _check_seed(seed) -> None:
-    if seed < 0:
-        raise ConfigurationError(f"seed: must be >= 0, got {seed}")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
-def _is_box(value, dim: int) -> bool:
-    """Whether ``value`` is ``dim`` [lo, hi] pairs of finite numbers with hi > lo."""
-    try:
-        box = np.asarray(value, dtype=np.float64).reshape(dim, 2)
-    except (TypeError, ValueError):
-        return False
-    return bool(np.all(np.isfinite(box)) and np.all(box[:, 1] > box[:, 0]))
 
 
 @dataclass
@@ -85,94 +67,12 @@ class DatasetSpec:
             value = getattr(self, name)
             if value is None:
                 raise ConfigurationError(f"{name}: {self.kind} needs it")
-            if value < least:
-                raise ConfigurationError(f"{name}: must be >= {least}, got {value}")
+            check_int(name, value, least)
         for name in scales:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
-        _check_seed(self.seed)
-
-
-@dataclass
-class BasisSpec:
-    """Structural description of a basis; building it is deterministic.
-
-    The fields the kind reads are checked on construction, so a spec that
-    exists builds; ``build_rfm`` and ``uniform_fem_basis`` repeat the checks
-    for direct callers.
-    """
-
-    kind: str                       # "rfm" or "fem"
-    partitions: list | None = None  # rfm: counts per dimension
-    features_per_partition: int | None = None
-    range_bound: float = 3.0
-    window: str = "smooth"
-    activation: str = "tanh"
-    seed: int = 0
-    bounds: list | None = None      # [[lo, hi], ...]; None means [-1, 1]^d
-    n_nodes: int | None = None      # fem
-    domain: list = field(default_factory=lambda: [0.0, 1.0])
-
-    def __post_init__(self):
-        if self.kind not in ("rfm", "fem"):
-            raise ConfigurationError(f"kind: unknown kind {self.kind!r}, expected 'rfm' or 'fem'")
-        for name, kind in (("window", WindowKind), ("activation", ActivationKind)):
-            choices = tuple(k.value for k in kind)
-            if getattr(self, name) not in choices:
-                raise ConfigurationError(
-                    f"{name}: unknown {name} {getattr(self, name)!r}, expected one of {choices}")
-        _check_seed(self.seed)
-        if self.kind == "fem":
-            if self.n_nodes is None:
-                raise ConfigurationError("n_nodes: fem needs n_nodes")
-            if self.n_nodes < 2:
-                raise ConfigurationError(f"n_nodes: must be >= 2, got {self.n_nodes}")
-            if not _is_box(self.domain, 1):
-                raise ConfigurationError(
-                    f"domain: must be [lo, hi], two finite numbers with lo < hi, "
-                    f"got {self.domain!r}")
-            return
-        if self.partitions is None or self.features_per_partition is None:
-            raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
-        if not (self.partitions and all(_is_count(p) for p in self.partitions)):
-            raise ConfigurationError(
-                f"partitions: must be one integer count >= 1 per dimension, got {self.partitions!r}")
-        if self.features_per_partition < 1:
-            raise ConfigurationError(
-                f"features_per_partition: must be >= 1, got {self.features_per_partition}")
-        if not (math.isfinite(self.range_bound) and self.range_bound > 0):
-            raise ConfigurationError(f"range_bound: must be finite and > 0, got {self.range_bound!r}")
-        if self.bounds is not None and not _is_box(self.bounds, self.dim):
-            raise ConfigurationError(
-                f"bounds: must be {self.dim} [lo, hi] pair(s) of finite numbers with hi > lo, "
-                f"one per partition count, got {self.bounds!r}")
-
-    @property
-    def dim(self) -> int:
-        """The dimension of the points the basis is evaluated at."""
-        return 1 if self.kind == "fem" else len(self.partitions)
-
-    def check_dim(self, dim: int, path: str) -> None:
-        """Refuse ``dim``-dimensional data unless it is the basis's; ``path`` names the spec."""
-        if self.dim != dim:
-            what = f"partitions: {self.dim} counts" if self.kind == "rfm" else "kind: a 1-D fem basis"
-            raise ConfigurationError(f"{path}.{what} for {dim}-dimensional data")
-
-    def build(self, n_components: int = 1):
-        if self.kind == "fem":
-            if n_components != 1:
-                raise ConfigurationError("vector-valued FEM bases are not supported")
-            return uniform_fem_basis(self.n_nodes, self.domain[0], self.domain[1])
-        window = WindowKind(self.window)
-        activation = ActivationKind(self.activation)
-        if n_components == 1:
-            return build_rfm(len(self.partitions), self.partitions,
-                             self.features_per_partition, self.range_bound,
-                             window, activation, self.seed, self.bounds)
-        return build_vector_rfm(n_components, len(self.partitions), self.partitions,
-                                self.features_per_partition, self.range_bound,
-                                window, activation, self.seed, self.bounds)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -181,9 +81,8 @@ class NetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ConfigurationError(f"hidden: must be >= 1, got {self.hidden}")
-        _check_seed(self.seed)
+        check_int("hidden", self.hidden, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass

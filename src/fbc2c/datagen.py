@@ -40,7 +40,7 @@ import numpy as np
 
 # scipy.linalg is imported inside the functions that use it: imported here it
 # would be most of the time of `import fbc2c`.
-from .errors import ConfigurationError, DataError, NumericalError
+from .errors import ConfigurationError, DataError, NumericalError, is_int
 
 
 @dataclass
@@ -287,7 +287,15 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     while any diagonal block fails to factor, then ``NumericalError`` is
     raised.  The level and r are left in a private context variable, which
     the GRF-forced generators record as ``grf_jitter`` and ``grf_rank``.
+
+    ``seed`` is a ``SeedSequence`` (the generators pass children of theirs)
+    or a value ``_seed_provenance`` accepts, so a draw can be repeated;
+    ``None``, which would draw fresh OS entropy, and a count that is not an
+    integer >= 0 raise ``ConfigurationError`` before anything is factored.
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        _seed_provenance(seed)
+    _grid_size("count", count, 0)
     if not (np.isfinite(length_scale) and np.isfinite(amplitude)
             and length_scale > 0 and amplitude > 0):
         raise ConfigurationError(
@@ -416,8 +424,8 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
 
 
 def _grid_size(name: str, value, least: int) -> int:
-    """``value`` as a point count of at least ``least``; a bool or a non-integer is refused."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+    """``value`` as a count of at least ``least``; a bool or a non-integer is refused."""
+    if is_int(value) and value >= least:
         return int(value)
     raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value!r}")
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer-setting check."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -7,6 +9,22 @@ class ConfigurationError(ValueError):
     The message starts with the offending field path when the error comes
     from config parsing (e.g. ``dataset.kind``).
     """
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not, nor a float holding a whole number."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Refuse the size, count or seed ``name`` unless it is an integer >= ``least``.
+
+    A spec built in Python is held to what its JSON form allows.
+    """
+    if not is_int(value):
+        raise ConfigurationError(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"{name}: must be >= {least}, got {value}")
 
 
 class DomainError(ValueError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, TrainingDiverged
+from .errors import ConfigurationError, DataError, TrainingDiverged, check_int, is_int
 
 
 class OperatorNet:
@@ -264,8 +264,7 @@ class TrainConfig:
     eval_interval: int = 100
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs: must be >= 0, got {self.epochs}")
+        check_int("epochs", self.epochs, 0)
         if not self.lr_end > 0:
             raise ConfigurationError(f"lr_end: must be > 0, got {self.lr_end!r}")
         if not math.isfinite(self.lr_start):
@@ -273,13 +272,14 @@ class TrainConfig:
         if not self.lr_start >= self.lr_end:
             raise ConfigurationError(
                 f"lr_start: must be >= lr_end ({self.lr_end!r}), got {self.lr_start!r}")
+        if self.batch_size is not None and not is_int(self.batch_size):
+            raise ConfigurationError(
+                f"batch_size: must be an integer or None for full batch, got {self.batch_size!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size: must be >= 1 or None for full batch, got {self.batch_size}")
-        if self.eval_interval < 1:
-            raise ConfigurationError(f"eval_interval: must be >= 1, got {self.eval_interval}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
+        check_int("eval_interval", self.eval_interval, 1)
+        check_int("seed", self.seed, 0)
 
 
 def learning_rate(epoch: int, config: TrainConfig) -> float:

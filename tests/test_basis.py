@@ -1,62 +1,69 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from fbc2c.basis import (ActivationKind, FemBasis1D, RfmBasis, VectorBasis,
-                         WindowKind, build_rfm, build_vector_rfm, uniform_fem_basis)
+from fbc2c.basis import BasisSpec, FemBasis1D, RfmBasis, VectorBasis
 from fbc2c.errors import ConfigurationError, DomainError
 
 
 def test_build_rfm_total_count():
-    basis = build_rfm(1, [4], 2, 3.0, WindowKind.SMOOTH, ActivationKind.TANH, seed=7)
+    basis = BasisSpec("rfm", [4], 2, 3.0, "smooth", "tanh", seed=7).build()
     assert basis.size == 8
     assert basis.features_per_partition == (2, 2, 2, 2)
     assert basis.partitions_per_dim == (4,)
     assert basis.windows(np.linspace(-1, 1, 7)).shape == (7, 4)
 
 
+# the last key of each case is the field refused
 @pytest.mark.parametrize("kwargs", [
-    dict(dim=1, partitions_per_dim=[1], features_per_partition=1, range_bound=0.0),
-    dict(dim=1, partitions_per_dim=[1], features_per_partition=1, range_bound=-2.0),
-    dict(dim=1, partitions_per_dim=[0], features_per_partition=1, range_bound=3.0),
-    dict(dim=1, partitions_per_dim=[1], features_per_partition=0, range_bound=3.0),
-    dict(dim=2, partitions_per_dim=[2], features_per_partition=1, range_bound=3.0),
-    dict(dim=0, partitions_per_dim=[], features_per_partition=1, range_bound=3.0),
-    dict(dim=2, partitions_per_dim=[2, 2], features_per_partition=1, range_bound=3.0,
-         bounds=[[0.0, 1.0]]),
-    dict(dim=1, partitions_per_dim=[2], features_per_partition=1, range_bound=3.0,
-         bounds=[0.0, 1.0, 2.0]),
+    dict(partitions=[1], features_per_partition=1, range_bound=0.0),
+    dict(partitions=[1], features_per_partition=1, range_bound=-2.0),
+    dict(features_per_partition=1, range_bound=3.0, partitions=[0]),
+    dict(partitions=[1], range_bound=3.0, features_per_partition=0),
+    dict(partitions=[2, 2], features_per_partition=1, range_bound=3.0, bounds=[[0.0, 1.0]]),
+    dict(partitions=[2], features_per_partition=1, range_bound=3.0, bounds=[0.0, 1.0, 2.0]),
+    dict(partitions=[2], features_per_partition=2.7),
+    dict(kind="fem", n_nodes=2.5),
+    dict(partitions=[2], features_per_partition=True),
+    dict(features_per_partition=1, partitions=[2.5]),
+    dict(partitions=[2], features_per_partition=1, range_bound=np.inf),
+    dict(partitions=[2], features_per_partition=1, bounds=[[0.0, np.inf]]),
+    dict(partitions=[2], features_per_partition=1, seed=-1),
+    dict(partitions=[2], features_per_partition=1, window="bogus"),
+    dict(kind="fem", n_nodes=5, domain=[0.0, np.inf]),
 ])
 def test_build_rfm_rejects_bad_config(kwargs):
-    with pytest.raises(ConfigurationError):
-        build_rfm(**kwargs)
+    with pytest.raises(ConfigurationError, match=rf"^{list(kwargs)[-1]}: "):
+        BasisSpec(**{"kind": "rfm", **kwargs})
 
 
 def test_build_rfm_deterministic_per_seed():
-    a = build_rfm(2, [2, 3], 4, 1.5, seed=99)
-    b = build_rfm(2, [2, 3], 4, 1.5, seed=99)
+    a = BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build()
+    b = BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build()
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(a.biases, b.biases):
         assert np.array_equal(ba, bb)
     pts = np.random.default_rng(0).uniform(-1, 1, size=(40, 2))
     assert np.array_equal(a.design_matrix(pts), b.design_matrix(pts))
-    c = build_rfm(2, [2, 3], 4, 1.5, seed=100)
+    c = BasisSpec("rfm", [2, 3], 4, 1.5, seed=100).build()
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
 def test_rfm_identity_is_pinned():
     # coefficient files and run directories name their bases by this hash
-    assert build_rfm(2, [2, 3], 4, 1.5, seed=99).identity() == "bfc8d6246f8eec1c"
+    assert BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build().identity() == "bfc8d6246f8eec1c"
 
 
 def test_rfm_refuses_a_flat_array_of_the_wrong_dimension():
-    basis = build_rfm(2, [2, 2], 1, 1.0, seed=0)
+    basis = BasisSpec("rfm", [2, 2], 1, 1.0, seed=0).build()
     with pytest.raises(ConfigurationError, match=r"points have shape \(80,\), expected \(n, 2\)"):
         basis.design_matrix(np.linspace(-1, 1, 80))
 
 
 def test_build_rfm_draws_within_range():
-    basis = build_rfm(2, [3, 3], 50, 0.7, seed=5)
+    basis = BasisSpec("rfm", [3, 3], 50, 0.7, seed=5).build()
     for w, b in zip(basis.weights, basis.biases):
         assert np.all(np.abs(w) <= 0.7)
         assert np.all(np.abs(b) <= 0.7)
@@ -64,8 +71,8 @@ def test_build_rfm_draws_within_range():
 
 def test_feature_prefix_nesting():
     # growing features_per_partition must keep earlier features unchanged
-    small = build_rfm(1, [3], 4, 3.0, seed=11)
-    large = build_rfm(1, [3], 10, 3.0, seed=11)
+    small = BasisSpec("rfm", [3], 4, 3.0, seed=11).build()
+    large = BasisSpec("rfm", [3], 10, 3.0, seed=11).build()
     for ws, wl in zip(small.weights, large.weights):
         assert np.array_equal(ws, wl[:4])
     for bs, bl in zip(small.biases, large.biases):
@@ -74,14 +81,14 @@ def test_feature_prefix_nesting():
 
 def _window(kind, partitions, bounds, column, x):
     """Window ``column`` of a tiling at the points ``x``."""
-    basis = build_rfm(len(partitions), partitions, 1, 1.0, kind, seed=0, bounds=bounds)
+    basis = BasisSpec("rfm", partitions, 1, 1.0, kind, seed=0, bounds=bounds).build()
     return basis.windows(x)[:, column]
 
 
 def test_smooth_window_plateau_and_ramp():
     # the middle of three cells on [-0.5, 1]: center 0.25, radius 0.25
     def window(x):
-        return _window(WindowKind.SMOOTH, [3], [[-0.5, 1.0]], 1, [[x]])[0]
+        return _window("smooth", [3], [[-0.5, 1.0]], 1, [[x]])[0]
 
     assert window(0.25) == 1.0
     # x = 0.5 rescales to 1, on the down ramp: (1 - sin(2 pi)) / 2 = 0.5
@@ -99,14 +106,14 @@ def test_smooth_window_plateau_and_ramp():
 
 def test_characteristic_window_half_open():
     # the middle of three cells on [-3, 3] is [-1, 1)
-    window = _window(WindowKind.CHARACTERISTIC, [3], [[-3.0, 3.0]], 1,
+    window = _window("characteristic", [3], [[-3.0, 3.0]], 1,
                      [[1.0], [-1.0], [0.999], [-1.001]])
     assert window.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 def test_window_product_over_dimensions():
     # the middle cell of a 3 x 3 tiling of [-3, 3]^2: center (0, 0), radius (1, 1)
-    window = _window(WindowKind.SMOOTH, [3, 3], [[-3.0, 3.0]] * 2, 4,
+    window = _window("smooth", [3, 3], [[-3.0, 3.0]] * 2, 4,
                      [[0.8, 0.0], [0.8, -0.8], [0.8, 1.3]])
     down = (1.0 - np.sin(2 * np.pi * 0.8)) / 2.0
     up = (1.0 + np.sin(2 * np.pi * -0.8)) / 2.0
@@ -127,7 +134,7 @@ def _reference_windows(basis, pts):
             edges = np.linspace(lo, hi, counts[k] + 1)
             clamp_lo, clamp_hi = i == 0, i == counts[k] - 1
             x = pts[:, k]
-            if basis.window_kind == WindowKind.SMOOTH:
+            if basis.window_kind == "smooth":
                 t = (x - center) / (spacing / 2.0)
                 w = np.select([(t >= -1.25) & (t < -0.75), (t >= -0.75) & (t < 0.75),
                                (t >= 0.75) & (t < 1.25)],
@@ -143,11 +150,11 @@ def _reference_windows(basis, pts):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("kind", [WindowKind.SMOOTH, WindowKind.CHARACTERISTIC])
+@pytest.mark.parametrize("kind", ["smooth", "characteristic"])
 @pytest.mark.parametrize("partitions", [[5], [1], [3, 7], [4, 4]])
 def test_windows_match_the_per_partition_product_bitwise(kind, partitions):
     bounds = [[0.0, 1.0], [-1.0, 2.0]][:len(partitions)]
-    basis = build_rfm(len(partitions), partitions, 1, 1.0, kind, seed=0, bounds=bounds)
+    basis = BasisSpec("rfm", partitions, 1, 1.0, kind, seed=0, bounds=bounds).build()
     # every shared cell edge and smooth breakpoint on each axis, plus points
     # between them and outside the box
     axes = []
@@ -162,19 +169,19 @@ def test_windows_match_the_per_partition_product_bitwise(kind, partitions):
     assert np.array_equal(basis.windows(pts), _reference_windows(basis, pts))
 
 
-@pytest.mark.parametrize("kind", [WindowKind.SMOOTH, WindowKind.CHARACTERISTIC])
+@pytest.mark.parametrize("kind", ["smooth", "characteristic"])
 def test_partition_of_unity_1d(kind):
-    basis = build_rfm(1, [5], 1, 3.0, kind, seed=0, bounds=[[0.0, 1.0]])
+    basis = BasisSpec("rfm", [5], 1, 3.0, kind, seed=0, bounds=[[0.0, 1.0]]).build()
     pts = np.linspace(0.0, 1.0, 1001)        # clamped edges cover the closed domain
     total = basis.windows(pts).sum(axis=1)
     assert np.max(np.abs(total - 1.0)) < 1e-12
-    if kind == WindowKind.CHARACTERISTIC:
+    if kind == "characteristic":
         assert np.all(total == 1.0)
 
 
 def test_partition_of_unity_2d_characteristic():
-    basis = build_rfm(2, [3, 7], 1, 1.0, WindowKind.CHARACTERISTIC, seed=0,
-                      bounds=[[0.0, 1.0], [-1.0, 2.0]])
+    basis = BasisSpec("rfm", [3, 7], 1, 1.0, "characteristic", seed=0,
+                      bounds=[[0.0, 1.0], [-1.0, 2.0]]).build()
     # a grid that hits every cell edge, the domain's right edges included
     xs, ys = np.meshgrid(np.linspace(0.0, 1.0, 301),
                          np.linspace(-1.0, 2.0, 701))
@@ -183,8 +190,8 @@ def test_partition_of_unity_2d_characteristic():
 
 
 def test_tiled_characteristic_cells_share_edges():
-    basis = build_rfm(1, [5], 1, 3.0, WindowKind.CHARACTERISTIC, seed=0,
-                      bounds=[[0.0, 1.0]])
+    basis = BasisSpec("rfm", [5], 1, 3.0, "characteristic", seed=0,
+                      bounds=[[0.0, 1.0]]).build()
     # x = 0.2 is the shared edge of cells 0 and 1: it belongs to cell 1 only;
     # the closed box's ends belong to the first and last cells
     assert basis.windows([0.2, 0.0, 1.0]).tolist() == [
@@ -192,17 +199,17 @@ def test_tiled_characteristic_cells_share_edges():
 
 
 def test_partition_of_unity_2d_smooth():
-    basis = build_rfm(2, [3, 2], 1, 1.0, WindowKind.SMOOTH, seed=0,
-                      bounds=[[0.0, 1.0], [-1.0, 2.0]])
+    basis = BasisSpec("rfm", [3, 2], 1, 1.0, "smooth", seed=0,
+                      bounds=[[0.0, 1.0], [-1.0, 2.0]]).build()
     rng = np.random.default_rng(4)
     pts = rng.uniform([0.0, -1.0], [1.0, 2.0], size=(300, 2))
     assert np.max(np.abs(basis.windows(pts).sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_rfm_values_bounded():
-    for act in (ActivationKind.TANH, ActivationKind.SIN):
-        basis = build_rfm(1, [4], 8, 3.0, WindowKind.SMOOTH, act, seed=3,
-                          bounds=[[0.0, 1.0]])
+    for act in ("tanh", "sin"):
+        basis = BasisSpec("rfm", [4], 8, 3.0, "smooth", act, seed=3,
+                          bounds=[[0.0, 1.0]]).build()
         phi = basis.design_matrix(np.linspace(0, 1, 400))
         assert np.all(np.abs(phi) <= 1.0 + 1e-15)
 
@@ -211,11 +218,50 @@ def test_forced_zero_weights_give_zero_columns():
     # single characteristic partition covering the domain, tanh(0) = 0
     basis = RfmBasis(partitions_per_dim=(1,), weights=(np.zeros((3, 1)),),
                      biases=(np.zeros(3),), range_bound=1.0,
-                     activation=ActivationKind.TANH,
-                     window_kind=WindowKind.CHARACTERISTIC, seed=0,
+                     activation="tanh",
+                     window_kind="characteristic", seed=0,
                      bounds=np.array([[-1.0, 1.0]]))
     phi = basis.design_matrix(np.linspace(-1, 0.99, 50))
     assert np.all(phi == 0.0)
+
+
+# (spec, components, identity, sha256 prefix of the design's bytes at 23
+# points) recorded from the separate rfm, vector-rfm and fem builders that
+# BasisSpec.build replaced: a build must draw the same features in the same order
+_RECORDED = [
+    (dict(kind="rfm", partitions=[4], features_per_partition=3), 1,
+     "7ed08d3e5d3a5852", "55f4dadfa507b42f"),
+    (dict(kind="rfm", partitions=[2, 3], features_per_partition=2, window="characteristic",
+          activation="sin", seed=99, bounds=[[0.0, 1.0], [-1.0, 2.0]]), 1,
+     "cfe2e745a900fadc", "8a64f3f08209fc21"),
+    (dict(kind="rfm", partitions=[3, 2], features_per_partition=2, activation="sin",
+          seed=2 ** 40), 1,
+     "1d06b4920dd943d5", "42dd55ece8cf5c7e"),
+    (dict(kind="rfm", partitions=[2, 1, 2], features_per_partition=2,
+          window="characteristic", seed=7), 1,
+     "88e922e49142a8c9", "11efacdee8237573"),
+    (dict(kind="rfm", partitions=[2], features_per_partition=3, seed=13,
+          bounds=[[0.0, 1.0]]), 3,
+     "3db97c8a20e9dac7", "67846397df1e26a6"),
+    (dict(kind="fem", n_nodes=9), 1, "bc4bf04ee644b743", "6adcf8a90547fca5"),
+    (dict(kind="fem", n_nodes=5, domain=[-1.0, 2.0]), 1,
+     "56bb107632a82634", "3ccf1a9f41d17b8c"),
+]
+
+
+@pytest.mark.parametrize("kwargs, components, identity, design", _RECORDED,
+                         ids=["rfm_smooth_tanh", "rfm_characteristic_sin", "rfm_smooth_sin",
+                              "rfm_characteristic_tanh_3d", "vector_rfm", "fem", "fem_domain"])
+def test_build_matches_the_recorded_bases_bitwise(kwargs, components, identity, design):
+    spec = BasisSpec(**kwargs)
+    basis = spec.build(components)
+    if spec.kind == "fem":
+        pts = np.linspace(*spec.domain, 23)
+    else:
+        box = np.array(spec.bounds or [[-1.0, 1.0]] * spec.dim)
+        pts = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(23, spec.dim))
+    assert basis.identity() == identity
+    assert hashlib.sha256(basis.design_matrix(pts).tobytes()).hexdigest()[:16] == design
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +292,13 @@ def test_fem_reproduces_piecewise_linear():
 
 
 def test_fem_sums_to_one():
-    basis = uniform_fem_basis(9)
+    basis = BasisSpec("fem", n_nodes=9).build()
     pts = np.linspace(0, 1, 123)
     assert np.max(np.abs(basis.design_matrix(pts).sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_fem_rejects_outside_domain():
-    basis = uniform_fem_basis(5)
+    basis = BasisSpec("fem", n_nodes=5).build()
     with pytest.raises(DomainError):
         basis.design_matrix(np.array([1.2]))
     with pytest.raises(DomainError):
@@ -271,7 +317,7 @@ def test_fem_rejects_bad_nodes():
 
 
 def test_vector_basis_stacks_component_blocks():
-    vb = build_vector_rfm(2, 1, [2], 3, 2.0, seed=13, bounds=[[0.0, 1.0]])
+    vb = BasisSpec("rfm", [2], 3, 2.0, seed=13, bounds=[[0.0, 1.0]]).build(2)
     pts = np.linspace(0, 1, 20)
     stacked = vb.design_matrix(pts)
     assert stacked.shape == (40, 6)
@@ -282,19 +328,19 @@ def test_vector_basis_stacks_component_blocks():
 
 
 def test_vector_components_use_independent_draws():
-    vb = build_vector_rfm(2, 1, [2], 3, 2.0, seed=13)
+    vb = BasisSpec("rfm", [2], 3, 2.0, seed=13).build(2)
     assert not np.array_equal(vb.components[0].weights[0], vb.components[1].weights[0])
 
 
 def test_vector_basis_rejects_mismatched_sizes():
-    a = build_rfm(1, [2], 3, 1.0, seed=1)
-    b = build_rfm(1, [2], 4, 1.0, seed=2)
+    a = BasisSpec("rfm", [2], 3, 1.0, seed=1).build()
+    b = BasisSpec("rfm", [2], 4, 1.0, seed=2).build()
     with pytest.raises(ConfigurationError):
         VectorBasis((a, b))
 
 
 def test_vector_basis_deterministic():
-    a = build_vector_rfm(3, 1, [2], 2, 1.0, seed=5)
-    b = build_vector_rfm(3, 1, [2], 2, 1.0, seed=5)
+    a = BasisSpec("rfm", [2], 2, 1.0, seed=5).build(3)
+    b = BasisSpec("rfm", [2], 2, 1.0, seed=5).build(3)
     pts = np.linspace(-1, 1, 11)
     assert np.array_equal(a.design_matrix(pts), b.design_matrix(pts))

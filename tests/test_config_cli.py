@@ -125,6 +125,34 @@ def test_dataset_spec_validation():
     DatasetSpec(kind="poisson2d", n=3, m_train=1, m_test=1, length_scale=0.0, amplitude=-1.0)
 
 
+@pytest.mark.parametrize("cls, kwargs, field", [
+    (TrainConfig, {"epochs": 2.5}, "epochs"),
+    (TrainConfig, {"epochs": 3, "batch_size": 2.5}, "batch_size"),
+    (TrainConfig, {"epochs": 3, "eval_interval": True}, "eval_interval"),
+    (TrainConfig, {"epochs": 3, "seed": 1.0}, "seed"),
+    (NetSpec, {"hidden": 2.5}, "hidden"),
+    (NetSpec, {"seed": False}, "seed"),
+    (DatasetSpec, {"kind": "darcy1d", "n": 3.5, "m_train": 1, "m_test": 1}, "n"),
+    (DatasetSpec, {"kind": "darcy1d", "n": 4, "m_train": True, "m_test": 1}, "m_train"),
+    (DatasetSpec, {"kind": "poisson2d", "n": 4, "m_train": 1, "m_test": 1, "modes": 2.0}, "modes"),
+    (DatasetSpec, {"kind": "darcy1d", "n": 4, "m_train": 1, "m_test": 1, "seed": 0.5}, "seed"),
+    (BasisSpec, {"kind": "rfm", "partitions": [2], "features_per_partition": 2.7},
+     "features_per_partition"),
+    (BasisSpec, {"kind": "fem", "n_nodes": 2.5}, "n_nodes"),
+    (BasisSpec, {"kind": "fem", "n_nodes": 3, "seed": 1.0}, "seed"),
+], ids=["float_epochs", "float_batch_size", "bool_eval_interval", "float_train_seed",
+        "float_hidden", "bool_net_seed", "float_n", "bool_m_train", "float_modes",
+        "float_dataset_seed", "float_features", "float_n_nodes", "float_basis_seed"])
+def test_integer_settings_built_in_python_refuse_floats_and_bools(cls, kwargs, field):
+    with pytest.raises(ConfigurationError, match=rf"^{field}: must be an integer"):
+        cls(**kwargs)
+
+
+def test_integer_settings_take_numpy_integers():
+    assert TrainConfig(epochs=np.int64(3), batch_size=np.int32(2)).epochs == 3
+    assert DatasetSpec(kind="darcy1d", n=np.int64(4), m_train=1, m_test=1).n == 4
+
+
 def test_config_accepts_an_int_for_a_float_field():
     data = _tiny_config_dict()
     data["train"]["lr_start"] = 1

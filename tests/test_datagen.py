@@ -74,6 +74,29 @@ def test_grf_config_validation():
         sample_grf_at(pts[:0], 3, 0)
 
 
+@pytest.mark.parametrize("seed, count, field", [
+    (None, 2, "seed"), (1.5, 2, "seed"), ("3", 2, "seed"), (-1, 2, "seed"), ([3, -1], 2, "seed"),
+    (0, -1, "count"), (0, 2.5, "count"), (0, True, "count"),
+], ids=["none_seed", "float_seed", "string_seed", "negative_seed", "negative_seed_entry",
+        "negative_count", "float_count", "bool_count"])
+def test_grf_refuses_an_unrepeatable_seed_or_a_bad_count_before_factoring(monkeypatch, seed,
+                                                                          count, field):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored before checking the seed and count")
+
+    monkeypatch.setattr(datagen, "_grf_factor", no_factor)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        sample_grf_at(np.linspace(0, 1, 10), count, seed)
+
+
+def test_grf_takes_the_seeds_the_generators_record_and_pass():
+    pts = np.linspace(0, 1, 10)
+    assert np.array_equal(sample_grf_at(pts, 3, np.int64(4)), sample_grf_at(pts, 3, 4))
+    assert np.array_equal(sample_grf_at(pts, 3, [4, 5]),
+                          sample_grf_at(pts, 3, np.random.SeedSequence([4, 5])))
+    assert sample_grf_at(pts, 0, 4).shape == (0, 10)
+
+
 @pytest.mark.parametrize("length_scale, amplitude", [(np.inf, 1.0), (0.04, np.inf)],
                          ids=["inf_length_scale", "inf_amplitude"])
 def test_grf_refuses_a_non_finite_length_scale_or_amplitude(length_scale, amplitude):

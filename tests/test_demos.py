@@ -1,8 +1,9 @@
-"""The demo scripts stay in step with the package.
+"""The demo scripts and README's example stay in step with the package.
 
-Demos 01 and 02 take about a second each and are run; the others train for
-tens of seconds to minutes, so only the names they import from fbc2c and the
-arguments they pass to those names are checked.
+Demos 01 and 02 and README's python blocks take about a second each and are
+run; the other demos train for tens of seconds to minutes, so only the names
+they import from fbc2c and the arguments they pass to those names are
+checked.
 """
 
 import ast
@@ -10,6 +11,7 @@ import importlib
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -60,12 +62,25 @@ def test_demo_calls_pass_only_parameters_that_exist(demo):
     assert refused == []
 
 
-@pytest.mark.parametrize("demo", DEMOS[:2], ids=[path.stem for path in DEMOS[:2]])
-def test_quick_demo_runs_without_warnings(demo):
+def _run_without_warnings(args):
+    """Run python on ``args`` from the repo root, with the source tree first and warnings as errors."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    return done
+
+
+@pytest.mark.parametrize("demo", DEMOS[:2], ids=[path.stem for path in DEMOS[:2]])
+def test_quick_demo_runs_without_warnings(demo):
+    assert _run_without_warnings([str(demo)]).stdout
+
+
+def test_readme_python_blocks_run_without_warnings():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        _run_without_warnings(["-c", block])

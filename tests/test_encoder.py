@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbc2c import encoder
-from fbc2c.basis import (ActivationKind, RfmBasis, VectorBasis, WindowKind, build_rfm,
-                         build_vector_rfm, uniform_fem_basis)
+from fbc2c.basis import BasisSpec, RfmBasis, VectorBasis
 from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
                            effective_rank_of_singular_values, encode,
                            projection_error)
@@ -148,7 +147,7 @@ def test_monotone_shrinkage_in_lambda():
 
 
 def test_encode_through_basis():
-    basis = uniform_fem_basis(5)
+    basis = BasisSpec("fem", n_nodes=5).build()
     pts = basis.nodes
     values = np.array([[0.0, 1.0, 2.0, 1.0, 0.0]])
     coeffs = encode(basis, pts, values, EncodeSpec("ridge", 0.0))
@@ -163,12 +162,12 @@ def _zero_basis_like(basis):
     return RfmBasis(partitions_per_dim=basis.partitions_per_dim,
                     weights=tuple(np.zeros_like(w) for w in basis.weights),
                     biases=tuple(np.zeros_like(b) for b in basis.biases),
-                    range_bound=basis.range_bound, activation=ActivationKind.TANH,
+                    range_bound=basis.range_bound, activation="tanh",
                     window_kind=basis.window_kind, seed=0, bounds=basis.bounds)
 
 
 def test_encode_vector_single_component_reduces_to_encode():
-    basis = build_rfm(1, [2], 4, 2.0, seed=9, bounds=[[0.0, 1.0]])
+    basis = BasisSpec("rfm", [2], 4, 2.0, seed=9, bounds=[[0.0, 1.0]]).build()
     vb = VectorBasis((basis,))
     pts = np.linspace(0, 1, 30)
     rng = np.random.default_rng(0)
@@ -179,7 +178,7 @@ def test_encode_vector_single_component_reduces_to_encode():
 
 
 def test_encode_vector_zero_component_padding():
-    basis = build_rfm(1, [2], 4, 2.0, seed=9, bounds=[[0.0, 1.0]])
+    basis = BasisSpec("rfm", [2], 4, 2.0, seed=9, bounds=[[0.0, 1.0]]).build()
     vb = VectorBasis((basis, _zero_basis_like(basis)))
     pts = np.linspace(0, 1, 30)
     rng = np.random.default_rng(1)
@@ -191,7 +190,7 @@ def test_encode_vector_zero_component_padding():
 
 
 def test_encode_vector_matches_dense_stacked_oracle():
-    vb = build_vector_rfm(2, 1, [2], 5, 2.5, seed=17, bounds=[[0.0, 1.0]])
+    vb = BasisSpec("rfm", [2], 5, 2.5, seed=17, bounds=[[0.0, 1.0]]).build(2)
     pts = np.linspace(0, 1, 40)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((4, 2, 40))
@@ -211,7 +210,7 @@ def test_encode_vector_matches_dense_stacked_oracle():
 
 
 def test_encode_vector_shape_validation():
-    vb = build_vector_rfm(2, 1, [2], 5, 2.5, seed=17)
+    vb = BasisSpec("rfm", [2], 5, 2.5, seed=17).build(2)
     pts = np.linspace(-1, 1, 10)
     for check in (encode, projection_error):
         with pytest.raises(ConfigurationError, match=r"expected values of shape \(M, 2, n\)"):
@@ -284,7 +283,7 @@ def test_variance_entropy_balance():
 
 
 def test_projection_error_in_span_target():
-    basis = build_rfm(1, [3], 6, 2.0, seed=31, bounds=[[0.0, 1.0]])
+    basis = BasisSpec("rfm", [3], 6, 2.0, seed=31, bounds=[[0.0, 1.0]]).build()
     pts = np.linspace(0, 1, 120)
     phi = basis.design_matrix(pts)
     rng = np.random.default_rng(6)
@@ -294,14 +293,14 @@ def test_projection_error_in_span_target():
 
 
 def test_projection_error_fem_interpolates_linear():
-    basis = uniform_fem_basis(3)
+    basis = BasisSpec("fem", n_nodes=3).build()
     pts = basis.nodes
     pe = projection_error(basis, pts, pts[None, :], EncodeSpec("ridge", 0.0))  # u(x) = x at nodes
     assert pe.mean < 1e-12
 
 
 def test_projection_error_matches_dense_oracle():
-    basis = uniform_fem_basis(3)
+    basis = BasisSpec("fem", n_nodes=3).build()
     pts = np.linspace(0, 1, 100)
     target = np.sin(np.pi * pts)[None, :]
     pe = projection_error(basis, pts, target, EncodeSpec("ridge", 0.0))
@@ -312,7 +311,7 @@ def test_projection_error_matches_dense_oracle():
 
 
 def test_projection_error_excludes_zero_norm_samples():
-    basis = uniform_fem_basis(4)
+    basis = BasisSpec("fem", n_nodes=4).build()
     pts = np.linspace(0, 1, 50)
     targets = np.vstack([np.sin(pts), np.zeros(50)])
     pe = projection_error(basis, pts, targets, EncodeSpec("ridge", 1e-8))
