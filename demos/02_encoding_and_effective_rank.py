@@ -35,9 +35,3 @@ for cut in (1e-6, 1e-4, 1e-2, 1e-1):
     resid = projection_error(basis, grid, fields, EncodeSpec(cut=cut)).mean
     print(f"{cut:7.0e}  {kept:4d}  {d.effective_rank:6.2f}   "
           f"{d.variance_entropy:12.2f}   {resid:12.3e}")
-
-print("\nridge gives the same kind of control through its penalty:")
-for lam in (1e-10, 1e-6, 1e-2):
-    coeffs = LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(fields)
-    print(f"  lam {lam:7.0e}: coefficient norm {np.linalg.norm(coeffs, axis=1).mean():9.2f}, "
-          f"erank {diagnostics(coeffs).effective_rank:6.2f}")

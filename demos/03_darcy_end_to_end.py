@@ -22,8 +22,8 @@ config = ExperimentConfig(
                           range_bound=3.0, seed=21, bounds=[[0.0, 1.0]]),
     output_basis=BasisSpec(kind="rfm", partitions=[4], features_per_partition=8,
                            range_bound=3.0, seed=22, bounds=[[0.0, 1.0]]),
-    input_encode=EncodeSpec(method="tsvd", cut=1e-2),
-    output_encode=EncodeSpec(method="tsvd", cut=1e-6),
+    input_encode=EncodeSpec(cut=1e-2),
+    output_encode=EncodeSpec(cut=1e-6),
     net=NetSpec(hidden=512, seed=7),
     train=TrainConfig(epochs=3000, batch_size=50, seed=9, eval_interval=500),
 )

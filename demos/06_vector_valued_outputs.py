@@ -20,7 +20,7 @@ config = ExperimentConfig(
                           range_bound=3.0, seed=51, bounds=[[0.0, 1.0]]),
     output_basis=BasisSpec(kind="rfm", partitions=[4], features_per_partition=32,
                            range_bound=3.0, seed=52, bounds=[[0.0, 1.0]]),
-    output_encode=EncodeSpec(method="tsvd", cut=1e-6),
+    output_encode=EncodeSpec(cut=1e-6),
     net=NetSpec(hidden=512, seed=53),
     train=TrainConfig(epochs=3000, batch_size=75, seed=54, eval_interval=1000),
 )

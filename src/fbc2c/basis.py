@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, check_int, is_int
+from .errors import ConfigurationError, DomainError, check_int, check_real, is_int
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +339,12 @@ class BasisSpec:
             return
         if self.partitions is None or self.features_per_partition is None:
             raise ConfigurationError("partitions: rfm needs partitions and features_per_partition")
-        if not (self.partitions and all(is_int(p) and p >= 1 for p in self.partitions)):
+        if not (isinstance(self.partitions, (list, tuple)) and self.partitions
+                and all(is_int(p) and p >= 1 for p in self.partitions)):
             raise ConfigurationError(
                 f"partitions: must be one integer count >= 1 per dimension, got {self.partitions!r}")
         check_int("features_per_partition", self.features_per_partition, 1)
+        check_real("range_bound", self.range_bound)
         if not (math.isfinite(self.range_bound) and self.range_bound > 0):
             raise ConfigurationError(f"range_bound: must be finite and > 0, got {self.range_bound!r}")
         if self.bounds is not None and not _is_box(self.bounds, self.dim):

@@ -20,8 +20,7 @@ import numpy as np
 from .config import load_config
 from .container import read_container, write_container
 from .encoder import diagnostics, encode
-from .errors import (ConfigurationError, DataError, DomainError, NumericalError,
-                     RankDeficiencyError, TrainingDiverged)
+from .errors import ConfigurationError, DataError, DomainError, NumericalError, TrainingDiverged
 from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, run,
                          sweep_cutoff)
 
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error code=3 kind=missing-file msg={exc}", file=sys.stderr)
         return 3
-    except (RankDeficiencyError, NumericalError, TrainingDiverged) as exc:
+    except (NumericalError, TrainingDiverged) as exc:
         print(f"error code=4 kind=numeric msg={exc}", file=sys.stderr)
         return 4
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .basis import BasisSpec
 from .encoder import EncodeSpec
-from .errors import ConfigurationError, check_int
+from .errors import ConfigurationError, check_int, check_real
 from .neuralop import TrainConfig
 
 # Per dataset kind: the size fields it reads with the least value each takes
@@ -70,8 +70,11 @@ class DatasetSpec:
             check_int(name, value, least)
         for name in scales:
             value = getattr(self, name)
+            check_real(name, value)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
+        if "amplitude" in scales and math.isinf(float(self.amplitude) * float(self.amplitude)):
+            raise ConfigurationError(f"amplitude: its square must be finite, got {self.amplitude!r}")
         check_int("seed", self.seed, 0)
 
 

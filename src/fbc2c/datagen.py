@@ -32,7 +32,6 @@ at 3532.
 from __future__ import annotations
 
 import contextvars
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,17 +85,17 @@ class FunctionDataset:
 def _seed_provenance(seed):
     """The value a generator records for ``seed``, checked before it draws anything.
 
-    A non-negative integer (any ``numbers.Integral``) is recorded as an int
+    A non-negative integer (``errors.is_int``, so not a bool) is recorded as an int
     and a sequence of non-negative integers as a list of ints; the
     generator seeds its ``SeedSequence`` with that value, so the record
     regenerates the data.  Anything else (``None``, which would draw fresh
-    OS entropy, a float, a string) raises ``ConfigurationError``.
+    OS entropy, a bool, a float, a string) raises ``ConfigurationError``.
     """
-    if isinstance(seed, numbers.Integral):
+    if is_int(seed):
         if seed >= 0:
             return int(seed)
     elif isinstance(seed, Sequence) and not isinstance(seed, (str, bytes)):
-        if all(isinstance(s, numbers.Integral) and s >= 0 for s in seed):
+        if all(is_int(s) and s >= 0 for s in seed):
             return [int(s) for s in seed]
     raise ConfigurationError(
         f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
@@ -296,11 +295,11 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     if not isinstance(seed, np.random.SeedSequence):
         _seed_provenance(seed)
     _grid_size("count", count, 0)
-    if not (np.isfinite(length_scale) and np.isfinite(amplitude)
-            and length_scale > 0 and amplitude > 0):
+    if not (np.isfinite(length_scale) and length_scale > 0 and amplitude > 0
+            and np.isfinite(float(amplitude) * float(amplitude))):
         raise ConfigurationError(
-            "length_scale and amplitude must be positive and finite, "
-            f"got {length_scale} and {amplitude}")
+            "length_scale and amplitude must be positive and finite, and so must amplitude "
+            f"squared, got {length_scale} and {amplitude}")
     pts = np.asarray(points, dtype=np.float64).ravel()
     if not pts.size:
         raise ConfigurationError("a GRF needs at least one point")

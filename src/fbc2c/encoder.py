@@ -3,18 +3,17 @@
 ``encode`` is the one entry point for sampled functions, on a scalar or a
 vector-valued basis; ``projection_error`` takes the same inputs.
 
-One SVD, two filters: every design matrix is factored once by a thin SVD,
-and an ``EncodeSpec`` only chooses the filter applied to its singular
-values (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
-Ridge is the Tikhonov filter s / (s^2 + lam * n); the truncated SVD is 1/s
-on the kept values and 0 elsewhere.  The filtered factors are applied to all
-samples of a batch by matrix multiplication.  ``EncodeSpec`` is also the
-run config's encode section (``fbc2c.config``), so a spec is checked once,
-where it is made.
+One SVD, one filter: every design matrix is factored once by a thin SVD,
+and the truncated SVD applies 1/s to the singular values an ``EncodeSpec``
+keeps and 0 to the rest (Hansen, *Rank-Deficient and Discrete Ill-Posed
+Problems*, 1998).  The filtered factors are applied to all samples of a
+batch by matrix multiplication.  ``EncodeSpec`` is also the run config's
+encode section (``fbc2c.config``), so a spec is checked once, where it is
+made.
 
 An encoder exposes its factors as ``svd``; passing them to another encoder
 on the same design (``LeastSquaresEncoder(design, spec, svd=enc.svd)``)
-re-filters them for a new spec without factoring again.  The caller owns
+re-filters them for a new cut without factoring again.  The caller owns
 that reuse: ``experiment.run`` keeps one factorization per design matrix.
 """
 
@@ -27,47 +26,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import VectorBasis
-from .errors import ConfigurationError, DataError, RankDeficiencyError
+from .errors import ConfigurationError, DataError, check_real
 
 
 @dataclass
 class EncodeSpec:
-    """How sampled functions are projected onto a basis: the SVD filter and its setting.
+    """How sampled functions are projected onto a basis: the truncated SVD and its cut.
 
-    ``method`` "ridge" is penalized least squares with penalty weight ``lam``
-    on ||a||^2.  The data term carries a 1/n factor, so the minimizer is
-    a = (Phi^T Phi + lam * n * I)^{-1} Phi^T f with n the number of sample
-    points, which keeps a given lam meaningful across grid sizes.  It is
-    computed as a filter on the SVD Phi = U diag(s) V^T, never by forming
-    Phi^T Phi: a = V diag(s / (s^2 + lam * n)) U^T f.
+    The encoding is the pseudo-inverse of the design matrix Phi that drops
+    every singular value below ``cut * sigma_1``, and every zero one, so a
+    cut means the same at any scale of the design and the kept condition
+    sigma_1 / sigma_min_kept is at most 1 / cut for cut > 0; a near-singular
+    design is cut, not refused.
 
-    ``method`` "tsvd" is the pseudo-inverse that discards singular values
-    below ``cut * sigma_1``, a threshold relative to the largest one, so a
-    cut means the same at any scale of the design.
-
+    ``method`` must be "tsvd".  The field stays only while the benchmark's
+    workloads pass ``method="tsvd"``; once they drop the argument it can go.
     Every field is checked on construction; an error names the field.
     """
 
     method: str = "tsvd"
-    lam: float = 0.0
     cut: float = 1e-2
 
     def __post_init__(self):
-        if self.method not in ("ridge", "tsvd"):
-            raise ConfigurationError(
-                f"method: unknown method {self.method!r}, expected 'ridge' or 'tsvd'")
-        for name in ("lam", "cut"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name}: must be finite and >= 0, got {value!r}")
+        if self.method != "tsvd":
+            raise ConfigurationError(f"method: unknown method {self.method!r}, expected 'tsvd'")
+        check_real("cut", self.cut)
+        if not (math.isfinite(self.cut) and self.cut >= 0):
+            raise ConfigurationError(f"cut: must be finite and >= 0, got {self.cut!r}")
 
-    @property
-    def cut_or_lambda(self) -> float:
-        return self.lam if self.method == "ridge" else self.cut
-
-
-# condition estimate beyond which an unregularized solve is refused
-_COND_LIMIT = 1.0 / (100.0 * np.finfo(np.float64).eps)
 
 # rows per product in encode_values; every batch is cut into tiles of this height
 _TILE_ROWS = 64
@@ -76,21 +62,15 @@ _TILE_ROWS = 64
 class LeastSquaresEncoder:
     """Holds one factorization of a design matrix and encodes sample batches.
 
-    ``n_points`` is the number of spatial sample points; for a stacked
-    vector-valued design matrix this is rows / n_components, and it is what
-    scales the ridge penalty.
-
     ``svd`` is the thin SVD ``(u, s, vt)`` of ``design``, computed here when
     not given; it is exposed as ``svd`` for other encoders on the same design.
 
     ``kept_rank``, ``sigma_max``, ``sigma_min_kept`` and ``condition``
     describe the filter: a singular value is kept where its filter factor is
-    nonzero (every positive one for a ridge, those at or above the threshold
-    for a cut).
+    nonzero, which is where it is positive and at or above the cut.
     """
 
-    def __init__(self, design: np.ndarray, spec: EncodeSpec, n_points: int | None = None,
-                 svd=None):
+    def __init__(self, design: np.ndarray, spec: EncodeSpec, svd=None):
         design = np.asarray(design, dtype=np.float64)
         if design.ndim != 2 or design.size == 0:
             raise ConfigurationError(f"design matrix must be 2-D and nonempty, got shape {design.shape}")
@@ -98,33 +78,16 @@ class LeastSquaresEncoder:
             raise ConfigurationError(f"expected an EncodeSpec, got {spec!r}")
         self.design = design
         self.spec = spec
-        self.n_points = int(n_points) if n_points is not None else design.shape[0]
         if svd is None:
             svd = np.linalg.svd(design, full_matrices=False)
         u, s, vt = svd
         if u.shape[0] != design.shape[0] or vt.shape[1] != design.shape[1]:
             raise ConfigurationError(
                 f"svd factors {u.shape}, {vt.shape} do not fit a design matrix of shape {design.shape}")
-        if spec.method == "ridge":
-            if spec.lam == 0.0:
-                # cond(Phi); fewer nonzero singular values than columns is inf
-                full_rank = s.size == design.shape[1] and s[-1] > 0.0
-                cond = s[0] / s[-1] if full_rank else np.inf
-                if cond > _COND_LIMIT:
-                    raise RankDeficiencyError(
-                        f"design matrix singular without regularization "
-                        f"(condition estimate {cond:.3e}); increase lam or use a cut",
-                        condition_estimate=float(cond),
-                    )
-            filt = s / (s * s + spec.lam * self.n_points)
-        else:
-            filt = np.zeros_like(s)
-            keep = (s >= spec.cut * s[0]) & (s > 0)
-            filt[keep] = 1.0 / s[keep]
         self.svd = (u, s, vt)
-        # s descends, so both filters are nonzero on a prefix of it, and the
-        # columns past that prefix contribute nothing to an encoding
-        self._filt = filt[:np.count_nonzero(filt)]
+        # s descends, so the kept values are a prefix of it, and the columns
+        # past that prefix, whose filter factor is 0, add nothing to an encoding
+        self._filt = 1.0 / s[(s >= spec.cut * s[0]) & (s > 0)]
 
     @property
     def kept_rank(self) -> int:
@@ -190,17 +153,17 @@ class LeastSquaresEncoder:
 
 
 def _design_and_rows(basis, points, values):
-    """(design matrix at ``points``, points per component, sample rows).
+    """(design matrix at ``points``, sample rows).
 
     A VectorBasis stacks its C component blocks into a (C*n, m) design, and
     its (M, C, n) or (C, n) samples are stacked component-major into rows of
-    C*n values to match; the points per component is n.  A scalar basis
-    takes (M, n) or (n,) samples as they are.
+    C*n values to match.  A scalar basis takes (M, n) or (n,) samples as
+    they are.
     """
     design = basis.design_matrix(points)
     values = np.asarray(values, dtype=np.float64)
     if not isinstance(basis, VectorBasis):
-        return design, design.shape[0], values
+        return design, values
     if values.ndim == 2:
         values = values[None, :, :]
     if values.ndim != 3 or values.shape[1] != basis.n_components:
@@ -212,7 +175,7 @@ def _design_and_rows(basis, points, values):
         raise ConfigurationError(
             f"samples have {values.shape[2]} points per component, design matrix has {n}"
         )
-    return design, n, values.reshape(values.shape[0], -1)
+    return design, values.reshape(values.shape[0], -1)
 
 
 def encode(basis, points, values, spec: EncodeSpec) -> np.ndarray:
@@ -220,12 +183,11 @@ def encode(basis, points, values, spec: EncodeSpec) -> np.ndarray:
 
     values: (M, n) or (n,) function samples at ``points`` for a scalar
     basis; (M, C, n) or (C, n) for a VectorBasis of C components, whose
-    solve runs on the stacked design with the ridge penalty scaled by n,
-    matching the per-point normalization of the data term.  Returns the
-    (M, m) coefficients, one row per sample in basis order.
+    solve runs on the stacked design.  Returns the (M, m) coefficients, one
+    row per sample in basis order.
     """
-    design, n, rows = _design_and_rows(basis, points, values)
-    enc = LeastSquaresEncoder(design, spec, n_points=n)
+    design, rows = _design_and_rows(basis, points, values)
+    enc = LeastSquaresEncoder(design, spec)
     return np.atleast_2d(enc.encode_values(rows))
 
 
@@ -297,10 +259,10 @@ class ProjectionError:
 
 
 def projection_error_from_design(design: np.ndarray, targets: np.ndarray, spec: EncodeSpec,
-                                 n_points: int | None = None, svd=None) -> ProjectionError:
+                                 svd=None) -> ProjectionError:
     """Projection error against a design matrix; ``svd`` is its thin SVD if known."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    enc = LeastSquaresEncoder(design, spec, n_points=n_points, svd=svd)
+    enc = LeastSquaresEncoder(design, spec, svd=svd)
     coeffs = np.atleast_2d(enc.encode_values(targets))
     resid = coeffs @ design.T - targets
     rnorm = np.linalg.norm(resid, axis=1)
@@ -318,23 +280,23 @@ def projection_error_from_design(design: np.ndarray, targets: np.ndarray, spec: 
 
 
 def projection_error(basis, points, targets, spec: EncodeSpec) -> ProjectionError:
-    """Relative L2 error of the regularized best fit in the basis span.
+    """Relative L2 error of the truncated best fit in the basis span.
 
     Targets take the shapes ``encode`` takes; for a VectorBasis the norm
     runs over the stacked component values.
     """
-    design, n, rows = _design_and_rows(basis, points, targets)
-    return projection_error_from_design(design, rows, spec, n_points=n)
+    design, rows = _design_and_rows(basis, points, targets)
+    return projection_error_from_design(design, rows, spec)
 
 
 def write_diagnostics_csv(path, rows) -> None:
     """Flat diagnostics export: one row per encode spec.
 
-    Columns: cut_or_lambda, erank, variance_entropy, mean_projection_error.
+    Columns: cut, erank, variance_entropy, mean_projection_error.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["cut_or_lambda", "erank", "variance_entropy", "mean_projection_error"])
+        writer.writerow(["cut", "erank", "variance_entropy", "mean_projection_error"])
         for row in rows:
             writer.writerow([repr(float(row[0])), repr(float(row[1])),
                              repr(float(row[2])), repr(float(row[3]))])

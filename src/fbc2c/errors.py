@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its integer-setting check."""
+"""Exception hierarchy shared across the package, and its integer and real setting checks."""
 
 import numbers
 
@@ -27,24 +27,18 @@ def check_int(name: str, value, least: int) -> None:
         raise ConfigurationError(f"{name}: must be >= {least}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Refuse the setting ``name`` unless it is a real number; a bool or a str is not one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigurationError(f"{name}: must be a real number, got {value!r}")
+
+
 class DomainError(ValueError):
     """Evaluation point outside the domain a basis is defined on."""
 
 
 class DataError(ValueError):
     """Invalid numerical data: NaN inputs, zero-norm targets, etc."""
-
-
-class RankDeficiencyError(RuntimeError):
-    """An unregularized least-squares solve on a numerically singular design matrix.
-
-    ``condition_estimate`` is cond(Phi) = sigma_1 / sigma_min of the design
-    matrix, inf when it has fewer nonzero singular values than columns.
-    """
-
-    def __init__(self, message: str, condition_estimate: float):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
 
 
 class NumericalError(RuntimeError):

@@ -109,8 +109,7 @@ def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
     design, svd = data.designs.get(key, (None, None))
     if design is None:
         design = _reconstruction_matrix(basis, points, components)
-    enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode"),
-                              n_points=points.shape[0], svd=svd)
+    enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode"), svd=svd)
     data.designs[key] = (design, enc.svd)
     return basis, enc
 
@@ -232,8 +231,7 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
     _fold_standardization(net, mean, scale)
 
     final_err, per_sample = relative_loss(forward(net, a_test), psi_eff, u_test)
-    proj = projection_error_from_design(psi_eff, u_test, config.output_encode,
-                                        n_points=out_enc.n_points, svd=out_enc.svd)
+    proj = projection_error_from_design(psi_eff, u_test, config.output_encode, svd=out_enc.svd)
     report = RunReport(
         final_test_error=final_err,
         test_error_per_sample=per_sample,
@@ -275,9 +273,7 @@ def _evaluation_bases(config: ExperimentConfig, components: int):
 def _evaluate(result: TrainedMap, dataset: datagen.FunctionDataset, in_basis, out_basis):
     """``evaluate_on`` with both bases given."""
     config = result.config
-    pts = dataset.input_points
-    enc = LeastSquaresEncoder(in_basis.design_matrix(pts), config.input_encode,
-                              n_points=pts.shape[0])
+    enc = LeastSquaresEncoder(in_basis.design_matrix(dataset.input_points), config.input_encode)
     psi = _reconstruction_matrix(out_basis, dataset.output_points, dataset.output_components)
     return relative_loss(forward(result.net, enc.encode_values(dataset.inputs)), psi,
                          _stack_components(dataset.outputs))
@@ -318,7 +314,7 @@ def sweep_cutoff(config: ExperimentConfig, cuts,
     """
     if len(cuts) < 1:
         raise ConfigurationError("sweep needs at least one cut value")
-    members = [dataclasses.replace(config, input_encode=EncodeSpec(method="tsvd", cut=float(cut)))
+    members = [dataclasses.replace(config, input_encode=EncodeSpec(cut=float(cut)))
                for cut in cuts]
     data = prepared if prepared is not None else prepare_data(config.dataset)
     rows = []
@@ -411,7 +407,7 @@ def write_artifacts(result: RunResult, outdir) -> None:
                              repr(float(trace.lr[epoch]))])
 
     write_diagnostics_csv(out / "diagnostics.csv", [(
-        config.input_encode.cut_or_lambda,
+        config.input_encode.cut,
         report.erank,
         report.variance_entropy,
         report.projection.mean,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, TrainingDiverged, check_int, is_int
+from .errors import ConfigurationError, DataError, TrainingDiverged, check_int, check_real, is_int
 
 
 class OperatorNet:
@@ -265,6 +265,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 0)
+        check_real("lr_start", self.lr_start)
+        check_real("lr_end", self.lr_end)
         if not self.lr_end > 0:
             raise ConfigurationError(f"lr_end: must be > 0, got {self.lr_end!r}")
         if not math.isfinite(self.lr_start):
@@ -460,30 +462,32 @@ def train(net: OperatorNet,
     test_hist: list[float] = []
     started = time.perf_counter()
 
-    for epoch in range(config.epochs):
-        lr = learning_rate(epoch, config)
-        lr_hist[epoch] = lr
-        if not full_batch:
-            order = rng.permutation(n_samples)
-            batches = [order[i: i + batch_size] for i in range(0, n_samples, batch_size)]
-        batch_losses = []
-        for rows in batches:
-            loss, grads = loss_ws.loss_and_grads(net, x_train[rows], rows=rows)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"training loss became non-finite at epoch {epoch}",
-                    epoch=epoch, checkpoint=net.copy(),
-                    trace=_finish_trace(train_hist[:epoch], lr_hist[:epoch],
-                                        test_epochs, test_hist, started),
-                )
-            adam.step(net.parameters, grads.parameters, lr)
-            batch_losses.append(loss)
-        # the mean of one loss is that loss, bit for bit
-        train_hist[epoch] = np.mean(batch_losses)
-        if test_ws is not None and (epoch % config.eval_interval == 0
-                                    or epoch == config.epochs - 1):
-            test_epochs.append(epoch)
-            test_hist.append(test_ws.loss(net, a_test))
+    # a diverging run reports through TrainingDiverged, not numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = learning_rate(epoch, config)
+            lr_hist[epoch] = lr
+            if not full_batch:
+                order = rng.permutation(n_samples)
+                batches = [order[i: i + batch_size] for i in range(0, n_samples, batch_size)]
+            batch_losses = []
+            for rows in batches:
+                loss, grads = loss_ws.loss_and_grads(net, x_train[rows], rows=rows)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"training loss became non-finite at epoch {epoch}",
+                        epoch=epoch, checkpoint=net.copy(),
+                        trace=_finish_trace(train_hist[:epoch], lr_hist[:epoch],
+                                            test_epochs, test_hist, started),
+                    )
+                adam.step(net.parameters, grads.parameters, lr)
+                batch_losses.append(loss)
+            # the mean of one loss is that loss, bit for bit
+            train_hist[epoch] = np.mean(batch_losses)
+            if test_ws is not None and (epoch % config.eval_interval == 0
+                                        or epoch == config.epochs - 1):
+                test_epochs.append(epoch)
+                test_hist.append(test_ws.loss(net, a_test))
 
     trace = _finish_trace(train_hist, lr_hist, test_epochs, test_hist, started)
     return net, trace

@@ -148,6 +148,27 @@ def test_integer_settings_built_in_python_refuse_floats_and_bools(cls, kwargs, f
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("cls, kwargs, field", [
+    (BasisSpec, {"kind": "rfm", "partitions": [2], "features_per_partition": 2,
+                 "range_bound": "3"}, "range_bound"),
+    (BasisSpec, {"kind": "rfm", "partitions": [2], "features_per_partition": 2,
+                 "range_bound": True}, "range_bound"),
+    (BasisSpec, {"kind": "rfm", "partitions": 3, "features_per_partition": 2}, "partitions"),
+    (DatasetSpec, {"kind": "darcy1d", "n": 4, "m_train": 1, "m_test": 1,
+                   "length_scale": "0.1"}, "length_scale"),
+    (DatasetSpec, {"kind": "darcy1d", "n": 4, "m_train": 1, "m_test": 1,
+                   "amplitude": True}, "amplitude"),
+    (EncodeSpec, {"cut": "0.1"}, "cut"),
+    (EncodeSpec, {"cut": True}, "cut"),
+    (TrainConfig, {"epochs": 3, "lr_start": "0.1"}, "lr_start"),
+    (TrainConfig, {"epochs": 3, "lr_end": True}, "lr_end"),
+], ids=["string_range_bound", "bool_range_bound", "int_partitions", "string_length_scale",
+        "bool_amplitude", "string_cut", "bool_cut", "string_lr_start", "bool_lr_end"])
+def test_real_settings_built_in_python_refuse_strings_and_bools(cls, kwargs, field):
+    with pytest.raises(ConfigurationError, match=rf"^{field}: must be "):
+        cls(**kwargs)
+
+
 def test_integer_settings_take_numpy_integers():
     assert TrainConfig(epochs=np.int64(3), batch_size=np.int32(2)).epochs == 3
     assert DatasetSpec(kind="darcy1d", n=np.int64(4), m_train=1, m_test=1).n == 4
@@ -340,13 +361,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error code=2")
     assert "config.input_basis.partitions: 2 counts for 1-dimensional data" in err
-    # numerical failure -> 4 (unregularized ridge on an underdetermined system)
-    cfg["input_basis"].update(partitions=[4], features_per_partition=32, bounds=[[0.0, 1.0]])
-    cfg["input_encode"] = {"method": "ridge", "lam": 0}
-    ridge = _write_config(tmp_path, cfg, "ridge.json")
-    assert main(["encode", str(data), "-c", str(ridge), "-o", str(tmp_path / "c.fbc")]) == 4
-    assert capsys.readouterr().err.startswith("error code=4")
-    assert not (tmp_path / "c.fbc").exists()
+    # numerical failure -> 4 (a learning rate that makes the loss overflow)
+    cfg = _tiny_config_dict()
+    cfg["train"].update(lr_start=1e300, lr_end=1e299)
+    diverges = _write_config(tmp_path, cfg, "diverges.json")
+    assert main(["train", "-c", str(diverges), "-o", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error code=4")
+    assert "training loss became non-finite at epoch 1" in err
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -622,26 +644,27 @@ def test_cli_refuses_a_vector_fem_output_basis(tmp_path, capsys, no_data_generat
 
 
 def test_config_hash_of_a_literal_config_is_pinned():
-    # recorded when ExperimentConfig lost its p2c field (e0ba1397eb19cd8e
-    # before); run directories load only while the hash of an unchanged
-    # config stays the same
-    assert config_hash(config_from_dict(_tiny_config_dict())) == "972b43916034cc02"
+    # recorded when EncodeSpec lost its lam field (972b43916034cc02 before);
+    # run directories load only while the hash of an unchanged config stays
+    # the same
+    assert config_hash(config_from_dict(_tiny_config_dict())) == "6becbfb12b2a798c"
 
 
-@pytest.mark.parametrize("key, value, field", [
-    ("method", "bogus", "method"),
-    ("lam", -1, "lam"),
-    ("lam", float("nan"), "lam"),
-    ("cut", float("nan"), "cut"),
-    ("cut", float("inf"), "cut"),
-], ids=["bogus_method", "negative_lam", "nan_lam", "nan_cut", "inf_cut"])
-def test_load_config_refuses_bad_encode_settings(tmp_path, key, value, field):
+@pytest.mark.parametrize("key, value, message", [
+    ("method", "bogus", "method: unknown method 'bogus'"),
+    ("lam", -1, "lam: unknown key"),
+    ("lam", float("nan"), "lam: unknown key"),
+    ("cut", float("nan"), "cut: must be finite"),
+    ("cut", float("inf"), "cut: must be finite"),
+    ("method", "ridge", "method: unknown method 'ridge'"),
+], ids=["bogus_method", "negative_lam", "nan_lam", "nan_cut", "inf_cut", "ridge_method"])
+def test_load_config_refuses_bad_encode_settings(tmp_path, key, value, message):
     cfg = _tiny_config_dict()
     cfg["input_encode"][key] = value
     path = tmp_path / "run.json"
     with open(path, "w") as fh:
         json.dump(cfg, fh, allow_nan=True)
-    with pytest.raises(ConfigurationError, match=rf"^config\.input_encode\.{field}: "):
+    with pytest.raises(ConfigurationError, match=rf"^config\.input_encode\.{message}"):
         load_config(path)
 
 
@@ -678,6 +701,17 @@ def test_refused_dataset_and_train_values_name_their_field(section, key, value, 
     with pytest.raises(ConfigurationError) as info:
         config_from_dict(cfg)
     assert str(info.value) == message
+
+
+def test_cli_gen_refuses_an_amplitude_whose_square_overflows(tmp_path, capsys):
+    cfg = _tiny_config_dict()
+    cfg["dataset"]["amplitude"] = 1e200
+    out = tmp_path / "d.fbc"
+    assert main(["gen", "-c", str(_write_config(tmp_path, cfg)), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2")
+    assert "config.dataset.amplitude: its square must be finite, got 1e+200" in err
+    assert not out.exists()
 
 
 def test_cli_sweep_refuses_a_bad_cut_before_generating_data(tmp_path, capsys,

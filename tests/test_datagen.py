@@ -104,6 +104,20 @@ def test_grf_refuses_a_non_finite_length_scale_or_amplitude(length_scale, amplit
         sample_grf_at(np.linspace(0, 1, 10), 2, 0, length_scale, amplitude)
 
 
+@pytest.mark.parametrize("amplitude", [1e200, np.float64(1e200), 1e155],
+                         ids=["float", "numpy_float", "just_past_the_limit"])
+def test_grf_refuses_an_amplitude_whose_square_overflows(monkeypatch, amplitude):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored a covariance before checking the amplitude")
+
+    pts = np.linspace(0, 1, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(datagen, "_grf_factor", no_factor)
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            sample_grf_at(pts, 2, 0, 0.04, amplitude)
+    assert np.all(np.isfinite(sample_grf_at(pts, 2, 0, 0.04, 1e154)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_grf_refuses_non_finite_points(bad):
     # at 600 points the bad point falls in the second block of the factor
@@ -508,7 +522,7 @@ def test_multiresolution_records_a_numpy_integer_seed():
     assert np.array_equal(data[40].outputs, same[40].outputs)
 
 
-@pytest.mark.parametrize("seed", [None, 1.5, "3", -1, [3, None], [2, -1]])
+@pytest.mark.parametrize("seed", [None, 1.5, "3", -1, [3, None], [2, -1], True, [3, True]])
 def test_generators_refuse_an_unrecordable_seed_before_drawing(monkeypatch, seed):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a field before checking the seed")

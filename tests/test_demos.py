@@ -1,13 +1,15 @@
-"""The demo scripts and README's example stay in step with the package.
+"""The demos, README's example and the benchmark's workloads stay in step with the package.
 
 Demos 01 and 02 and README's python blocks take about a second each and are
 run; the other demos train for tens of seconds to minutes, so only the names
 they import from fbc2c and the arguments they pass to those names are
-checked.
+checked.  The same check covers ``perfbench/workloads.py``, whose workloads
+that only build a config also build it here.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import pathlib
@@ -19,6 +21,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def test_all_six_demos_are_found():
@@ -42,24 +45,47 @@ def test_demo_imports_exist(demo):
     assert missing == []
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def _callee(func, imported):
+    """(name, object) of a call to an imported fbc2c name or to an attribute of one, else None."""
+    if isinstance(func, ast.Name) and func.id in imported:
+        return func.id, imported[func.id]
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and inspect.ismodule(imported.get(func.value.id))):
+        return f"{func.value.id}.{func.attr}", getattr(imported[func.value.id], func.attr)
+    return None
+
+
+@pytest.mark.parametrize("demo", DEMOS + [WORKLOADS],
+                         ids=[path.stem for path in DEMOS] + ["perfbench_workloads"])
 def test_demo_calls_pass_only_parameters_that_exist(demo):
     tree = ast.parse(demo.read_text(), filename=str(demo))
     imported = {alias.asname or alias.name: getattr(importlib.import_module(module), alias.name)
                 for module, alias in _fbc2c_imports(tree)}
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id in imported]
+    calls = [(node, callee) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for callee in [_callee(node.func, imported)] if callee]
     assert calls
     refused = []
-    for call in calls:
+    for call, (name, target) in calls:
         # binding checks the count of positional arguments and the keyword
         # names, not the values, so each argument stands in as None
         try:
-            inspect.signature(imported[call.func.id]).bind_partial(
+            inspect.signature(target).bind_partial(
                 *[None] * len(call.args), **{kw.arg: None for kw in call.keywords})
         except TypeError as exc:
-            refused.append(f"line {call.lineno}: {call.func.id}: {exc}")
+            refused.append(f"line {call.lineno}: {name}: {exc}")
     assert refused == []
+
+
+@pytest.mark.parametrize("name", ["darcy_train", "poisson2d_sweep"])
+def test_workloads_that_only_build_a_config_prepare(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name](workloads.DEFAULT_SEED)
+    workload.prepare()
+    assert workload.config.input_encode.method == "tsvd"
 
 
 def _run_without_warnings(args):

@@ -8,16 +8,19 @@ from fbc2c.basis import BasisSpec, RfmBasis, VectorBasis
 from fbc2c.encoder import (EncodeSpec, LeastSquaresEncoder, diagnostics,
                            effective_rank_of_singular_values, encode,
                            projection_error)
-from fbc2c.errors import ConfigurationError, DataError, RankDeficiencyError
+from fbc2c.errors import ConfigurationError, DataError
 
 
-def test_ridge_normal_equations_hand_case():
-    enc = LeastSquaresEncoder(np.array([[1.0], [1.0]]), EncodeSpec("ridge", 0.0))
+def test_least_squares_hand_case():
+    # the mean of the samples, as the pseudo-inverse gives it
+    phi = np.array([[1.0], [1.0]])
+    enc = LeastSquaresEncoder(phi, EncodeSpec(cut=0.0))
     assert enc.encode_values(np.array([1.0, 3.0])) == pytest.approx([2.0])
+    assert np.linalg.pinv(phi) @ np.array([1.0, 3.0]) == pytest.approx([2.0])
 
 
-def test_ridge_identity_design_returns_values():
-    enc = LeastSquaresEncoder(np.eye(3), EncodeSpec("ridge", 0.0))
+def test_identity_design_returns_values():
+    enc = LeastSquaresEncoder(np.eye(3), EncodeSpec(cut=0.0))
     f = np.array([0.3, -1.2, 4.0])
     assert enc.encode_values(f) == pytest.approx(f)
 
@@ -27,38 +30,29 @@ def test_tsvd_discards_small_singular_values():
     assert enc.encode_values(np.array([1.0, 1.0])) == pytest.approx([1.0, 0.0])
 
 
-def test_ridge_penalty_scales_with_point_count():
-    # closed form (Phi^T Phi + lam n I)^{-1} Phi^T f, n = number of points
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal((25, 4))
-    f = rng.standard_normal(25)
-    lam = 0.37
-    expected = np.linalg.solve(phi.T @ phi + lam * 25 * np.eye(4), phi.T @ f)
-    got = LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(f)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
 @pytest.mark.parametrize("phi", [
     np.column_stack([np.ones(6), np.ones(6)]),
     np.random.default_rng(4).standard_normal((3, 5)),
-], ids=["repeated_column", "underdetermined_3x5"])
-def test_unregularized_rank_deficiency_raises(phi):
-    with pytest.raises(RankDeficiencyError) as info:
-        LeastSquaresEncoder(phi, EncodeSpec("ridge", 0.0))
-    assert info.value.condition_estimate > 1e12
-
-
-def test_unregularized_solve_judges_condition_of_design_not_gram():
-    # cond(Phi) = 1e7 is solvable; cond(Phi^T Phi) = 1e14 would be refused
-    enc = LeastSquaresEncoder(np.diag([1.0, 1e-7]), EncodeSpec("ridge", 0.0))
-    assert enc.encode_values(np.array([2.0, 3.0])) == pytest.approx([2.0, 3e7], rel=1e-14)
+    np.diag([1.0, 1e-9, 0.0]),
+], ids=["repeated_column", "underdetermined_3x5", "zero_singular_value"])
+def test_cut_bounds_the_condition_of_a_near_singular_design(phi):
+    # every singular value below cut * sigma_1, and every zero one, is
+    # dropped, so what is kept has a condition of at most 1 / cut
+    cut = 1e-6
+    enc = LeastSquaresEncoder(phi, EncodeSpec(cut=cut))
+    s = np.linalg.svd(phi, compute_uv=False)
+    assert enc.kept_rank == np.count_nonzero(s >= cut * s[0])
+    assert enc.condition <= 1.0 / cut
+    f = np.random.default_rng(5).standard_normal((2, phi.shape[0]))
+    oracle = f @ np.linalg.pinv(phi, rcond=cut).T
+    assert np.max(np.abs(enc.encode_values(f) - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("config, rank, sigma_min, cond", [
     (EncodeSpec(cut=0.3), 2, 2.0, 2.0),
-    (EncodeSpec("ridge", 0.0), 4, 0.5, 8.0),
+    (EncodeSpec(cut=0.0), 4, 0.5, 8.0),
     (EncodeSpec(cut=2.0), 0, 0.0, np.inf),
-], ids=["cut", "ridge0", "nothing_kept"])
+], ids=["cut", "zero_cut", "nothing_kept"])
 def test_encoder_reports_kept_spectrum(config, rank, sigma_min, cond):
     # singular values 4, 2, 1, 0.5; a relative cut of 0.3 keeps those >= 1.2
     phi = np.zeros((6, 4))
@@ -75,34 +69,35 @@ def test_encoder_given_an_svd_encodes_as_a_fresh_one(svd_calls):
     phi = rng.standard_normal((12, 5))
     f = rng.standard_normal((3, 12))
     first = LeastSquaresEncoder(phi, EncodeSpec(cut=1e-3))
-    configs = (EncodeSpec(cut=1e-3), EncodeSpec(cut=0.5),
-               EncodeSpec("ridge", 0.1), EncodeSpec("ridge", 0.0))
+    configs = (EncodeSpec(cut=1e-3), EncodeSpec(cut=0.5), EncodeSpec(cut=0.0))
     for config in configs:
         reused = LeastSquaresEncoder(phi, config, svd=first.svd)
         fresh = LeastSquaresEncoder(phi, config)
         assert all(a is b for a, b in zip(reused.svd, first.svd))
         assert np.array_equal(reused.encode_values(f), fresh.encode_values(f))
         assert (reused.kept_rank, reused.condition) == (fresh.kept_rank, fresh.condition)
+        oracle = f @ np.linalg.pinv(phi, rcond=config.cut).T
+        assert np.max(np.abs(reused.encode_values(f) - oracle)) < 1e-12
     assert len(svd_calls) == 1 + len(configs)    # only the fresh encoders factor
 
 
 def test_encoder_refuses_an_svd_of_another_shape():
     phi = np.random.default_rng(8).standard_normal((10, 4))
-    svd = LeastSquaresEncoder(phi, EncodeSpec("ridge", 0.1)).svd
+    svd = LeastSquaresEncoder(phi, EncodeSpec(cut=0.1)).svd
     with pytest.raises(ConfigurationError, match="svd factors"):
-        LeastSquaresEncoder(phi[:, :3], EncodeSpec("ridge", 0.1), svd=svd)
+        LeastSquaresEncoder(phi[:, :3], EncodeSpec(cut=0.1), svd=svd)
     with pytest.raises(ConfigurationError, match="svd factors"):
-        LeastSquaresEncoder(phi[:9], EncodeSpec("ridge", 0.1), svd=svd)
+        LeastSquaresEncoder(phi[:9], EncodeSpec(cut=0.1), svd=svd)
 
 
 def test_dimension_mismatch_rejected():
-    enc = LeastSquaresEncoder(np.eye(3), EncodeSpec("ridge", 0.0))
+    enc = LeastSquaresEncoder(np.eye(3), EncodeSpec(cut=0.0))
     with pytest.raises(ConfigurationError):
         enc.encode_values(np.ones(4))
-    with pytest.raises(ConfigurationError):
-        EncodeSpec("ridge", -1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^cut: "):
         EncodeSpec(cut=-0.5)
+    with pytest.raises(ConfigurationError, match="^method: unknown method 'ridge'"):
+        EncodeSpec(method="ridge")
 
 
 def test_batch_encode_matches_per_sample():
@@ -115,42 +110,20 @@ def test_batch_encode_matches_per_sample():
     assert np.array_equal(batch, singles)
 
 
-def test_tsvd_zero_cut_matches_ridge_zero_on_full_rank():
+def test_tsvd_zero_cut_matches_lstsq_on_full_rank():
     rng = np.random.default_rng(5)
     phi = rng.standard_normal((40, 7))
     values = rng.standard_normal((3, 40))
-    a_ridge = LeastSquaresEncoder(phi, EncodeSpec("ridge", 0.0)).encode_values(values)
+    a_lstsq = np.linalg.lstsq(phi, values.T, rcond=None)[0].T
     a_svd = LeastSquaresEncoder(phi, EncodeSpec(cut=0.0)).encode_values(values)
-    assert np.max(np.abs(a_ridge - a_svd)) < 1e-9
-
-
-def test_ridge_optimality_via_finite_differences():
-    # gradient of (1/n)||Phi a - f||^2 + lam ||a||^2 vanishes at the solution
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        n, m = rng.integers(5, 30), rng.integers(1, 10)
-        phi = rng.standard_normal((n, m))
-        f = rng.standard_normal(n)
-        lam = 10.0 ** rng.uniform(-6, -1)
-        a = LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(f)
-        grad = 2.0 / n * phi.T @ (phi @ a - f) + 2.0 * lam * a
-        assert np.linalg.norm(grad) < 1e-8
-
-
-def test_monotone_shrinkage_in_lambda():
-    rng = np.random.default_rng(7)
-    phi = rng.standard_normal((20, 6))
-    f = rng.standard_normal(20)
-    norms = [np.linalg.norm(LeastSquaresEncoder(phi, EncodeSpec("ridge", lam)).encode_values(f))
-             for lam in np.logspace(-8, 2, 12)]
-    assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
+    assert np.max(np.abs(a_lstsq - a_svd)) < 1e-12
 
 
 def test_encode_through_basis():
     basis = BasisSpec("fem", n_nodes=5).build()
     pts = basis.nodes
     values = np.array([[0.0, 1.0, 2.0, 1.0, 0.0]])
-    coeffs = encode(basis, pts, values, EncodeSpec("ridge", 0.0))
+    coeffs = encode(basis, pts, values, EncodeSpec(cut=0.0))
     assert coeffs == pytest.approx(values)  # interpolatory basis
 
 
@@ -172,8 +145,8 @@ def test_encode_vector_single_component_reduces_to_encode():
     pts = np.linspace(0, 1, 30)
     rng = np.random.default_rng(0)
     values = rng.standard_normal((5, 30))
-    scalar = encode(basis, pts, values, EncodeSpec("ridge", 1e-6))
-    vector = encode(vb, pts, values[:, None, :], EncodeSpec("ridge", 1e-6))
+    scalar = encode(basis, pts, values, EncodeSpec(cut=1e-6))
+    vector = encode(vb, pts, values[:, None, :], EncodeSpec(cut=1e-6))
     assert vector == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
 
@@ -184,8 +157,8 @@ def test_encode_vector_zero_component_padding():
     rng = np.random.default_rng(1)
     comp1 = rng.standard_normal((5, 30))
     stacked = np.stack([comp1, np.zeros_like(comp1)], axis=1)
-    vector = encode(vb, pts, stacked, EncodeSpec("ridge", 1e-6))
-    scalar = encode(basis, pts, comp1, EncodeSpec("ridge", 1e-6))
+    vector = encode(vb, pts, stacked, EncodeSpec(cut=1e-6))
+    scalar = encode(basis, pts, comp1, EncodeSpec(cut=1e-6))
     assert vector == pytest.approx(scalar, rel=1e-10, abs=1e-12)
 
 
@@ -194,18 +167,16 @@ def test_encode_vector_matches_dense_stacked_oracle():
     pts = np.linspace(0, 1, 40)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((4, 2, 40))
-    lam = 1e-4
-    got = encode(vb, pts, values, EncodeSpec("ridge", lam))
+    cut = 1e-4
+    got = encode(vb, pts, values, EncodeSpec(cut=cut))
     design = vb.design_matrix(pts)
-    gram = design.T @ design + lam * 40 * np.eye(design.shape[1])
-    expected = np.stack([
-        np.linalg.solve(gram, design.T @ v.reshape(-1)) for v in values
-    ])
+    pinv = np.linalg.pinv(design, rcond=cut)
+    expected = np.stack([pinv @ v.reshape(-1) for v in values])
     assert np.max(np.abs(got - expected)) < 1e-10
     # the projection floor stacks the components the same way
     flat = values.reshape(4, -1)
     resid = np.linalg.norm(expected @ design.T - flat, axis=1) / np.linalg.norm(flat, axis=1)
-    pe = projection_error(vb, pts, values, EncodeSpec("ridge", lam))
+    pe = projection_error(vb, pts, values, EncodeSpec(cut=cut))
     assert pe.per_sample == pytest.approx(resid, rel=1e-8)
 
 
@@ -214,9 +185,9 @@ def test_encode_vector_shape_validation():
     pts = np.linspace(-1, 1, 10)
     for check in (encode, projection_error):
         with pytest.raises(ConfigurationError, match=r"expected values of shape \(M, 2, n\)"):
-            check(vb, pts, np.zeros((3, 3, 10)), EncodeSpec("ridge", 0.1))
+            check(vb, pts, np.zeros((3, 3, 10)), EncodeSpec(cut=0.1))
         with pytest.raises(ConfigurationError, match="7 points per component"):
-            check(vb, pts, np.zeros((3, 2, 7)), EncodeSpec("ridge", 0.1))
+            check(vb, pts, np.zeros((3, 2, 7)), EncodeSpec(cut=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +259,14 @@ def test_projection_error_in_span_target():
     phi = basis.design_matrix(pts)
     rng = np.random.default_rng(6)
     targets = (phi @ rng.standard_normal((basis.size, 3))).T
-    pe = projection_error(basis, pts, targets, EncodeSpec("ridge", 0.0))
+    pe = projection_error(basis, pts, targets, EncodeSpec(cut=0.0))
     assert pe.mean < 1e-10
 
 
 def test_projection_error_fem_interpolates_linear():
     basis = BasisSpec("fem", n_nodes=3).build()
     pts = basis.nodes
-    pe = projection_error(basis, pts, pts[None, :], EncodeSpec("ridge", 0.0))  # u(x) = x at nodes
+    pe = projection_error(basis, pts, pts[None, :], EncodeSpec(cut=0.0))  # u(x) = x at nodes
     assert pe.mean < 1e-12
 
 
@@ -303,7 +274,7 @@ def test_projection_error_matches_dense_oracle():
     basis = BasisSpec("fem", n_nodes=3).build()
     pts = np.linspace(0, 1, 100)
     target = np.sin(np.pi * pts)[None, :]
-    pe = projection_error(basis, pts, target, EncodeSpec("ridge", 0.0))
+    pe = projection_error(basis, pts, target, EncodeSpec(cut=0.0))
     phi = basis.design_matrix(pts)
     coef, *_ = np.linalg.lstsq(phi, target[0], rcond=None)
     expected = np.linalg.norm(phi @ coef - target[0]) / np.linalg.norm(target[0])
@@ -314,9 +285,9 @@ def test_projection_error_excludes_zero_norm_samples():
     basis = BasisSpec("fem", n_nodes=4).build()
     pts = np.linspace(0, 1, 50)
     targets = np.vstack([np.sin(pts), np.zeros(50)])
-    pe = projection_error(basis, pts, targets, EncodeSpec("ridge", 1e-8))
+    pe = projection_error(basis, pts, targets, EncodeSpec(cut=1e-8))
     assert pe.zero_norm_count == 1
     assert np.isnan(pe.per_sample[1])
     assert np.isfinite(pe.mean)
     with pytest.raises(DataError):
-        projection_error(basis, pts, np.zeros((2, 50)), EncodeSpec("ridge", 1e-8))
+        projection_error(basis, pts, np.zeros((2, 50)), EncodeSpec(cut=1e-8))

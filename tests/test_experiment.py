@@ -22,8 +22,8 @@ def _darcy_config(**overrides):
                               range_bound=3.0, seed=1, bounds=[[0.0, 1.0]]),
         output_basis=BasisSpec(kind="rfm", partitions=[2], features_per_partition=6,
                                range_bound=3.0, seed=2, bounds=[[0.0, 1.0]]),
-        input_encode=EncodeSpec(method="tsvd", cut=1e-2),
-        output_encode=EncodeSpec(method="tsvd", cut=1e-8),
+        input_encode=EncodeSpec(cut=1e-2),
+        output_encode=EncodeSpec(cut=1e-8),
         net=NetSpec(hidden=24, seed=5),
         train=TrainConfig(epochs=60, seed=6, eval_interval=30),
     )
@@ -141,7 +141,7 @@ def test_projection_bound_per_sample(darcy_result):
 def test_fem_output_at_grid_nodes_gives_zero_projection():
     cfg = _darcy_config(
         output_basis=BasisSpec(kind="fem", n_nodes=120),
-        output_encode=EncodeSpec(method="ridge", lam=0.0),
+        output_encode=EncodeSpec(cut=0.0),
     )
     result = run(cfg)
     assert result.report.projection.mean < 1e-10
@@ -178,7 +178,7 @@ def _poisson_config():
                               range_bound=3.0, seed=1, bounds=box),
         output_basis=BasisSpec(kind="rfm", partitions=[2, 2], features_per_partition=4,
                                range_bound=3.0, seed=2, bounds=box),
-        output_encode=EncodeSpec(method="tsvd", cut=1e-8),
+        output_encode=EncodeSpec(cut=1e-8),
         net=NetSpec(hidden=16, seed=5),
         train=TrainConfig(epochs=10, seed=6, eval_interval=5),
     )
@@ -204,7 +204,7 @@ def test_sweep_factors_each_design_once_per_call(svd_calls, monkeypatch):
     # each member run on fresh data builds and factors its own two designs
     svd_calls.clear()
     for cut, row in zip(cuts, table.rows):
-        member = dataclasses.replace(cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
+        member = dataclasses.replace(cfg, input_encode=EncodeSpec(cut=cut))
         report = run(member, prepared=prepare_data(cfg.dataset)).report
         assert (row.erank, row.variance_entropy, row.final_test_error) == (
             report.erank, report.variance_entropy, report.final_test_error)
@@ -263,7 +263,7 @@ def test_artifacts_round_trip(tmp_path, darcy_result):
 
 def _diagnostics_row(outdir):
     lines = (outdir / "diagnostics.csv").read_text().splitlines()
-    assert lines[0] == "cut_or_lambda,erank,variance_entropy,mean_projection_error"
+    assert lines[0] == "cut,erank,variance_entropy,mean_projection_error"
     assert len(lines) == 2
     return [float(value) for value in lines[1].split(",")]
 
@@ -287,8 +287,8 @@ def _multi_config(**overrides):
                               range_bound=3.0, seed=1, bounds=[[0.0, 1.0]]),
         output_basis=BasisSpec(kind="rfm", partitions=[2], features_per_partition=5,
                                range_bound=3.0, seed=2, bounds=[[0.0, 1.0]]),
-        input_encode=EncodeSpec(method="tsvd", cut=1e-2),
-        output_encode=EncodeSpec(method="tsvd", cut=1e-8),
+        input_encode=EncodeSpec(cut=1e-2),
+        output_encode=EncodeSpec(cut=1e-8),
         net=NetSpec(hidden=16, seed=5),
         train=TrainConfig(epochs=40, seed=6),
     )
@@ -336,7 +336,7 @@ def test_compare_vector_scalar_single_component_degenerates():
 
 def test_study_members_change_only_the_studied_field(monkeypatch):
     quick = TrainConfig(epochs=2, seed=6)
-    odd = dict(output_encode=EncodeSpec(method="ridge", lam=1e-6),
+    odd = dict(output_encode=EncodeSpec(cut=1e-3),
                net=NetSpec(hidden=7, seed=11), train=quick)
     cfg = _darcy_config(**odd)
     members = []
@@ -348,7 +348,7 @@ def test_study_members_change_only_the_studied_field(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("fbc2c.experiment.run", spy_run)
         sweep_cutoff(cfg, [1e-6, 1e-3])
-    assert members == [dataclasses.replace(cfg, input_encode=EncodeSpec(method="tsvd", cut=cut))
+    assert members == [dataclasses.replace(cfg, input_encode=EncodeSpec(cut=cut))
                        for cut in (1e-6, 1e-3)]
 
     multi = _multi_config(**odd)
