@@ -5,11 +5,12 @@ applied) is re-emitted next to run artifacts so results can be reproduced
 exactly.  Each section checks its fields when it is built, so a bad value is
 refused on load, before any data is generated.  Unknown keys, values of the
 wrong JSON type and refused values are reported with their field path
-(``config.input_basis.window: ...``).  The basis sections are
-``basis.BasisSpec`` and the encode sections ``encoder.EncodeSpec``, each
-checked where it is made and used as it is; ``BasisSpec`` is re-exported
-here.  Sizes, counts and seeds must be integers (a bool is not one) also
-in a spec built in Python.
+(``config.input_basis.window: ...``).  The dataset section is
+``datagen.DatasetSpec``, the basis sections ``basis.BasisSpec`` and the
+encode sections ``encoder.EncodeSpec``, each checked where it is made and
+used as it is; ``DatasetSpec`` and ``BasisSpec`` are re-exported here.
+Sizes, counts and seeds must be integers (a bool is not one) also in a
+spec built in Python.
 """
 
 from __future__ import annotations
@@ -17,65 +18,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 from .basis import BasisSpec
+from .datagen import DatasetSpec
 from .encoder import EncodeSpec
-from .errors import ConfigurationError, check_int, check_real
+from .errors import ConfigurationError, check_int
 from .neuralop import TrainConfig
-
-# Per dataset kind: the size fields it reads with the least value each takes
-# (the 1D solvers need an interior grid point, and a poisson2d grid below 3x3
-# holds only boundary points, where its solutions vanish); the GRF settings it
-# reads, each finite and > 0; the dimension of the points its functions are
-# sampled at; and the number of its output components.
-_GRF = ("length_scale", "amplitude")
-_DATASET_KINDS = {
-    "darcy1d": ({"n": 3, "m_train": 1, "m_test": 1}, _GRF, 1, 1),
-    "poisson2d": ({"n": 3, "m_train": 1, "m_test": 1, "modes": 1}, (), 2, 1),
-    "multi_output_1d": ({"n": 3, "m_train": 1, "m_test": 1}, _GRF, 1, 2),
-}
-
-
-@dataclass
-class DatasetSpec:
-    """Which generator to run and with what parameters.
-
-    Every kind draws a train and a test split on one grid; ``n`` is the grid
-    size for the 1D problems and the points per side for poisson2d.  The
-    fields the kind reads, and the seed, are checked on construction; an
-    error names the field.
-    """
-
-    kind: str
-    n: int | None = None
-    m_train: int | None = None
-    m_test: int | None = None
-    seed: int = 0
-    length_scale: float = 0.04
-    amplitude: float = 1.0
-    modes: int = 5
-
-    def __post_init__(self):
-        if self.kind not in _DATASET_KINDS:
-            raise ConfigurationError(
-                f"kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_KINDS)}"
-            )
-        sizes, scales, _, _ = _DATASET_KINDS[self.kind]
-        for name, least in sizes.items():
-            value = getattr(self, name)
-            if value is None:
-                raise ConfigurationError(f"{name}: {self.kind} needs it")
-            check_int(name, value, least)
-        for name in scales:
-            value = getattr(self, name)
-            check_real(name, value)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
-        if "amplitude" in scales and math.isinf(float(self.amplitude) * float(self.amplitude)):
-            raise ConfigurationError(f"amplitude: its square must be finite, got {self.amplitude!r}")
-        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -104,9 +53,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.output_mode not in ("scalar", "vector"):
             raise ConfigurationError("output_mode: must be 'scalar' or 'vector'")
-        _, _, dim, components = _DATASET_KINDS[self.dataset.kind]
         for name in ("input_basis", "output_basis"):
-            getattr(self, name).check_dim(dim, name)
+            getattr(self, name).check_dim(self.dataset.dim, name)
+        components = self.dataset.components
         if self.output_mode == "vector" and components > 1 and self.output_basis.kind == "fem":
             raise ConfigurationError(
                 f"output_basis.kind: a fem basis has no vector-valued form for the "

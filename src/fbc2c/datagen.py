@@ -32,6 +32,7 @@ at 3532.
 from __future__ import annotations
 
 import contextvars
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,7 @@ import numpy as np
 
 # scipy.linalg is imported inside the functions that use it: imported here it
 # would be most of the time of `import fbc2c`.
-from .errors import ConfigurationError, DataError, NumericalError, is_int
+from .errors import ConfigurationError, DataError, NumericalError, check_int, check_real, is_int
 
 
 @dataclass
@@ -271,16 +272,14 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     The generator's rank r grows as 1 / length_scale (about 110 at the
     default 0.04 on [0, 1]), and the factor costs about n * r^2.  Median of
     three calls at n = 2000 with 100 draws on one BLAS thread (2-vCPU Xeon
-    VM), against the profile factor of the covariance strips that this
-    replaced:
+    VM):
 
         length_scale   0.04    0.02    0.01    0.005   0.0025
         rank r         111     214     443     880     1688
-        this factor    0.05 s  0.09 s  0.21 s  0.74 s  3.2 s
-        strips         0.09 s  0.06 s  0.09 s  0.09 s  0.10 s
+        factor         0.05 s  0.09 s  0.21 s  0.74 s  3.2 s
 
-    From length_scale 0.02 down the strips were faster; every workload, demo
-    and default config draws at 0.04.
+    So it is slow below length_scale 0.02; every workload, demo and default
+    config draws at 0.04.
 
     The diagonal jitter level starts at 1e-10 and rises tenfold up to 1e-6
     while any diagonal block fails to factor, then ``NumericalError`` is
@@ -289,8 +288,10 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
 
     ``seed`` is a ``SeedSequence`` (the generators pass children of theirs)
     or a value ``_seed_provenance`` accepts, so a draw can be repeated;
-    ``None``, which would draw fresh OS entropy, and a count that is not an
-    integer >= 0 raise ``ConfigurationError`` before anything is factored.
+    ``None``, which would draw fresh OS entropy, a count that is not an
+    integer >= 0 and a length_scale so small against the points' span that
+    (ptp(points) / length_scale)^2 overflows raise ``ConfigurationError``
+    before anything is factored.
     """
     if not isinstance(seed, np.random.SeedSequence):
         _seed_provenance(seed)
@@ -305,6 +306,13 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
         raise ConfigurationError("a GRF needs at least one point")
     if not np.all(np.isfinite(pts)):
         raise DataError("GRF points contain NaN or Inf")
+    # in Python floats, which overflow to inf without a numpy warning
+    span = float(pts.max()) - float(pts.min())
+    scaled = span / float(length_scale)
+    if np.isinf(scaled * scaled):
+        raise ConfigurationError(
+            f"length_scale: the largest scaled distance squared, (ptp(points) / length_scale)^2, "
+            f"must be finite, got length_scale {length_scale} over a span of {span}")
     generator, blocks, level = _grf_factor(pts, length_scale, amplitude)
     _grf_record.set({"grf_jitter": level, "grf_rank": generator.shape[1]})
     z = np.random.default_rng(seed).standard_normal((pts.size, count))
@@ -403,23 +411,14 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
 
     Each forcing is solved on its own grid by ``solve_darcy_batch``.
     """
-    seed = _seed_provenance(seed)
-    train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     grid = np.linspace(0.0, 1.0, n)
-    out = []
-    for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
+
+    def draw(count, child):
         f = sample_grf_at(grid, count, child, length_scale, amplitude)
-        grf = _grf_record.get()
-        u = solve_darcy_batch(f)
-        out.append(FunctionDataset(
-            input_points=grid, output_points=grid, inputs=f, outputs=u,
-            provenance={
-                "generator": "darcy1d", "split": label, "n": n, "count": count,
-                "seed": seed, "length_scale": length_scale,
-                "amplitude": amplitude, **grf,
-            },
-        ))
-    return tuple(out)
+        return f, solve_darcy_batch(f), _grf_record.get()
+
+    return _splits({"generator": "darcy1d", "n": n, "length_scale": length_scale,
+                    "amplitude": amplitude}, grid, seed, (m_train, m_test), draw)
 
 
 def _grid_size(name: str, value, least: int) -> int:
@@ -554,29 +553,21 @@ def solve_poisson_2d_square(alpha: np.ndarray, points: np.ndarray) -> np.ndarray
 def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
                    modes: int = 5):
     """Sine-forced Poisson dataset on the unit square; coefficients U[-1, 1]."""
-    seed = _seed_provenance(seed)
-    train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     pts = unit_square_grid(points_per_side)
     # the sums of poisson_2d_forcing and solve_poisson_2d_square, one einsum
     # per sample, with the mode tables and scale built once, not per sample
     sx, sy = _sine_mode_tables((modes, modes), pts)
     scale = _poisson_scale(modes, modes)
-    out = []
-    for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
-        rng = np.random.default_rng(child)
-        alphas = rng.uniform(-1.0, 1.0, size=(count, modes, modes))
+
+    def draw(count, child):
+        alphas = np.random.default_rng(child).uniform(-1.0, 1.0, size=(count, modes, modes))
         f = np.stack([np.einsum("ij,in,jn->n", a, sx, sy) for a in alphas])
         u = np.stack([np.einsum("ij,in,jn->n", a * scale, sx, sy) for a in alphas])
-        out.append(FunctionDataset(
-            input_points=pts, output_points=pts, inputs=f, outputs=u,
-            provenance={
-                "generator": "poisson2d", "split": label,
-                "points_per_side": points_per_side, "count": count,
-                "modes": modes, "seed": seed,
-                "forcing_form": "separable products sin(i pi x) sin(j pi y)",
-            },
-        ))
-    return tuple(out)
+        return f, u, {}
+
+    return _splits({"generator": "poisson2d", "points_per_side": points_per_side, "modes": modes,
+                    "forcing_form": "separable products sin(i pi x) sin(j pi y)"},
+                   pts, seed, (m_train, m_test), draw)
 
 
 # ---------------------------------------------------------------------------
@@ -620,24 +611,106 @@ def derivative_1d(u: np.ndarray, h: float) -> np.ndarray:
 def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
                          length_scale: float = 0.04, amplitude: float = 1.0):
     """GRF-forced linear Poisson with two output components [u, u']."""
-    seed = _seed_provenance(seed)
-    train_seed, test_seed = np.random.SeedSequence(seed).spawn(2)
     grid = np.linspace(0.0, 1.0, n)
-    h = grid[1] - grid[0]
-    out = []
-    for label, count, child in (("train", m_train, train_seed), ("test", m_test, test_seed)):
+
+    def draw(count, child):
         f = sample_grf_at(grid, count, child, length_scale, amplitude)
-        grf = _grf_record.get()
         u = solve_poisson_1d(f)
-        du = derivative_1d(u, h)
-        out.append(FunctionDataset(
-            input_points=grid, output_points=grid, inputs=f,
-            outputs=np.stack([u, du], axis=1),
-            provenance={
-                "generator": "multi_output_1d", "split": label, "n": n,
-                "count": count, "seed": seed,
-                "length_scale": length_scale, "amplitude": amplitude,
-                **grf,
-            },
-        ))
+        return f, np.stack([u, derivative_1d(u, grid[1] - grid[0])], axis=1), _grf_record.get()
+
+    return _splits({"generator": "multi_output_1d", "n": n, "length_scale": length_scale,
+                    "amplitude": amplitude}, grid, seed, (m_train, m_test), draw)
+
+
+# ---------------------------------------------------------------------------
+# the split loop and the dataset description
+
+
+def _splits(provenance: dict, points: np.ndarray, seed, counts: tuple, draw):
+    """The (train, test) datasets of one generator on ``points``, the seed checked first.
+
+    ``draw(count, child)`` draws a split from its child of ``SeedSequence(seed)``
+    as ``(inputs, outputs, record)``; ``record`` joins the split's provenance.
+    """
+    seed = _seed_provenance(seed)
+    out = []
+    for label, count, child in zip(("train", "test"), counts, np.random.SeedSequence(seed).spawn(2)):
+        inputs, outputs, record = draw(count, child)
+        out.append(FunctionDataset(points, points, inputs, outputs, {
+            **provenance, "split": label, "count": count, "seed": seed, **record}))
     return tuple(out)
+
+
+# Per dataset kind: the size fields it reads with the least value each takes
+# (the 1D solvers need an interior grid point, and a poisson2d grid below 3x3
+# holds only boundary points, where its solutions vanish); the GRF settings it
+# reads, each finite and > 0; its point dimension; its output components; and
+# its generator, called with (n, m_train, m_test, seed) and the other fields.
+_SPLIT_SIZES = {"n": 3, "m_train": 1, "m_test": 1}
+_DATASET_KINDS = {
+    "darcy1d": (_SPLIT_SIZES, ("length_scale", "amplitude"), 1, 1, "make_darcy1d"),
+    "poisson2d": ({**_SPLIT_SIZES, "modes": 1}, (), 2, 1, "make_poisson2d"),
+    "multi_output_1d": (_SPLIT_SIZES, ("length_scale", "amplitude"), 1, 2, "make_multi_output_1d"),
+}
+
+
+@dataclass
+class DatasetSpec:
+    """Which generator to run and with what parameters; the ``dataset`` section of a run config.
+
+    ``n`` is the grid size for the 1D problems and the points per side for
+    poisson2d.  The fields the kind reads, and the seed, are checked on
+    construction; an error names the field.
+    """
+
+    kind: str
+    n: int | None = None
+    m_train: int | None = None
+    m_test: int | None = None
+    seed: int = 0
+    length_scale: float = 0.04
+    amplitude: float = 1.0
+    modes: int = 5
+
+    def __post_init__(self):
+        if self.kind not in _DATASET_KINDS:
+            raise ConfigurationError(
+                f"kind: unknown kind {self.kind!r}, expected one of {tuple(_DATASET_KINDS)}")
+        sizes, grf, _, _, _ = _DATASET_KINDS[self.kind]
+        for name, least in sizes.items():
+            value = getattr(self, name)
+            if value is None:
+                raise ConfigurationError(f"{name}: {self.kind} needs it")
+            check_int(name, value, least)
+        for name in grf:
+            value = getattr(self, name)
+            check_real(name, value)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
+        if grf:
+            # the grids span [0, 1], so 1 / length_scale is the largest scaled distance
+            inverse = 1.0 / float(self.length_scale)
+            if math.isinf(inverse * inverse):
+                raise ConfigurationError(
+                    f"length_scale: its inverse square must be finite, got {self.length_scale!r}")
+            if math.isinf(float(self.amplitude) * float(self.amplitude)):
+                raise ConfigurationError(
+                    f"amplitude: its square must be finite, got {self.amplitude!r}")
+        check_int("seed", self.seed, 0)
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the points the kind's functions are sampled at."""
+        return _DATASET_KINDS[self.kind][2]
+
+    @property
+    def components(self) -> int:
+        """The number of the kind's output components."""
+        return _DATASET_KINDS[self.kind][3]
+
+    def build(self) -> tuple[FunctionDataset, FunctionDataset]:
+        """The (train, test) splits: the kind's generator called with the fields its row names."""
+        sizes, grf, _, _, generator = _DATASET_KINDS[self.kind]
+        named = {name: getattr(self, name) for name in (*sizes, *grf) if name not in _SPLIT_SIZES}
+        # looked up by name on each call, so a replaced module attribute is the one called
+        return globals()[generator](self.n, self.m_train, self.m_test, self.seed, **named)

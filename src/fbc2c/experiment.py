@@ -49,18 +49,7 @@ class PreparedData:
 
 def prepare_data(spec: DatasetSpec) -> PreparedData:
     """The train and test splits ``spec`` describes, both on one grid."""
-    if spec.kind == "darcy1d":
-        splits = datagen.make_darcy1d(spec.n, spec.m_train, spec.m_test, spec.seed,
-                                      spec.length_scale, spec.amplitude)
-    elif spec.kind == "poisson2d":
-        splits = datagen.make_poisson2d(spec.n, spec.m_train, spec.m_test,
-                                        spec.seed, spec.modes)
-    elif spec.kind == "multi_output_1d":
-        splits = datagen.make_multi_output_1d(spec.n, spec.m_train, spec.m_test,
-                                              spec.seed, spec.length_scale, spec.amplitude)
-    else:
-        raise ConfigurationError(f"dataset.kind: no generator for {spec.kind!r}")
-    return PreparedData(*splits)
+    return PreparedData(*spec.build())
 
 
 # ---------------------------------------------------------------------------

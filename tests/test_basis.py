@@ -7,7 +7,7 @@ from fbc2c.basis import BasisSpec, FemBasis1D, RfmBasis, VectorBasis
 from fbc2c.errors import ConfigurationError, DomainError
 
 
-def test_build_rfm_total_count():
+def test_basis_spec_build_total_count():
     basis = BasisSpec("rfm", [4], 2, 3.0, "smooth", "tanh", seed=7).build()
     assert basis.size == 8
     assert basis.features_per_partition == (2, 2, 2, 2)
@@ -33,12 +33,12 @@ def test_build_rfm_total_count():
     dict(partitions=[2], features_per_partition=1, window="bogus"),
     dict(kind="fem", n_nodes=5, domain=[0.0, np.inf]),
 ])
-def test_build_rfm_rejects_bad_config(kwargs):
+def test_basis_spec_rejects_bad_config(kwargs):
     with pytest.raises(ConfigurationError, match=rf"^{list(kwargs)[-1]}: "):
         BasisSpec(**{"kind": "rfm", **kwargs})
 
 
-def test_build_rfm_deterministic_per_seed():
+def test_basis_spec_build_deterministic_per_seed():
     a = BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build()
     b = BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build()
     for wa, wb in zip(a.weights, b.weights):
@@ -62,7 +62,7 @@ def test_rfm_refuses_a_flat_array_of_the_wrong_dimension():
         basis.design_matrix(np.linspace(-1, 1, 80))
 
 
-def test_build_rfm_draws_within_range():
+def test_basis_spec_build_draws_within_range():
     basis = BasisSpec("rfm", [3, 3], 50, 0.7, seed=5).build()
     for w, b in zip(basis.weights, basis.biases):
         assert np.all(np.abs(w) <= 0.7)

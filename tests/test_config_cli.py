@@ -110,6 +110,13 @@ def test_basis_spec_builds():
         BasisSpec(kind="wavelet", n_nodes=5)
 
 
+def test_config_re_exports_the_specs_of_its_sections():
+    from fbc2c import basis, datagen
+
+    assert DatasetSpec is datagen.DatasetSpec
+    assert BasisSpec is basis.BasisSpec
+
+
 def test_dataset_spec_validation():
     with pytest.raises(ConfigurationError):
         DatasetSpec(kind="darcy1d", n=100)
@@ -711,6 +718,17 @@ def test_cli_gen_refuses_an_amplitude_whose_square_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error code=2")
     assert "config.dataset.amplitude: its square must be finite, got 1e+200" in err
+    assert not out.exists()
+
+
+def test_cli_gen_refuses_a_length_scale_whose_inverse_square_overflows(tmp_path, capsys):
+    cfg = _tiny_config_dict()
+    cfg["dataset"]["length_scale"] = 1e-300
+    out = tmp_path / "d.fbc"
+    assert main(["gen", "-c", str(_write_config(tmp_path, cfg)), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error code=2")
+    assert "config.dataset.length_scale: its inverse square must be finite, got 1e-300" in err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import fbc2c
 from fbc2c import datagen
-from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, FunctionDataset,
+from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, DatasetSpec, FunctionDataset,
                            _cholesky_with_jitter, _four_node_cubic, _grf_factor, _kirchhoff,
                            _kirchhoff_inverse, derivative_1d, make_darcy1d,
                            make_darcy1d_multiresolution,
@@ -116,6 +116,21 @@ def test_grf_refuses_an_amplitude_whose_square_overflows(monkeypatch, amplitude)
         with pytest.raises(ConfigurationError, match="amplitude"):
             sample_grf_at(pts, 2, 0, 0.04, amplitude)
     assert np.all(np.isfinite(sample_grf_at(pts, 2, 0, 0.04, 1e154)))
+
+
+@pytest.mark.parametrize("points, length_scale", [
+    (np.linspace(0, 1, 5), 1e-300), (np.array([0.0, 1e300]), 1.0), (np.array([-1e308, 1e308]), 1.0),
+], ids=["tiny_length_scale", "far_reaching_points", "span_past_the_largest_float"])
+def test_grf_refuses_a_length_scale_whose_scaled_span_overflows(monkeypatch, points, length_scale):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored a covariance before checking the length scale")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(datagen, "_grf_factor", no_factor)
+        with pytest.raises(ConfigurationError, match=r"^length_scale: .* must be finite"):
+            sample_grf_at(points, 2, 0, length_scale)
+    # (1 / 1e-154)^2 = 1e308 is still finite, and draws without a warning
+    assert np.all(np.isfinite(sample_grf_at(np.linspace(0, 1, 5), 2, 0, 1e-154)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -750,3 +765,22 @@ def test_poisson2d_run_leaves_scipy_linalg_unloaded():
               "'output_basis': {'kind': 'rfm', 'partitions': [2, 2], 'features_per_partition': 3}, "
               "'net': {'hidden': 4}, 'train': {'epochs': 2}})")
     assert not _loaded_by_import_fbc2c("scipy.linalg", then=f"fbc2c.run({config})")
+
+
+@pytest.mark.parametrize("spec, make", [
+    (DatasetSpec(kind="darcy1d", n=40, m_train=3, m_test=2, seed=4, length_scale=0.1,
+                 amplitude=2.0),
+     lambda: make_darcy1d(40, 3, 2, 4, length_scale=0.1, amplitude=2.0)),
+    (DatasetSpec(kind="poisson2d", n=5, m_train=3, m_test=2, seed=4, modes=3),
+     lambda: make_poisson2d(5, 3, 2, 4, modes=3)),
+    (DatasetSpec(kind="multi_output_1d", n=40, m_train=3, m_test=2, seed=4, length_scale=0.1,
+                 amplitude=2.0),
+     lambda: make_multi_output_1d(40, 3, 2, 4, length_scale=0.1, amplitude=2.0)),
+], ids=["darcy1d", "poisson2d", "multi_output_1d"])
+def test_dataset_spec_build_is_its_generator_bit_for_bit(spec, make):
+    built, direct = spec.build(), make()
+    assert len(built) == len(direct) == 2
+    for ours, theirs in zip(built, direct):
+        for name in ("input_points", "output_points", "inputs", "outputs"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+        assert ours.provenance == theirs.provenance

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -369,3 +372,31 @@ def test_prepare_data_gives_a_train_and_test_split_on_one_grid(spec):
     assert (prepared.train.n_samples, prepared.test.n_samples) == (3, 2)
     for name in ("input_points", "output_points"):
         assert np.array_equal(getattr(prepared.train, name), getattr(prepared.test, name))
+
+
+def _benchmark_tracer(monkeypatch):
+    """``perfbench/tracer.py``, the benchmark's span recorder, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+@pytest.mark.parametrize("config, spans", [
+    (_darcy_config(dataset=DatasetSpec(kind="darcy1d", n=40, m_train=6, m_test=3, seed=1),
+                   train=TrainConfig(epochs=2, seed=6)),
+     ("datagen.make_darcy1d", "datagen.sample_grf_at", "datagen.solve_darcy_batch")),
+    (dataclasses.replace(_poisson_config(), train=TrainConfig(epochs=2, seed=6)),
+     ("datagen.make_poisson2d",)),
+], ids=["darcy1d", "poisson2d"])
+def test_benchmark_tracer_records_the_datagen_spans_of_a_run(monkeypatch, config, spans):
+    # the benchmark's workloads exit when a span they list records no call,
+    # so a run must reach the generators through the names the tracer replaces
+    tracer = _benchmark_tracer(monkeypatch)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        run(config)
+    _, calls = tracer.layer_metrics(recorder.spans)
+    assert all(calls[name] >= 1 for name in spans), dict(calls)
