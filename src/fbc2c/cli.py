@@ -3,11 +3,12 @@
 Subcommands: gen, encode, train, eval, diagnose, sweep.  The run config
 (``-c run.json``, an ``ExperimentConfig``) is the one description of the
 dataset, the bases and the encodes: ``gen`` writes the splits of its
-dataset, ``encode`` uses its basis and encode of one side, ``train`` and
-``sweep`` run it.  Exit codes: 0 success, 2 bad configuration (message names
-the field), 3 missing file, 4 numerical failure.  A config is checked as it
-loads, before any data is read or generated.  Errors print one
-machine-parsable line to stderr.
+dataset, ``encode`` uses its basis and encode of one side (the basis
+``run`` builds for that side's components), ``train`` and ``sweep`` run
+it.  Exit codes: 0 success, 2 bad configuration (message names the field),
+3 missing file, 4 numerical failure.  A config is checked as it loads,
+before any data is read or generated.  Errors print one machine-parsable
+line to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .container import read_container, write_container
 from .encoder import diagnostics, encode
 from .errors import ConfigurationError, DataError, DomainError, NumericalError, TrainingDiverged
 from .experiment import (eval_resolutions, evaluate_on, load_run, prepare_data, run,
-                         sweep_cutoff)
+                         side_basis, sweep_cutoff)
 
 
 def _cmd_gen(args) -> int:
@@ -61,10 +62,8 @@ def _cmd_encode(args) -> int:
         raise DataError(f"{args.dataset} is not a dataset: it has no {missing[0]!r} array")
     points = arrays[names[0]]
     values = np.concatenate([arrays[names[1]], arrays[names[2]]])
-    if values.ndim == 3:
-        raise ConfigurationError("side: inline encoding covers scalar components only")
     spec.check_dim(1 if points.ndim == 1 else points.shape[1], f"config.{args.side}_basis")
-    basis = spec.build()
+    basis, _ = side_basis(config, args.side, values.shape[1] if values.ndim == 3 else 1)
     coeffs = encode(basis, points, values, getattr(config, f"{args.side}_encode"))
     diag = diagnostics(coeffs)
     write_container(args.output,

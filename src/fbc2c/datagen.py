@@ -411,6 +411,7 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
 
     Each forcing is solved on its own grid by ``solve_darcy_batch``.
     """
+    _check_sizes("darcy1d", n=n, m_train=m_train, m_test=m_test)
     grid = np.linspace(0.0, 1.0, n)
 
     def draw(count, child):
@@ -553,6 +554,8 @@ def solve_poisson_2d_square(alpha: np.ndarray, points: np.ndarray) -> np.ndarray
 def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
                    modes: int = 5):
     """Sine-forced Poisson dataset on the unit square; coefficients U[-1, 1]."""
+    _check_sizes("poisson2d", points_per_side=points_per_side, m_train=m_train, m_test=m_test,
+                 modes=modes)
     pts = unit_square_grid(points_per_side)
     # the sums of poisson_2d_forcing and solve_poisson_2d_square, one einsum
     # per sample, with the mode tables and scale built once, not per sample
@@ -611,6 +614,7 @@ def derivative_1d(u: np.ndarray, h: float) -> np.ndarray:
 def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
                          length_scale: float = 0.04, amplitude: float = 1.0):
     """GRF-forced linear Poisson with two output components [u, u']."""
+    _check_sizes("multi_output_1d", n=n, m_train=m_train, m_test=m_test)
     grid = np.linspace(0.0, 1.0, n)
 
     def draw(count, child):
@@ -624,6 +628,16 @@ def make_multi_output_1d(n: int, m_train: int, m_test: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # the split loop and the dataset description
+
+
+def _check_sizes(kind: str, **sizes) -> None:
+    """Refuse a generator's size below the least value its kind's row gives it, naming it.
+
+    ``points_per_side`` is poisson2d's name for the row's ``n``.
+    """
+    least = _DATASET_KINDS[kind][0]
+    for name, value in sizes.items():
+        check_int(name, value, least["n" if name == "points_per_side" else name])
 
 
 def _splits(provenance: dict, points: np.ndarray, seed, counts: tuple, draw):
@@ -641,11 +655,12 @@ def _splits(provenance: dict, points: np.ndarray, seed, counts: tuple, draw):
     return tuple(out)
 
 
-# Per dataset kind: the size fields it reads with the least value each takes
-# (the 1D solvers need an interior grid point, and a poisson2d grid below 3x3
-# holds only boundary points, where its solutions vanish); the GRF settings it
-# reads, each finite and > 0; its point dimension; its output components; and
-# its generator, called with (n, m_train, m_test, seed) and the other fields.
+# Per dataset kind: the size fields it reads with the least value each takes,
+# which DatasetSpec and the kind's generator both check (the 1D solvers need
+# an interior grid point, and a poisson2d grid below 3x3 holds only boundary
+# points, where its solutions vanish); the GRF settings it reads, each finite
+# and > 0; its point dimension; its output components; and its generator,
+# called with (n, m_train, m_test, seed) and the other fields.
 _SPLIT_SIZES = {"n": 3, "m_train": 1, "m_test": 1}
 _DATASET_KINDS = {
     "darcy1d": (_SPLIT_SIZES, ("length_scale", "amplitude"), 1, 1, "make_darcy1d"),

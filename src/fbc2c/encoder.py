@@ -1,7 +1,12 @@
 """Coefficient estimation against a fixed basis, plus quality diagnostics.
 
 ``encode`` is the one entry point for sampled functions, on a scalar or a
-vector-valued basis; ``projection_error`` takes the same inputs.
+vector-valued basis; ``projection_error`` takes the same inputs.  This
+module owns the layout of C sampled components: ``component_design``
+builds their design matrix and ``stack_components`` their sample rows, and
+``experiment`` builds through the same two.  The projection floor is
+``neuralop.relative_loss`` of the encoded targets, so it refuses the
+targets training refuses.
 
 One SVD, one filter: every design matrix is factored once by a thin SVD,
 and the truncated SVD applies 1/s to the singular values an ``EncodeSpec``
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import VectorBasis
-from .errors import ConfigurationError, DataError, check_real
+from .errors import ConfigurationError, check_real
+from .neuralop import check_targets, relative_loss
 
 
 @dataclass
@@ -152,39 +158,62 @@ class LeastSquaresEncoder:
         return coeffs[0] if squeeze else coeffs[:rows]
 
 
-def _design_and_rows(basis, points, values):
-    """(design matrix at ``points``, sample rows).
+def component_design(basis, points, components: int) -> np.ndarray:
+    """The design matrix of ``components`` output components sampled at ``points``.
 
-    A VectorBasis stacks its C component blocks into a (C*n, m) design, and
-    its (M, C, n) or (C, n) samples are stacked component-major into rows of
-    C*n values to match.  A scalar basis takes (M, n) or (n,) samples as
-    they are.
+    A VectorBasis shares one coefficient vector across its components, so
+    its design is its own (C*n, m) stack; a scalar basis gives each of C > 1
+    components its own coefficient block, a (C*n, C*m) block diagonal.
+    Rows are component-major, as ``stack_components`` lays out samples.
     """
     design = basis.design_matrix(points)
+    if components == 1 or isinstance(basis, VectorBasis):
+        return design
+    import scipy.linalg     # here, not at the top: it is most of `import fbc2c`
+
+    return scipy.linalg.block_diag(*([design] * components))
+
+
+def stack_components(values: np.ndarray) -> np.ndarray:
+    """(M, C, n) samples -> (M, C*n) rows, component-major; other shapes pass through."""
+    return values.reshape(values.shape[0], -1) if values.ndim == 3 else values
+
+
+def _design_and_rows(basis, points, values):
+    """(``component_design`` at ``points``, ``stack_components`` rows) of sampled functions.
+
+    A VectorBasis of C components takes (M, C, n) or (C, n) samples; a
+    scalar basis takes (M, n) or (n,) samples of one component, or (M, C, n)
+    samples of C, each component encoded in its own coefficient block.
+    """
     values = np.asarray(values, dtype=np.float64)
-    if not isinstance(basis, VectorBasis):
-        return design, values
-    if values.ndim == 2:
-        values = values[None, :, :]
-    if values.ndim != 3 or values.shape[1] != basis.n_components:
+    if isinstance(basis, VectorBasis):
+        if values.ndim == 2:
+            values = values[None, :, :]
+        if values.ndim != 3 or values.shape[1] != basis.n_components:
+            raise ConfigurationError(
+                f"expected values of shape (M, {basis.n_components}, n), got {values.shape}")
+    elif values.ndim not in (1, 2, 3) or values.ndim == 3 and values.shape[1] == 0:
         raise ConfigurationError(
-            f"expected values of shape (M, {basis.n_components}, n), got {values.shape}"
-        )
-    n = design.shape[0] // basis.n_components
-    if values.shape[2] != n:
+            f"expected values of shape (n,), (M, n) or (M, C, n), got {values.shape}")
+    components = values.shape[1] if values.ndim == 3 else 1
+    design = component_design(basis, points, components)
+    n = design.shape[0] // components
+    if values.ndim == 3 and values.shape[2] != n:
         raise ConfigurationError(
             f"samples have {values.shape[2]} points per component, design matrix has {n}"
         )
-    return design, values.reshape(values.shape[0], -1)
+    return design, stack_components(values)
 
 
 def encode(basis, points, values, spec: EncodeSpec) -> np.ndarray:
     """Project sampled functions onto a scalar or a vector-valued basis.
 
     values: (M, n) or (n,) function samples at ``points`` for a scalar
-    basis; (M, C, n) or (C, n) for a VectorBasis of C components, whose
-    solve runs on the stacked design.  Returns the (M, m) coefficients, one
-    row per sample in basis order.
+    basis, or (M, C, n) for C components, each encoded in its own block of
+    m coefficients; (M, C, n) or (C, n) for a VectorBasis of C components,
+    whose solve runs on the stacked design.  Returns the (M, m) or (M, C*m)
+    coefficients, one row per sample in basis order, component-major.
     """
     design, rows = _design_and_rows(basis, points, values)
     enc = LeastSquaresEncoder(design, spec)
@@ -247,42 +276,29 @@ def diagnostics(coeffs: np.ndarray) -> CoefficientDiagnostics:
 
 @dataclass
 class ProjectionError:
-    """Per-sample relative L2 distance from targets to their best basis fit.
-
-    Samples with zero norm are excluded from the mean; their per-sample
-    entries are NaN and their count is reported.
-    """
+    """Per-sample relative L2 distance from targets to their best basis fit, and its mean."""
 
     per_sample: np.ndarray
     mean: float
-    zero_norm_count: int
 
 
 def projection_error_from_design(design: np.ndarray, targets: np.ndarray, spec: EncodeSpec,
                                  svd=None) -> ProjectionError:
-    """Projection error against a design matrix; ``svd`` is its thin SVD if known."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    """``relative_loss`` of the encoded targets through ``design``; ``svd`` is its thin SVD if known.
+
+    Like training, it refuses a target with a NaN, an Inf or zero norm,
+    before the encode, whose products would warn on a NaN or an Inf.
+    """
+    _, targets, _ = check_targets(design, targets)
     enc = LeastSquaresEncoder(design, spec, svd=svd)
-    coeffs = np.atleast_2d(enc.encode_values(targets))
-    resid = coeffs @ design.T - targets
-    rnorm = np.linalg.norm(resid, axis=1)
-    tnorm = np.linalg.norm(targets, axis=1)
-    nonzero = tnorm > 0
-    per_sample = np.full(targets.shape[0], np.nan)
-    per_sample[nonzero] = rnorm[nonzero] / tnorm[nonzero]
-    if not np.any(nonzero):
-        raise DataError("all target samples have zero norm")
-    return ProjectionError(
-        per_sample=per_sample,
-        mean=float(per_sample[nonzero].mean()),
-        zero_norm_count=int(np.sum(~nonzero)),
-    )
+    mean, per_sample = relative_loss(enc.encode_values(targets), design, targets)
+    return ProjectionError(per_sample=per_sample, mean=mean)
 
 
 def projection_error(basis, points, targets, spec: EncodeSpec) -> ProjectionError:
     """Relative L2 error of the truncated best fit in the basis span.
 
-    Targets take the shapes ``encode`` takes; for a VectorBasis the norm
+    Targets take the shapes ``encode`` takes; for C components the norm
     runs over the stacked component values.
     """
     design, rows = _design_and_rows(basis, points, targets)

@@ -7,7 +7,10 @@ Its net maps raw input coefficients to output coefficients, as does the
 checkpoint of a ``TrainingDiverged`` it raises, and the bases are rebuilt
 from config seeds, so the config and net that a run directory stores
 (``load_run``) are all ``evaluate_on`` needs.  The encode sections of the
-config are the ``EncodeSpec`` the encoders take.
+config are the ``EncodeSpec`` the encoders take.  Output components are
+laid out by ``encoder.component_design`` and ``encoder.stack_components``
+in training, in ``evaluate_on`` and in the projection floor alike, and
+``side_basis`` builds each side's basis as ``fbc2c encode`` does.
 ``sweep_cutoff``, ``eval_resolutions`` and ``compare_vector_scalar`` drive
 the cutoff sensitivity, resolution transfer, and scalar-vs-vector-output
 studies on top of it.
@@ -24,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen
-from .basis import VectorBasis
 from .config import DatasetSpec, ExperimentConfig, config_hash, dump_config, load_config
 from .container import read_container, write_container
-from .encoder import (EncodeSpec, LeastSquaresEncoder, ProjectionError, diagnostics,
-                      projection_error_from_design, write_diagnostics_csv)
+from .encoder import (EncodeSpec, LeastSquaresEncoder, ProjectionError, component_design,
+                      diagnostics, projection_error_from_design, stack_components,
+                      write_diagnostics_csv)
 from .errors import ConfigurationError, DataError, TrainingDiverged
 from .neuralop import OperatorNet, forward, init_net, relative_loss, train
 
@@ -56,29 +59,7 @@ def prepare_data(spec: DatasetSpec) -> PreparedData:
 # pipeline pieces
 
 
-def _stack_components(values: np.ndarray) -> np.ndarray:
-    """(M, C, n) -> (M, C*n) component-major; (M, n) passes through."""
-    if values.ndim == 2:
-        return values
-    return values.reshape(values.shape[0], -1)
-
-
-def _reconstruction_matrix(basis, points: np.ndarray, c_out: int) -> np.ndarray:
-    """Psi mapping net outputs to the stacked output samples at ``points``.
-
-    A scalar basis with C components reconstructs each component from its
-    own coefficient block (block-diagonal psi); a VectorBasis shares one
-    coefficient vector across components (stacked psi).
-    """
-    psi = basis.design_matrix(points)
-    if c_out == 1 or isinstance(basis, VectorBasis):
-        return psi
-    import scipy.linalg     # here, not at the top: it is most of `import fbc2c`
-
-    return scipy.linalg.block_diag(*([psi] * c_out))
-
-
-def _side_basis(config: ExperimentConfig, side: str, components: int):
+def side_basis(config: ExperimentConfig, side: str, components: int):
     """(basis, mode) of the "input" or "output" side; single-component sides are scalar."""
     spec = getattr(config, f"{side}_basis")
     mode = config.output_mode if components > 1 else "scalar"
@@ -93,11 +74,11 @@ def _side_encoder(config: ExperimentConfig, data: PreparedData, side: str):
     """
     components = data.train.output_components if side == "output" else 1
     points = getattr(data.train, f"{side}_points")
-    basis, mode = _side_basis(config, side, components)
+    basis, mode = side_basis(config, side, components)
     key = (side, repr(getattr(config, f"{side}_basis")), mode)
     design, svd = data.designs.get(key, (None, None))
     if design is None:
-        design = _reconstruction_matrix(basis, points, components)
+        design = component_design(basis, points, components)
     enc = LeastSquaresEncoder(design, getattr(config, f"{side}_encode"), svd=svd)
     data.designs[key] = (design, enc.svd)
     return basis, enc
@@ -134,7 +115,6 @@ class RunReport:
             f"input_variance_entropy = {self.variance_entropy!r}",
             f"input_kept_rank = {self.input_kept_rank}",
             f"input_condition = {self.input_condition!r}",
-            f"projection_zero_norm_count = {self.projection.zero_norm_count}",
             f"output_kept_rank = {self.output_kept_rank}",
             f"output_condition = {self.output_condition!r}",
             f"input_dim = {self.input_dim}",
@@ -192,8 +172,8 @@ def run(config: ExperimentConfig, outdir=None, prepared: PreparedData | None = N
     out_basis, out_enc = _side_encoder(config, data, "output")
     psi_eff = out_enc.design
     m_out = psi_eff.shape[1]
-    u_train = _stack_components(train_ds.outputs)
-    u_test = _stack_components(test_ds.outputs)
+    u_train = stack_components(train_ds.outputs)
+    u_test = stack_components(test_ds.outputs)
 
     a_train = in_enc.encode_values(train_ds.inputs)
     a_test = in_enc.encode_values(test_ds.inputs)
@@ -256,16 +236,16 @@ def evaluate_on(result: TrainedMap, dataset: datagen.FunctionDataset):
 
 def _evaluation_bases(config: ExperimentConfig, components: int):
     """(input basis, output basis) that ``evaluate_on`` rebuilds."""
-    return config.input_basis.build(), _side_basis(config, "output", components)[0]
+    return config.input_basis.build(), side_basis(config, "output", components)[0]
 
 
 def _evaluate(result: TrainedMap, dataset: datagen.FunctionDataset, in_basis, out_basis):
     """``evaluate_on`` with both bases given."""
     config = result.config
     enc = LeastSquaresEncoder(in_basis.design_matrix(dataset.input_points), config.input_encode)
-    psi = _reconstruction_matrix(out_basis, dataset.output_points, dataset.output_components)
+    psi = component_design(out_basis, dataset.output_points, dataset.output_components)
     return relative_loss(forward(result.net, enc.encode_values(dataset.inputs)), psi,
-                         _stack_components(dataset.outputs))
+                         stack_components(dataset.outputs))
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def forward(net: OperatorNet, inputs: np.ndarray) -> np.ndarray:
     return _forward(net, _check_inputs(net, inputs))[1]
 
 
-def _check_targets(psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
+def check_targets(psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
     """(psi, u, per-sample ||u||) once psi fits the targets and every target is finite and nonzero."""
     psi = np.asarray(psi, dtype=np.float64)
     u = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -130,12 +130,15 @@ def _check_targets(psi: np.ndarray, targets: np.ndarray, what: str = "target sam
 
 def relative_loss(coeff_batch: np.ndarray, psi: np.ndarray, targets: np.ndarray):
     """Mean over samples of ||Psi b - u|| / ||u||; also per-sample values."""
-    psi, u, unorm = _check_targets(psi, targets)
+    psi, u, unorm = check_targets(psi, targets)
     b = np.atleast_2d(np.asarray(coeff_batch, dtype=np.float64))
     if b.shape[1] != psi.shape[1]:
         raise ConfigurationError(
             f"coefficients have {b.shape[1]} columns, basis evaluation matrix has {psi.shape[1]}"
         )
+    if b.shape[0] != u.shape[0]:
+        raise ConfigurationError(
+            f"coefficients have {b.shape[0]} rows, targets have {u.shape[0]} samples")
     resid = b @ psi.T - u
     per_sample = np.linalg.norm(resid, axis=1) / unorm
     return float(per_sample.mean()), per_sample
@@ -172,7 +175,7 @@ class ReconstructionLoss:
     """
 
     def __init__(self, psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
-        psi, u, unorm = _check_targets(psi, targets, what)
+        psi, u, unorm = check_targets(psi, targets, what)
         self.psi = psi
         self.targets = u
         self.gram = psi.T @ psi

@@ -307,14 +307,31 @@ def test_cli_encode_on_2d_data(tmp_path, capsys):
     assert not (tmp_path / "bad.fbc").exists()
 
 
+@pytest.mark.parametrize("mode, width", [("scalar", 2 * 8), ("vector", 8)])
+def test_cli_encode_output_side_encodes_multi_component_outputs(tmp_path, mode, width):
+    cfg = _tiny_config_dict()
+    cfg["dataset"] = {"kind": "multi_output_1d", "n": 30, "m_train": 3, "m_test": 2}
+    cfg["output_mode"] = mode
+    path, data = _gen(tmp_path, cfg)
+    out = tmp_path / "c.fbc"
+    assert main(["encode", str(data), "-c", str(path), "--side", "output", "-o", str(out)]) == 0
+    config = load_config(path)
+    arrays, _ = read_container(data)
+    spec = config.output_basis
+    basis = spec.build(n_components=2) if mode == "vector" else spec.build()
+    values = np.concatenate([arrays["outputs_train"], arrays["outputs_test"]])
+    expected = encode(basis, arrays["output_points"], values, config.output_encode)
+    coeffs = read_container(out)[0]["coefficients"]
+    assert coeffs.shape == (5, width)
+    assert np.array_equal(coeffs, expected)
+
+
 def test_cli_encode_refuses_a_side_it_cannot_encode(tmp_path, capsys):
     cfg = _tiny_config_dict()
     cfg["dataset"] = {"kind": "multi_output_1d", "n": 30, "m_train": 3, "m_test": 2}
     path, data = _gen(tmp_path, cfg)
     capsys.readouterr()
     out = tmp_path / "c.fbc"
-    assert main(["encode", str(data), "-c", str(path), "--side", "output", "-o", str(out)]) == 2
-    assert "side: inline encoding covers scalar components only" in capsys.readouterr().err
     # raw grid values are no input side: a config that asks for them is refused
     cfg["p2c"] = True
     p2c = _write_config(tmp_path, cfg, "p2c.json")

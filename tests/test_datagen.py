@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -549,6 +550,32 @@ def test_generators_refuse_an_unrecordable_seed_before_drawing(monkeypatch, seed
                  lambda: make_poisson2d(4, 2, 2, seed)):
         with pytest.raises(ConfigurationError, match="seed"):
             make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_darcy1d(2, 2, 2, 0), "n: must be >= 3, got 2"),
+    (lambda: make_darcy1d(2.5, 2, 2, 0), "n: must be an integer, got 2.5"),
+    (lambda: make_darcy1d(5, 0, 2, 0), "m_train: must be >= 1, got 0"),
+    (lambda: make_darcy1d(5, 2, True, 0), "m_test: must be an integer, got True"),
+    (lambda: make_multi_output_1d(2, 2, 2, 0), "n: must be >= 3, got 2"),
+    (lambda: make_multi_output_1d(5, 2, 0, 0), "m_test: must be >= 1, got 0"),
+    (lambda: make_poisson2d(2, 2, 2, 0), "points_per_side: must be >= 3, got 2"),
+    (lambda: make_poisson2d(4, 2.5, 2, 0), "m_train: must be an integer, got 2.5"),
+    (lambda: make_poisson2d(4, 2, 2, 0, modes=0), "modes: must be >= 1, got 0"),
+    (lambda: make_poisson2d(4, 2, 2, 0, modes=2.0), "modes: must be an integer, got 2.0"),
+], ids=["darcy1d-n", "darcy1d-n-float", "darcy1d-m_train", "darcy1d-m_test-bool",
+        "multi_output_1d-n", "multi_output_1d-m_test", "poisson2d-points_per_side",
+        "poisson2d-m_train-float", "poisson2d-modes", "poisson2d-modes-float"])
+def test_generators_refuse_a_size_below_their_kind_row_before_building_a_grid(monkeypatch, make,
+                                                                             message):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("built a grid or drew a field before checking the sizes")
+
+    for name in ("sample_grf_at", "unit_square_grid"):
+        monkeypatch.setattr(datagen, name, no_grid)
+    monkeypatch.setattr(datagen.np, "linspace", no_grid)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_darcy_generators_record_integer_and_list_seeds_alike():

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +183,26 @@ def test_encode_vector_matches_dense_stacked_oracle():
     assert pe.per_sample == pytest.approx(resid, rel=1e-8)
 
 
+def test_encode_scalar_basis_gives_each_component_its_own_block():
+    basis = BasisSpec("rfm", [2], 5, 2.5, seed=17, bounds=[[0.0, 1.0]]).build()
+    pts = np.linspace(0, 1, 40)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((4, 2, 40))
+    cut = 1e-4
+    got = encode(basis, pts, values, EncodeSpec(cut=cut))
+    design = scipy.linalg.block_diag(*([basis.design_matrix(pts)] * 2))
+    pinv = np.linalg.pinv(design, rcond=cut)
+    expected = np.stack([pinv @ v.reshape(-1) for v in values])
+    assert got.shape == (4, 2 * basis.size)
+    assert np.max(np.abs(got - expected)) < 1e-10
+    # the projection floor runs over the stacked components
+    flat = values.reshape(4, -1)
+    resid = np.linalg.norm(expected @ design.T - flat, axis=1) / np.linalg.norm(flat, axis=1)
+    pe = projection_error(basis, pts, values, EncodeSpec(cut=cut))
+    assert pe.per_sample == pytest.approx(resid, rel=1e-8)
+    assert pe.mean == pytest.approx(resid.mean(), rel=1e-8)
+
+
 def test_encode_vector_shape_validation():
     vb = BasisSpec("rfm", [2], 5, 2.5, seed=17).build(2)
     pts = np.linspace(-1, 1, 10)
@@ -281,13 +304,19 @@ def test_projection_error_matches_dense_oracle():
     assert pe.mean == pytest.approx(expected, abs=1e-10)
 
 
-def test_projection_error_excludes_zero_norm_samples():
+@pytest.mark.parametrize("bad, what", [(np.nan, "NaN or Inf"), (np.inf, "NaN or Inf"),
+                                       (0.0, "zero norm")], ids=["nan", "inf", "zero"])
+def test_projection_error_refuses_what_training_refuses(bad, what):
     basis = BasisSpec("fem", n_nodes=4).build()
     pts = np.linspace(0, 1, 50)
-    targets = np.vstack([np.sin(pts), np.zeros(50)])
-    pe = projection_error(basis, pts, targets, EncodeSpec(cut=1e-8))
-    assert pe.zero_norm_count == 1
-    assert np.isnan(pe.per_sample[1])
-    assert np.isfinite(pe.mean)
-    with pytest.raises(DataError):
-        projection_error(basis, pts, np.zeros((2, 50)), EncodeSpec(cut=1e-8))
+    targets = np.vstack([np.sin(pts), np.sin(pts), np.cos(pts)])
+    if bad == 0.0:
+        targets[1] = 0.0
+    else:
+        targets[1, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # refused, not warned about
+        with pytest.raises(DataError, match=rf"{what} at indices \[1\]"):
+            projection_error(basis, pts, targets, EncodeSpec(cut=1e-8))
+        with pytest.raises(DataError, match=rf"{what} at indices \[0, 1, 2\]"):
+            projection_error(basis, pts, np.full((3, 50), bad), EncodeSpec(cut=1e-8))

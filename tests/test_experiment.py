@@ -307,6 +307,14 @@ def test_vector_and_scalar_output_dims():
     assert (scalar.net.n_parameters - vector.net.n_parameters) == 10 * 16
 
 
+@pytest.mark.parametrize("mode", ["scalar", "vector"])
+def test_evaluate_on_reproduces_a_multi_output_test_error(mode):
+    result = run(_multi_config(output_mode=mode))
+    mean, per = evaluate_on(result, result.data.test)
+    assert mean == result.report.final_test_error
+    assert np.array_equal(per, result.report.test_error_per_sample)
+
+
 def test_compare_vector_scalar_on_multi_output():
     comparison = compare_vector_scalar(_multi_config())
     assert comparison.parameter_difference == 10 * 16

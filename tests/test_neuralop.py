@@ -180,6 +180,12 @@ def test_relative_loss_hand_cases():
     assert mean == pytest.approx(0.2)
 
 
+def test_relative_loss_refuses_a_coefficient_batch_of_another_row_count():
+    psi = np.ones((30, 8))
+    with pytest.raises(ConfigurationError, match="coefficients have 3 rows, targets have 2"):
+        relative_loss(np.ones((3, 8)), psi, np.ones((2, 30)))
+
+
 def test_relative_loss_rejects_zero_norm_targets():
     with pytest.raises(DataError, match=r"\[1\]"):
         relative_loss(np.ones((2, 2)), np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
