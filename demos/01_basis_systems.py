@@ -13,7 +13,7 @@ from fbc2c.basis import BasisSpec
 rfm = BasisSpec(kind="rfm", partitions=[4], features_per_partition=2,
                 range_bound=3.0, seed=7, bounds=[[0.0, 1.0]]).build()
 print(f"random-feature basis: m = {rfm.size} functions, "
-      f"{rfm.partitions_per_dim[0]} partitions x {rfm.features_per_partition[0]} features")
+      f"{rfm.partitions_per_dim[0]} partitions x {rfm.features_per_partition} features")
 
 # The smooth windows form a partition of unity: they sum to one everywhere on
 # the (closed) domain because edge windows are clamped outward.

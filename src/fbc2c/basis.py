@@ -8,7 +8,9 @@ evaluation is pure, so instances can be shared freely across threads.
 Random-feature bases are fully determined by their structural parameters
 plus a 64-bit seed; two builds of equal specs produce bitwise-equal weights,
 which is what lets datasets serialize a basis as "parameters + seed" instead
-of weight dumps.
+of weight dumps.  Every partition of a random-feature basis holds the same
+number of features, so its weights are one (P, J, dim) array and its
+design matrix is built in one (n, P*J) buffer.
 """
 
 from __future__ import annotations
@@ -97,15 +99,18 @@ class RfmBasis:
     along axis k, numbered in ``np.ndindex`` order; window w_n is the product
     over axes of one 1-D window per axis.  The affine feature argument uses
     the raw coordinate; only the window is expressed in the partition-local
-    frame.  Weights and biases are i.i.d. uniform on [-range_bound,
-    range_bound], drawn feature-by-feature from one child stream per
-    partition: growing features_per_partition keeps the earlier features of
-    every partition unchanged, which gives nested bases.
+    frame.  Every partition holds the same J features: ``weights`` is one
+    (P, J, dim) array and ``biases`` one (P, J) array, and design-matrix
+    column n*J + j is feature j of partition n.  Weights and biases are
+    i.i.d. uniform on [-range_bound, range_bound], drawn feature-by-feature
+    from one child stream per partition: growing features_per_partition
+    keeps the earlier features of every partition unchanged, which gives
+    nested bases.
     """
 
     partitions_per_dim: tuple
-    weights: tuple          # per partition: (J_n, dim)
-    biases: tuple           # per partition: (J_n,)
+    weights: np.ndarray     # (P, J, dim)
+    biases: np.ndarray      # (P, J)
     range_bound: float
     activation: str         # "tanh" or "sin"
     window_kind: str        # "smooth" or "characteristic"
@@ -118,11 +123,11 @@ class RfmBasis:
 
     @property
     def size(self) -> int:
-        return sum(w.shape[0] for w in self.weights)
+        return self.biases.size
 
     @property
-    def features_per_partition(self) -> tuple:
-        return tuple(w.shape[0] for w in self.weights)
+    def features_per_partition(self) -> int:
+        return self.biases.shape[1]
 
     def _axes(self) -> list:
         """Per axis: the window centers, their common radius and the cell edges."""
@@ -140,7 +145,7 @@ class RfmBasis:
                         for idx in np.ndindex(*self.partitions_per_dim))
         h = hashlib.sha256()
         h.update(repr((
-            "rfm", self.dim, self.features_per_partition, centers,
+            "rfm", self.dim, (self.features_per_partition,) * len(self.biases), centers,
             float(self.range_bound), self.activation,
             self.window_kind, int(self.seed),
         )).encode())
@@ -165,14 +170,12 @@ class RfmBasis:
         return out
 
     def design_matrix(self, points) -> np.ndarray:
+        """The (n, P*J) feature values, built in place in one buffer."""
         pts = as_points(points, self.dim)
-        act = np.tanh if self.activation == "tanh" else np.sin
-        out = np.empty((len(pts), self.size))
-        hi = 0
-        for kw, bw, w in zip(self.weights, self.biases, self.windows(pts).T, strict=True):
-            lo, hi = hi, hi + kw.shape[0]
-            feats = act(pts @ kw.T + bw)
-            np.multiply(feats, w[:, None], out=out[:, lo:hi])
+        out = pts @ self.weights.reshape(-1, self.dim).T
+        out += self.biases.ravel()
+        (np.tanh if self.activation == "tanh" else np.sin)(out, out=out)
+        out.reshape(len(pts), *self.biases.shape)[...] *= self.windows(pts)[:, :, None]
         return out
 
 
@@ -387,18 +390,16 @@ def _draw_rfm(spec: BasisSpec, seed: int) -> RfmBasis:
     """
     partitions = tuple(int(p) for p in spec.partitions)
     dim, n_features, bound = len(partitions), int(spec.features_per_partition), spec.range_bound
-    weights, biases = [], []
-    for child in np.random.SeedSequence(seed).spawn(math.prod(partitions)):
+    weights = np.empty((math.prod(partitions), n_features, dim))
+    biases = np.empty(weights.shape[:2])
+    for w, b, child in zip(weights, biases, np.random.SeedSequence(seed).spawn(len(weights))):
         rng = np.random.default_rng(child)
-        w, b = np.empty((n_features, dim)), np.empty(n_features)
         for j in range(n_features):
             w[j] = rng.uniform(-bound, bound, size=dim)
             b[j] = rng.uniform(-bound, bound)
-        weights.append(w)
-        biases.append(b)
     bounds = (np.column_stack([-np.ones(dim), np.ones(dim)]) if spec.bounds is None
               else np.asarray(spec.bounds, dtype=np.float64).reshape(dim, 2))
-    return RfmBasis(partitions_per_dim=partitions, weights=tuple(weights),
-                    biases=tuple(biases), range_bound=float(bound),
+    return RfmBasis(partitions_per_dim=partitions, weights=weights,
+                    biases=biases, range_bound=float(bound),
                     activation=spec.activation, window_kind=spec.window,
                     seed=int(seed), bounds=bounds)

@@ -21,7 +21,9 @@ blocks exactly and couples them through a low-rank pivoted-Cholesky
 generator, so it never holds an (n, n) array, and up to 512 points it
 draws exactly the fields of a dense ``np.linalg.cholesky`` factor.  Every
 generator checks its seed before drawing anything (a non-negative integer
-or a sequence of them), is deterministic per seed, and records enough
+or a sequence of them), and ``_check_grf_settings`` is the one check of
+the length scale and amplitude, for ``DatasetSpec`` and ``sample_grf_at``
+alike.  Every generator is deterministic per seed, and records enough
 provenance to regenerate the data bit-identically at a fixed BLAS thread
 count.  The GRF factor and draws go through BLAS, whose rounding depends
 on that count: seed-0 draws (20 per grid, amplitude 1) differ between 1
@@ -244,6 +246,28 @@ def _grf_factor(pts: np.ndarray, length_scale: float, amplitude: float):
     return generator, blocks, level
 
 
+def _check_grf_settings(length_scale, amplitude, span: float = 1.0) -> None:
+    """Refuse GRF settings a draw over points ``span`` apart cannot use, naming the field.
+
+    Each of ``length_scale`` and ``amplitude`` must be a real number (not a
+    bool or a str), finite and > 0; ``amplitude^2`` must be finite, and so
+    must ``(span / length_scale)^2``, the largest scaled distance squared.
+    The squares are taken in Python floats, which overflow to inf without a
+    numpy warning.
+    """
+    for name, value in (("length_scale", length_scale), ("amplitude", amplitude)):
+        check_real(name, value)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
+    if math.isinf(float(amplitude) * float(amplitude)):
+        raise ConfigurationError(f"amplitude: its square must be finite, got {amplitude!r}")
+    scaled = span / float(length_scale)
+    if math.isinf(scaled * scaled):
+        raise ConfigurationError(
+            f"length_scale: (span / length_scale)^2 must be finite, got {length_scale!r} "
+            f"over a span of {span!r}")
+
+
 def sample_grf_at(points: np.ndarray, count: int, seed,
                   length_scale: float = 0.04, amplitude: float = 1.0) -> np.ndarray:
     """Draw ``count`` field realizations jointly at arbitrary points, (M, n).
@@ -289,30 +313,18 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     ``seed`` is a ``SeedSequence`` (the generators pass children of theirs)
     or a value ``_seed_provenance`` accepts, so a draw can be repeated;
     ``None``, which would draw fresh OS entropy, a count that is not an
-    integer >= 0 and a length_scale so small against the points' span that
-    (ptp(points) / length_scale)^2 overflows raise ``ConfigurationError``
-    before anything is factored.
+    integer >= 0, and GRF settings ``_check_grf_settings`` refuses over the
+    span ptp(points) raise ``ConfigurationError`` before anything is factored.
     """
     if not isinstance(seed, np.random.SeedSequence):
         _seed_provenance(seed)
-    _grid_size("count", count, 0)
-    if not (np.isfinite(length_scale) and length_scale > 0 and amplitude > 0
-            and np.isfinite(float(amplitude) * float(amplitude))):
-        raise ConfigurationError(
-            "length_scale and amplitude must be positive and finite, and so must amplitude "
-            f"squared, got {length_scale} and {amplitude}")
+    check_int("count", count, 0)
     pts = np.asarray(points, dtype=np.float64).ravel()
     if not pts.size:
         raise ConfigurationError("a GRF needs at least one point")
     if not np.all(np.isfinite(pts)):
         raise DataError("GRF points contain NaN or Inf")
-    # in Python floats, which overflow to inf without a numpy warning
-    span = float(pts.max()) - float(pts.min())
-    scaled = span / float(length_scale)
-    if np.isinf(scaled * scaled):
-        raise ConfigurationError(
-            f"length_scale: the largest scaled distance squared, (ptp(points) / length_scale)^2, "
-            f"must be finite, got length_scale {length_scale} over a span of {span}")
+    _check_grf_settings(length_scale, amplitude, float(pts.max()) - float(pts.min()))
     generator, blocks, level = _grf_factor(pts, length_scale, amplitude)
     _grf_record.set({"grf_jitter": level, "grf_rank": generator.shape[1]})
     z = np.random.default_rng(seed).standard_normal((pts.size, count))
@@ -360,15 +372,6 @@ def _kirchhoff_inverse(w: np.ndarray) -> np.ndarray:
     """
     p = np.cbrt(1.5 * np.abs(w) + np.hypot(1.5 * w, _A0 ** 1.5))
     return 3.0 * w / (p ** 2 + _A0 + (_A0 / p) ** 2)
-
-
-def solve_darcy_1d(f: np.ndarray) -> np.ndarray:
-    """Solve d/dx((0.2 + u^2) du/dx) = f on [0, 1], u(0) = u(1) = 0, for one row.
-
-    The one-row call of ``solve_darcy_batch``.
-    """
-    f = np.asarray(f, dtype=np.float64).ravel()
-    return solve_darcy_batch(f[None])[0]
 
 
 def solve_darcy_batch(forcings: np.ndarray) -> np.ndarray:
@@ -422,13 +425,6 @@ def make_darcy1d(n: int, m_train: int, m_test: int, seed: int,
                     "amplitude": amplitude}, grid, seed, (m_train, m_test), draw)
 
 
-def _grid_size(name: str, value, least: int) -> int:
-    """``value`` as a count of at least ``least``; a bool or a non-integer is refused."""
-    if is_int(value) and value >= least:
-        return int(value)
-    raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def _four_node_cubic(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Rows of ``values`` on ``linspace(0, 1, n)`` interpolated at ``points`` in [0, 1].
 
@@ -475,9 +471,11 @@ def make_darcy1d_multiresolution(resolutions: Sequence[int], count: int, seed,
     seed = _seed_provenance(seed)
     if not resolutions:
         raise ConfigurationError("resolutions list is empty")
-    sizes = [_grid_size("resolution", r, 3) for r in resolutions]
-    solve_n = _grid_size("solve_n", solve_n, 4)
-    grids = {r: np.linspace(0.0, 1.0, r) for r in sizes}
+    for r in resolutions:
+        check_int("resolution", r, 3)
+    check_int("solve_n", solve_n, 4)
+    solve_n = int(solve_n)
+    grids = {int(r): np.linspace(0.0, 1.0, r) for r in resolutions}
     solve_grid = np.linspace(0.0, 1.0, solve_n)
     union = np.unique(np.concatenate([solve_grid] + list(grids.values())))
     draws = sample_grf_at(union, count, np.random.SeedSequence(seed),
@@ -658,9 +656,9 @@ def _splits(provenance: dict, points: np.ndarray, seed, counts: tuple, draw):
 # Per dataset kind: the size fields it reads with the least value each takes,
 # which DatasetSpec and the kind's generator both check (the 1D solvers need
 # an interior grid point, and a poisson2d grid below 3x3 holds only boundary
-# points, where its solutions vanish); the GRF settings it reads, each finite
-# and > 0; its point dimension; its output components; and its generator,
-# called with (n, m_train, m_test, seed) and the other fields.
+# points, where its solutions vanish); the GRF settings it reads, which
+# ``_check_grf_settings`` checks; its point dimension; its output components;
+# and its generator, called with (n, m_train, m_test, seed) and the other fields.
 _SPLIT_SIZES = {"n": 3, "m_train": 1, "m_test": 1}
 _DATASET_KINDS = {
     "darcy1d": (_SPLIT_SIZES, ("length_scale", "amplitude"), 1, 1, "make_darcy1d"),
@@ -697,20 +695,9 @@ class DatasetSpec:
             if value is None:
                 raise ConfigurationError(f"{name}: {self.kind} needs it")
             check_int(name, value, least)
-        for name in grf:
-            value = getattr(self, name)
-            check_real(name, value)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name}: must be finite and > 0, got {value!r}")
         if grf:
-            # the grids span [0, 1], so 1 / length_scale is the largest scaled distance
-            inverse = 1.0 / float(self.length_scale)
-            if math.isinf(inverse * inverse):
-                raise ConfigurationError(
-                    f"length_scale: its inverse square must be finite, got {self.length_scale!r}")
-            if math.isinf(float(self.amplitude) * float(self.amplitude)):
-                raise ConfigurationError(
-                    f"amplitude: its square must be finite, got {self.amplitude!r}")
+            # the grids span [0, 1]
+            _check_grf_settings(self.length_scale, self.amplitude)
         check_int("seed", self.seed, 0)
 
     @property

@@ -24,7 +24,6 @@ that reuse: ``experiment.run`` keeps one factorization per design matrix.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -304,15 +303,3 @@ def projection_error(basis, points, targets, spec: EncodeSpec) -> ProjectionErro
     design, rows = _design_and_rows(basis, points, targets)
     return projection_error_from_design(design, rows, spec)
 
-
-def write_diagnostics_csv(path, rows) -> None:
-    """Flat diagnostics export: one row per encode spec.
-
-    Columns: cut, erank, variance_entropy, mean_projection_error.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cut", "erank", "variance_entropy", "mean_projection_error"])
-        for row in rows:
-            writer.writerow([repr(float(row[0])), repr(float(row[1])),
-                             repr(float(row[2])), repr(float(row[3]))])

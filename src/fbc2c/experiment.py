@@ -6,7 +6,8 @@ coefficient diagnostics and the kept rank and condition of both encoders.
 Its net maps raw input coefficients to output coefficients, as does the
 checkpoint of a ``TrainingDiverged`` it raises, and the bases are rebuilt
 from config seeds, so the config and net that a run directory stores
-(``load_run``) are all ``evaluate_on`` needs.  The encode sections of the
+(``load_run``) are all ``evaluate_on`` needs; with ``report.txt`` and
+``traces.csv`` they are all a run directory holds.  The encode sections of the
 config are the ``EncodeSpec`` the encoders take.  Output components are
 laid out by ``encoder.component_design`` and ``encoder.stack_components``
 in training, in ``evaluate_on`` and in the projection floor alike, and
@@ -30,8 +31,7 @@ from . import datagen
 from .config import DatasetSpec, ExperimentConfig, config_hash, dump_config, load_config
 from .container import read_container, write_container
 from .encoder import (EncodeSpec, LeastSquaresEncoder, ProjectionError, component_design,
-                      diagnostics, projection_error_from_design, stack_components,
-                      write_diagnostics_csv)
+                      diagnostics, projection_error_from_design, stack_components)
 from .errors import ConfigurationError, DataError, TrainingDiverged
 from .neuralop import OperatorNet, forward, init_net, relative_loss, train
 
@@ -298,9 +298,11 @@ def sweep_cutoff(config: ExperimentConfig, cuts,
     return SweepResult(rows=rows)
 
 
-def eval_resolutions(result: RunResult, resolutions) -> dict:
-    """Test a trained Darcy run on freshly generated data at other grid sizes.
+def eval_resolutions(result: TrainedMap, resolutions) -> dict:
+    """Test a trained Darcy map on freshly generated data at other grid sizes.
 
+    ``result`` needs only its config and net: a ``RunResult``, or the
+    ``TrainedMap`` that ``load_run`` returns, which ``fbc2c eval`` passes.
     The forcing field is drawn jointly across all the grids and the PDE is
     solved once on a fine reference grid, so the per-resolution targets are
     restrictions of the same underlying solutions.
@@ -357,7 +359,7 @@ def compare_vector_scalar(config: ExperimentConfig,
 
 
 def write_artifacts(result: RunResult, outdir) -> None:
-    """Per-run directory: report, traces CSV, diagnostics CSV, checkpoint, config."""
+    """Per-run directory: report, traces CSV, checkpoint, config."""
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     report, trace, config = result.report, result.trace, result.config
@@ -375,13 +377,6 @@ def write_artifacts(result: RunResult, outdir) -> None:
                              repr(test_val) if test_val != "" else "",
                              repr(float(trace.lr[epoch]))])
 
-    write_diagnostics_csv(out / "diagnostics.csv", [(
-        config.input_encode.cut,
-        report.erank,
-        report.variance_entropy,
-        report.projection.mean,
-    )])
-
     write_container(out / "checkpoint.fbc",
                     arrays={"parameters": result.net.flat_parameters()},
                     meta={
@@ -394,25 +389,12 @@ def write_artifacts(result: RunResult, outdir) -> None:
     dump_config(config, out / "config.json")
 
 
-def _checkpoint_net(arrays: dict, meta: dict, path) -> OperatorNet:
-    """The net a checkpoint container holds; refuses a missing array or dimension."""
-    if "parameters" not in arrays:
-        raise DataError(f"checkpoint {path} has no 'parameters' array")
-    for key in ("input_dim", "hidden_dim", "output_dim"):
-        value = meta.get(key)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DataError(f"checkpoint {path}: meta {key} must be a positive integer, "
-                            f"got {value!r}")
-    return OperatorNet(arrays["parameters"], meta["input_dim"], meta["hidden_dim"],
-                       meta["output_dim"])
-
-
-def load_checkpoint(path) -> OperatorNet:
-    return _checkpoint_net(*read_container(path), path)
-
-
 def load_run(run_dir) -> TrainedMap:
-    """A run directory's ``config.json`` and ``checkpoint.fbc``; refused unless their hashes agree."""
+    """A run directory's ``config.json`` and ``checkpoint.fbc``; refused unless their hashes agree.
+
+    A checkpoint without a ``parameters`` array or a positive integer
+    dimension raises ``DataError``.
+    """
     run_dir = pathlib.Path(run_dir)
     config = load_config(run_dir / "config.json")
     checkpoint = run_dir / "checkpoint.fbc"
@@ -421,4 +403,13 @@ def load_run(run_dir) -> TrainedMap:
         raise ConfigurationError(
             f"config.json in {run_dir} hashes to {config_hash(config)}, but the checkpoint "
             f"was trained under config_hash {meta.get('config_hash')!r}")
-    return TrainedMap(config, _checkpoint_net(arrays, meta, checkpoint))
+    if "parameters" not in arrays:
+        raise DataError(f"checkpoint {checkpoint} has no 'parameters' array")
+    for key in ("input_dim", "hidden_dim", "output_dim"):
+        value = meta.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DataError(f"checkpoint {checkpoint}: meta {key} must be a positive integer, "
+                            f"got {value!r}")
+    net = OperatorNet(arrays["parameters"], meta["input_dim"], meta["hidden_dim"],
+                      meta["output_dim"])
+    return TrainedMap(config, net)

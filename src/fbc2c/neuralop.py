@@ -9,7 +9,8 @@ the norm's kink).
 
 The net, its gradient and Adam's moments share one flat float64 layout
 (see ``OperatorNet``), so a training step updates the net in place; the
-gradient is one buffer per ``ReconstructionLoss``, overwritten every call.
+gradient, which ``ReconstructionLoss.loss_and_grads`` returns with the
+loss, is one buffer per ``ReconstructionLoss``, overwritten every call.
 
 ``train`` may be given an ``input_span``: columns that span the training
 rows, as the encoder's kept right singular vectors span truncated-SVD
@@ -235,14 +236,6 @@ class ReconstructionLoss:
         else:
             np.matmul(d_hidden.T @ inputs, self.input_span.T, out=g.hidden_weights)
         return loss, g
-
-
-def gradient(net: OperatorNet, inputs: np.ndarray, psi: np.ndarray,
-             targets: np.ndarray) -> OperatorNet:
-    """Exact gradient of the relative loss w.r.t. all parameters, as a net."""
-    a = _check_inputs(net, inputs)
-    _, grads = ReconstructionLoss(psi, targets).loss_and_grads(net, a)
-    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,16 @@
+import os
+from importlib.metadata import version
+
 import numpy as np
 import pytest
 
 from fbc2c import encoder
+
+
+def pytest_report_header(config):
+    """The BLAS pin and the numpy and scipy versions, so a log shows which run it is."""
+    pin = os.environ.get("OPENBLAS_NUM_THREADS", "unpinned")
+    return f"OPENBLAS_NUM_THREADS: {pin}; numpy {np.__version__}; scipy {version('scipy')}"
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ from fbc2c.errors import ConfigurationError, DomainError
 def test_basis_spec_build_total_count():
     basis = BasisSpec("rfm", [4], 2, 3.0, "smooth", "tanh", seed=7).build()
     assert basis.size == 8
-    assert basis.features_per_partition == (2, 2, 2, 2)
+    assert basis.features_per_partition == 2
+    assert basis.weights.shape == (4, 2, 1) and basis.biases.shape == (4, 2)
     assert basis.partitions_per_dim == (4,)
     assert basis.windows(np.linspace(-1, 1, 7)).shape == (7, 4)
 
@@ -216,8 +217,8 @@ def test_rfm_values_bounded():
 
 def test_forced_zero_weights_give_zero_columns():
     # single characteristic partition covering the domain, tanh(0) = 0
-    basis = RfmBasis(partitions_per_dim=(1,), weights=(np.zeros((3, 1)),),
-                     biases=(np.zeros(3),), range_bound=1.0,
+    basis = RfmBasis(partitions_per_dim=(1,), weights=np.zeros((1, 3, 1)),
+                     biases=np.zeros((1, 3)), range_bound=1.0,
                      activation="tanh",
                      window_kind="characteristic", seed=0,
                      bounds=np.array([[-1.0, 1.0]]))

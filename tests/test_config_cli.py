@@ -478,7 +478,7 @@ def test_cli_eval_refuses_a_grid_without_an_interior_point(trained_run, capsys):
     assert main(["eval", str(trained_run), "--resolutions", "40,2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""                            # refused before anything is evaluated
-    assert err.startswith("error code=2") and "resolution must be an integer of at least 3, got 2" in err
+    assert err.startswith("error code=2") and "resolution: must be >= 3, got 2" in err
 
 
 @pytest.mark.parametrize("drop_array, meta_edit, key", [
@@ -568,9 +568,8 @@ def test_cli_train_writes_artifacts(tmp_path):
     outdir = tmp_path / "artifacts"
     code = main(["train", "-c", str(path), "-o", str(outdir)])
     assert code == 0
-    for name in ("report.txt", "traces.csv", "diagnostics.csv",
-                 "checkpoint.fbc", "config.json"):
-        assert (outdir / name).exists()
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "checkpoint.fbc", "config.json", "report.txt", "traces.csv"]
 
 
 @pytest.fixture
@@ -745,7 +744,8 @@ def test_cli_gen_refuses_a_length_scale_whose_inverse_square_overflows(tmp_path,
     assert main(["gen", "-c", str(_write_config(tmp_path, cfg)), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error code=2")
-    assert "config.dataset.length_scale: its inverse square must be finite, got 1e-300" in err
+    assert ("config.dataset.length_scale: (span / length_scale)^2 must be finite, got 1e-300 "
+            "over a span of 1.0") in err
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, DatasetSpec, FunctionData
                            _kirchhoff_inverse, derivative_1d, make_darcy1d,
                            make_darcy1d_multiresolution,
                            make_multi_output_1d, make_poisson2d, poisson_2d_forcing, sample_grf_at,
-                           solve_darcy_1d, solve_darcy_batch, solve_poisson_1d,
+                           solve_darcy_batch, solve_poisson_1d,
                            solve_poisson_2d_square, squared_exp_covariance,
                            unit_square_grid)
 from fbc2c.errors import ConfigurationError, DataError, NumericalError
@@ -65,9 +65,10 @@ def test_grf_deterministic_per_seed():
 
 def test_grf_config_validation():
     pts = np.linspace(0, 1, 10)
-    for length_scale, amplitude in [(0.0, 1.0), (-0.1, 1.0), (np.nan, 1.0),
-                                    (0.04, 0.0), (0.04, -1.0)]:
-        with pytest.raises(ConfigurationError, match="must be positive"):
+    for length_scale, amplitude, field in [(0.0, 1.0, "length_scale"), (-0.1, 1.0, "length_scale"),
+                                           (np.nan, 1.0, "length_scale"), (0.04, 0.0, "amplitude"),
+                                           (0.04, -1.0, "amplitude")]:
+        with pytest.raises(ConfigurationError, match=f"^{field}: must be finite and > 0, got "):
             sample_grf_at(pts, 2, 0, length_scale, amplitude)
     # one point is a valid draw, none is not
     assert sample_grf_at(pts[:1], 3, 0).shape == (3, 1)
@@ -75,18 +76,20 @@ def test_grf_config_validation():
         sample_grf_at(pts[:0], 3, 0)
 
 
-@pytest.mark.parametrize("seed, count, field", [
-    (None, 2, "seed"), (1.5, 2, "seed"), ("3", 2, "seed"), (-1, 2, "seed"), ([3, -1], 2, "seed"),
-    (0, -1, "count"), (0, 2.5, "count"), (0, True, "count"),
+@pytest.mark.parametrize("seed, count, message", [
+    (None, 2, "seed must be"), (1.5, 2, "seed must be"), ("3", 2, "seed must be"),
+    (-1, 2, "seed must be"), ([3, -1], 2, "seed must be"),
+    (0, -1, "count: must be >= 0, got -1"), (0, 2.5, "count: must be an integer, got 2.5"),
+    (0, True, "count: must be an integer, got True"),
 ], ids=["none_seed", "float_seed", "string_seed", "negative_seed", "negative_seed_entry",
         "negative_count", "float_count", "bool_count"])
 def test_grf_refuses_an_unrepeatable_seed_or_a_bad_count_before_factoring(monkeypatch, seed,
-                                                                          count, field):
+                                                                          count, message):
     def no_factor(*args, **kwargs):
         raise AssertionError("factored before checking the seed and count")
 
     monkeypatch.setattr(datagen, "_grf_factor", no_factor)
-    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
         sample_grf_at(np.linspace(0, 1, 10), count, seed)
 
 
@@ -98,10 +101,11 @@ def test_grf_takes_the_seeds_the_generators_record_and_pass():
     assert sample_grf_at(pts, 0, 4).shape == (0, 10)
 
 
-@pytest.mark.parametrize("length_scale, amplitude", [(np.inf, 1.0), (0.04, np.inf)],
+@pytest.mark.parametrize("length_scale, amplitude, field",
+                         [(np.inf, 1.0, "length_scale"), (0.04, np.inf, "amplitude")],
                          ids=["inf_length_scale", "inf_amplitude"])
-def test_grf_refuses_a_non_finite_length_scale_or_amplitude(length_scale, amplitude):
-    with pytest.raises(ConfigurationError, match="must be positive and finite"):
+def test_grf_refuses_a_non_finite_length_scale_or_amplitude(length_scale, amplitude, field):
+    with pytest.raises(ConfigurationError, match=f"^{field}: must be finite and > 0, got inf"):
         sample_grf_at(np.linspace(0, 1, 10), 2, 0, length_scale, amplitude)
 
 
@@ -132,6 +136,26 @@ def test_grf_refuses_a_length_scale_whose_scaled_span_overflows(monkeypatch, poi
             sample_grf_at(points, 2, 0, length_scale)
     # (1 / 1e-154)^2 = 1e308 is still finite, and draws without a warning
     assert np.all(np.isfinite(sample_grf_at(np.linspace(0, 1, 5), 2, 0, 1e-154)))
+
+
+_GRF_ENTRY_POINTS = {
+    "sample_grf_at": lambda **grf: sample_grf_at(np.linspace(0, 1, 10), 2, 0, **grf),
+    "make_darcy1d": lambda **grf: make_darcy1d(20, 2, 2, 0, **grf),
+}
+
+
+@pytest.mark.parametrize("entry", list(_GRF_ENTRY_POINTS))
+@pytest.mark.parametrize("field, value", [
+    ("length_scale", True), ("length_scale", "0.04"), ("amplitude", True), ("amplitude", "1.0"),
+], ids=["bool_length_scale", "string_length_scale", "bool_amplitude", "string_amplitude"])
+def test_grf_settings_refuse_a_bool_or_a_string_before_factoring(monkeypatch, entry, field, value):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored a covariance before checking the GRF settings")
+
+    monkeypatch.setattr(datagen, "_grf_factor", no_factor)
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field}: must be a real number, got {value!r}$"):
+        _GRF_ENTRY_POINTS[entry](**{field: value})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -322,7 +346,7 @@ def test_grf_joint_sampling_handles_near_duplicate_points():
 
 
 def test_darcy_zero_forcing_zero_solution():
-    u = solve_darcy_1d(np.zeros(101))
+    u = solve_darcy_batch(np.zeros((1, 101)))[0]
     assert np.all(u == 0.0)
 
 
@@ -330,7 +354,7 @@ def _manufactured_error(n):
     x = np.linspace(0, 1, n)
     u_true = x * (1 - x)
     f = 2 * x * (1 - x) * (1 - 2 * x) ** 2 - 2 * (0.2 + x ** 2 * (1 - x) ** 2)
-    return np.max(np.abs(solve_darcy_1d(f) - u_true))
+    return np.max(np.abs(solve_darcy_batch(f[None])[0] - u_true))
 
 
 def test_darcy_manufactured_solution_accuracy():
@@ -350,7 +374,7 @@ def test_darcy_solves_a_16001_point_grid():
     n = 16001
     x = np.linspace(0, 1, n)
     f = -20 * np.sin(3 * np.pi * x) * np.exp(x) - 10
-    u = solve_darcy_1d(f)
+    u = solve_darcy_batch(f[None])[0]
     assert np.all(np.isfinite(u)) and u[0] == u[-1] == 0.0
     w = solve_poisson_1d(f)
     assert np.max(np.abs(_kirchhoff(u) - w)) <= 1e-14 * np.max(np.abs(w))
@@ -360,18 +384,18 @@ def test_darcy_near_linear_sign_flip():
     x = np.linspace(0, 1, 400)
     g = np.sin(2 * np.pi * x) + 0.5 * np.cos(5 * np.pi * x)
     alpha = 1e-3
-    u_plus = solve_darcy_1d(alpha * g)
-    u_minus = solve_darcy_1d(-alpha * g)
+    u_plus = solve_darcy_batch(alpha * g[None])[0]
+    u_minus = solve_darcy_batch(-alpha * g[None])[0]
     assert np.linalg.norm(u_plus + u_minus) / np.linalg.norm(u_plus) < 1e-2
 
 
 def test_darcy_input_validation():
     with pytest.raises(ConfigurationError):
-        solve_darcy_1d(np.zeros(2))
+        solve_darcy_batch(np.zeros((1, 2)))
     bad = np.zeros(50)
     bad[3] = np.nan
     with pytest.raises(DataError):
-        solve_darcy_1d(bad)
+        solve_darcy_batch(bad[None])
 
 
 def test_darcy_batch_rows_do_not_depend_on_their_batch():
@@ -385,7 +409,7 @@ def test_darcy_batch_rows_do_not_depend_on_their_batch():
     assert np.all(batch[20] == 0.0)
     # a smaller batch against the one-sample solver
     small = forcings[[3, 20, 0], ::8]
-    assert np.array_equal(solve_darcy_batch(small), np.stack([solve_darcy_1d(f) for f in small]))
+    assert np.array_equal(solve_darcy_batch(small), np.stack([solve_darcy_batch(f[None])[0] for f in small]))
 
 
 def test_darcy_batch_failure_names_the_failing_row():
@@ -527,7 +551,7 @@ def test_multiresolution_refuses_degenerate_grids_before_drawing(monkeypatch, re
         raise AssertionError("drew a field before checking the grids")
 
     monkeypatch.setattr(datagen, "sample_grf_at", no_draw)
-    with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer .* got .*{value}"):
+    with pytest.raises(ConfigurationError, match=rf"^{name}: must be .*got .*{value}"):
         make_darcy1d_multiresolution(resolutions, 2, 0, solve_n=solve_n)
 
 

@@ -136,8 +136,7 @@ def test_encode_through_basis():
 
 def _zero_basis_like(basis):
     return RfmBasis(partitions_per_dim=basis.partitions_per_dim,
-                    weights=tuple(np.zeros_like(w) for w in basis.weights),
-                    biases=tuple(np.zeros_like(b) for b in basis.biases),
+                    weights=np.zeros_like(basis.weights), biases=np.zeros_like(basis.biases),
                     range_bound=basis.range_bound, activation="tanh",
                     window_kind=basis.window_kind, seed=0, bounds=basis.bounds)
 

@@ -5,8 +5,7 @@ import pytest
 
 from fbc2c.errors import ConfigurationError, DataError, TrainingDiverged
 from fbc2c.neuralop import (_BLOCK, OperatorNet, ReconstructionLoss, TrainConfig, _Adam,
-                            forward, gradient, init_net, learning_rate,
-                            relative_loss, train)
+                            forward, init_net, learning_rate, relative_loss, train)
 
 
 def test_init_deterministic_and_counted():
@@ -218,7 +217,7 @@ def test_gradient_matches_finite_differences():
         a = rng.standard_normal((m, m1))
         psi = rng.standard_normal((n2, m2))
         u = rng.standard_normal((m, n2))
-        g = gradient(net, a, psi, u)
+        _, g = ReconstructionLoss(psi, u).loss_and_grads(net, a)
         flat_g = np.concatenate([g.hidden_weights.ravel(), g.hidden_biases,
                                  g.output_weights.ravel()])
         flat = net.flat_parameters()
@@ -239,7 +238,7 @@ def test_gradient_zero_at_perfect_fit():
     a = rng.standard_normal((5, 3))
     psi = rng.standard_normal((7, 2))
     u = forward(net, a) @ psi.T    # residual is exactly zero
-    g = gradient(net, a, psi, u)
+    _, g = ReconstructionLoss(psi, u).loss_and_grads(net, a)
     assert np.all(g.hidden_weights == 0.0)
     assert np.all(g.hidden_biases == 0.0)
     assert np.all(g.output_weights == 0.0)
@@ -272,7 +271,7 @@ def test_gradient_direction_near_perfect_fit():
     a = rng.standard_normal((4, 3))
     psi = rng.standard_normal((8, 2))
     u = forward(net, a) @ psi.T + 1e-10 * rng.standard_normal((4, 8))
-    g = gradient(net, a, psi, u)
+    _, g = ReconstructionLoss(psi, u).loss_and_grads(net, a)
     hidden = np.tanh(a @ net.hidden_weights.T + net.hidden_biases)
     r = forward(net, a) @ psi.T - u
     scale = 4 * np.linalg.norm(r, axis=1) * np.linalg.norm(u, axis=1)
