@@ -387,6 +387,8 @@ def _draw_rfm(spec: BasisSpec, seed: int) -> RfmBasis:
 
     One child stream of ``SeedSequence(seed)`` per partition, drawn feature
     by feature (k_nj then b_nj), so a longer draw extends a shorter one.
+    The weights and biases are made read-only once drawn: ``identity()``
+    hashes the seed, not the arrays.
     """
     partitions = tuple(int(p) for p in spec.partitions)
     dim, n_features, bound = len(partitions), int(spec.features_per_partition), spec.range_bound
@@ -397,6 +399,8 @@ def _draw_rfm(spec: BasisSpec, seed: int) -> RfmBasis:
         for j in range(n_features):
             w[j] = rng.uniform(-bound, bound, size=dim)
             b[j] = rng.uniform(-bound, bound)
+    weights.flags.writeable = False
+    biases.flags.writeable = False
     bounds = (np.column_stack([-np.ones(dim), np.ones(dim)]) if spec.bounds is None
               else np.asarray(spec.bounds, dtype=np.float64).reshape(dim, 2))
     return RfmBasis(partitions_per_dim=partitions, weights=weights,

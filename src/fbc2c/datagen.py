@@ -27,7 +27,7 @@ alike.  Every generator is deterministic per seed, and records enough
 provenance to regenerate the data bit-identically at a fixed BLAS thread
 count.  The GRF factor and draws go through BLAS, whose rounding depends
 on that count: seed-0 draws (20 per grid, amplitude 1) differ between 1
-and 2 threads by up to 3.7e-6 at 512 points, 1.7e-5 at 2000 and 2.4e-5
+and 2 threads by up to 3.7e-6 at 512 points, 1.5e-5 at 2000 and 2.0e-5
 at 3532.
 """
 
@@ -101,7 +101,7 @@ def _seed_provenance(seed):
         if all(is_int(s) and s >= 0 for s in seed):
             return [int(s) for s in seed]
     raise ConfigurationError(
-        f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+        f"seed: must be a non-negative integer or a sequence of them, got {seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +127,15 @@ def _squared_exp(rows: np.ndarray, cols: np.ndarray, length_scale: float,
     return cov
 
 
-# Points in the first diagonal block of the GRF factor.  Up to this many
-# points the factor is one np.linalg.cholesky call and no generator is built,
-# so every grid of at most 512 points (all the training grids) draws the
-# fields a dense factor draws, bit for bit.
-_FIRST_BLOCK = 512
-# Points in each later diagonal block.
-_LATER_BLOCK = 128
+# Up to this many points the GRF factor is one np.linalg.cholesky call and no
+# generator is built, so every grid of at most 512 points (all the training
+# grids) draws the fields a dense factor draws, bit for bit.
+_DENSE_MAX = 512
+# Points in each diagonal block of the factor above _DENSE_MAX points (the
+# last block takes the remainder).  A block of b points costs about
+# 2 b r^2 + b^2 (r + count) + b^3 / 3; 64 was the fastest of 32 to 128 at
+# 600, 2000 and 3532 points.
+_BLOCK = 64
 
 # What the last factor sample_grf_at made, in this context, as the
 # provenance entries {"grf_jitter": level, "grf_rank": r}.  sample_grf_at
@@ -144,7 +146,9 @@ _grf_record: contextvars.ContextVar[dict] = contextvars.ContextVar("grf_record")
 
 def _block_bounds(n: int) -> list[tuple[int, int]]:
     """Row ranges [r0, r1) of the factor's diagonal blocks for n points."""
-    starts = [0] + list(range(min(n, _FIRST_BLOCK), n, _LATER_BLOCK))
+    if n <= _DENSE_MAX:
+        return [(0, n)]
+    starts = list(range(0, n, _BLOCK))
     return list(zip(starts, starts[1:] + [n]))
 
 
@@ -155,11 +159,12 @@ def _cholesky_with_jitter(diagonal_block, generator: np.ndarray, jitter: float =
     A is a symmetric (n, n) matrix, n = len(``generator``), whose blocks off
     the diagonal are products of the (n, r) ``generator`` G: A[I, J] =
     G[I] G[J]^T for diagonal blocks I != J (``_block_bounds``), while
-    ``diagonal_block(r0, r1)`` returns a new array of the diagonal block
-    A[r0:r1, r0:r1], of which only the lower triangle is used.  Returns
-    ``(blocks, level)``, one ``(chol, coupling)`` pair per diagonal block J:
-    chol is L_J, the factor's diagonal block, and coupling the (len(J), r)
-    array V_J that gives the factor's rows below it as L[I, J] = G[I] V_J^T.
+    ``diagonal_block(r0, r1)`` returns a new C-contiguous array of the
+    diagonal block A[r0:r1, r0:r1], of which only the lower triangle is
+    used.  Returns ``(blocks, level)``, one ``(chol, coupling)`` pair per
+    diagonal block J: chol is L_J, the factor's diagonal block, and
+    coupling the (len(J), r) array V_J that gives the factor's rows below
+    it as L[I, J] = G[I] V_J^T.
 
     The recursion runs left to right from S = 0 (r, r), S being the sum of
     V_K^T V_K over the blocks K already factored: C_J = A[J, J] + level * I
@@ -185,7 +190,7 @@ def _cholesky_with_jitter(diagonal_block, generator: np.ndarray, jitter: float =
                 g = generator[r0:r1]
                 g_shared = g @ shared
                 chol = diagonal_block(r0, r1)
-                chol[np.diag_indices_from(chol)] += level
+                chol.ravel()[::len(chol) + 1] += level     # the diagonal, as a strided view
                 if blocks:
                     chol -= g_shared @ g.T
                 chol = np.linalg.cholesky(chol)
@@ -238,7 +243,7 @@ def _grf_factor(pts: np.ndarray, length_scale: float, amplitude: float):
 
     Up to 512 points there is one block and no generator (r = 0)."""
     n = pts.size
-    generator = (_pivoted_generator(pts, length_scale, amplitude) if n > _FIRST_BLOCK
+    generator = (_pivoted_generator(pts, length_scale, amplitude) if n > _DENSE_MAX
                  else np.zeros((n, 0)))
     blocks, level = _cholesky_with_jitter(
         lambda r0, r1: _squared_exp(pts[r0:r1], pts[r0:r1], length_scale, amplitude),
@@ -280,12 +285,13 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
     Cholesky (``_pivoted_generator``) first builds a generator G (n, r) with
     K - G G^T positive semidefinite and no diagonal entry above
     4 * eps * amplitude^2; then ``_cholesky_with_jitter`` factors the matrix
-    that keeps K's diagonal blocks (the first of 512 points, the later ones
-    of 128) and replaces each block off the diagonal by G[I] G[J]^T.  Each
-    entry so replaced is an entry of the semidefinite residual, so it is at
-    most sqrt(E_ii E_jj) <= 4 * eps * amplitude^2.  With the factorization's
-    own rounding, (n + 1) * eps / 2 * max diag (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.3),
+    that keeps K's diagonal blocks (64 points each from row 0, the last one
+    the remainder) and replaces each block off the diagonal by
+    G[I] G[J]^T.  Each entry so replaced is an entry of the semidefinite
+    residual, so it is at most sqrt(E_ii E_jj) <= 4 * eps * amplitude^2.
+    With the factorization's own rounding, (n + 1) * eps / 2 * max diag
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.3),
     max|L L^T - (K + level * I)| <= (n + 2) * eps * max diag for sorted,
     shuffled or clustered points.  No (n, n) array is allocated for n > 512:
     the factor is the diagonal blocks, G and one (block, r) coupling per
@@ -300,7 +306,7 @@ def sample_grf_at(points: np.ndarray, count: int, seed,
 
         length_scale   0.04    0.02    0.01    0.005   0.0025
         rank r         111     214     443     880     1688
-        factor         0.05 s  0.09 s  0.21 s  0.74 s  3.2 s
+        call           0.04 s  0.09 s  0.25 s  0.90 s  4.1 s
 
     So it is slow below length_scale 0.02; every workload, demo and default
     config draws at 0.04.

@@ -57,6 +57,16 @@ def test_rfm_identity_is_pinned():
     assert BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build().identity() == "bfc8d6246f8eec1c"
 
 
+def test_rfm_weights_and_biases_refuse_an_in_place_write():
+    # identity() hashes the seed, so a write would change the design under the same id
+    basis = BasisSpec("rfm", [2], 3, seed=1).build()
+    for component in (basis, *BasisSpec("rfm", [2], 3, seed=1).build(2).components):
+        with pytest.raises(ValueError, match="read-only"):
+            component.weights[0, 0, 0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            component.biases[0, 0] = 0.0
+
+
 def test_rfm_refuses_a_flat_array_of_the_wrong_dimension():
     basis = BasisSpec("rfm", [2, 2], 1, 1.0, seed=0).build()
     with pytest.raises(ConfigurationError, match=r"points have shape \(80,\), expected \(n, 2\)"):

@@ -9,10 +9,9 @@ import pytest
 
 import fbc2c
 from fbc2c import datagen
-from fbc2c.datagen import (_FIRST_BLOCK, _LATER_BLOCK, DatasetSpec, FunctionDataset,
-                           _cholesky_with_jitter, _four_node_cubic, _grf_factor, _kirchhoff,
-                           _kirchhoff_inverse, derivative_1d, make_darcy1d,
-                           make_darcy1d_multiresolution,
+from fbc2c.datagen import (DatasetSpec, FunctionDataset, _cholesky_with_jitter,
+                           _four_node_cubic, _grf_factor, _kirchhoff, _kirchhoff_inverse,
+                           derivative_1d, make_darcy1d, make_darcy1d_multiresolution,
                            make_multi_output_1d, make_poisson2d, poisson_2d_forcing, sample_grf_at,
                            solve_darcy_batch, solve_poisson_1d,
                            solve_poisson_2d_square, squared_exp_covariance,
@@ -77,8 +76,8 @@ def test_grf_config_validation():
 
 
 @pytest.mark.parametrize("seed, count, message", [
-    (None, 2, "seed must be"), (1.5, 2, "seed must be"), ("3", 2, "seed must be"),
-    (-1, 2, "seed must be"), ([3, -1], 2, "seed must be"),
+    (None, 2, "seed: must be"), (1.5, 2, "seed: must be"), ("3", 2, "seed: must be"),
+    (-1, 2, "seed: must be"), ([3, -1], 2, "seed: must be"),
     (0, -1, "count: must be >= 0, got -1"), (0, 2.5, "count: must be an integer, got 2.5"),
     (0, True, "count: must be an integer, got True"),
 ], ids=["none_seed", "float_seed", "string_seed", "negative_seed", "negative_seed_entry",
@@ -160,7 +159,7 @@ def test_grf_settings_refuse_a_bool_or_a_string_before_factoring(monkeypatch, en
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_grf_refuses_non_finite_points(bad):
-    # at 600 points the bad point falls in the second block of the factor
+    # at 600 points the bad point falls in the last block of the factor
     for n in (10, 600):
         pts = np.linspace(0, 1, n)
         pts[-3] = bad
@@ -249,7 +248,7 @@ def test_blocked_grf_factor_meets_its_backward_error_bound(order, length_scale):
     shifted = cov + level * np.eye(n)
     generator, blocks, used = _grf_factor(pts, length_scale, 1.0)
     assert used == level
-    assert [len(diag) for diag, _ in blocks] == [_FIRST_BLOCK] + [_LATER_BLOCK] * 7 + [92]
+    assert [len(diag) for diag, _ in blocks] == [64] * 23 + [28]
     # the generator's rank grows as 1 / length_scale (111 at 0.04, 418 at 0.01)
     assert 50 < generator.shape[1] * length_scale / 0.04 < 150
     chol = _dense_factor(generator, blocks)
@@ -262,9 +261,38 @@ def test_blocked_grf_factor_meets_its_backward_error_bound(order, length_scale):
     assert np.max(np.abs(sample_grf_at(pts, 5, 9, length_scale) - dense)) < 1e-3
 
 
+def _transfer_union():
+    """The darcy_transfer union of the 40-, 500-, 1000- and 2000-point grids."""
+    pts = np.unique(np.concatenate([np.linspace(0, 1, r) for r in (40, 500, 1000, 2000)]))
+    assert pts.size == 3532
+    return pts
+
+
+@pytest.mark.parametrize("points", [lambda: np.linspace(0, 1, 513), lambda: np.linspace(0, 1, 600),
+                                    _transfer_union], ids=["513", "600", "transfer_union"])
+def test_grf_factor_from_a_small_first_block_meets_its_bound_at_the_least_jitter(points):
+    pts = points()
+    n = pts.size
+    generator, blocks, level = _grf_factor(pts, 0.04, 1.0)
+    assert level == 1e-10
+    assert [len(diag) for diag, _ in blocks] == [64] * (n // 64) + [n % 64]
+    chol = _dense_factor(generator, blocks)
+    # the bound the docstring of sample_grf_at states, on the lower triangle
+    # of L L^T - (K + level * I), a strip of rows at a time
+    bound = (n + 2) * np.finfo(np.float64).eps * (1.0 + level)
+    for r0 in range(0, n, 512):
+        r1 = min(r0 + 512, n)
+        shifted = datagen._squared_exp(pts[r0:r1], pts[:r1], 0.04, 1.0)
+        shifted[:, r0:r1] += level * np.eye(r1 - r0)
+        assert np.max(np.abs(chol[r0:r1, :r1] @ chol[:r1, :r1].T - shifted)) <= bound
+    # the block draw loop applies that factor
+    z = np.random.default_rng(9).standard_normal((n, 5))
+    assert np.max(np.abs(sample_grf_at(pts, 5, 9) - (chol @ z).T)) < 1e-12
+    assert datagen._grf_record.get()["grf_jitter"] == 1e-10
+
+
 def test_grf_draws_across_coupled_blocks_have_the_kernel_covariance():
-    # 640 points: the first block of 512 and one later block of 128, coupled
-    # only through the generator
+    # 640 points: ten blocks of 64, coupled only through the generator
     pts = np.linspace(0, 1, 640)
     count = 4000
     draws = sample_grf_at(pts, count, 4)
@@ -284,7 +312,7 @@ def test_grf_draws_across_coupled_blocks_have_the_kernel_covariance():
 
 def _matrix_indefinite_in_its_last_block(last_eigenvalue):
     # G G^T plus a block-diagonal E with the factor's diagonal blocks of 800
-    # points (512, 128, 128, 32): E is 0.1 I on the first three blocks and
+    # points (twelve of 64, then 32): E is 0.1 I on the first twelve blocks and
     # carries one negative eigenvalue in the last, along a direction q that
     # the last block's generator rows are made orthogonal to, so q^T A q
     # equals that eigenvalue and the dense ladder settles where E does
@@ -304,14 +332,14 @@ def _matrix_indefinite_in_its_last_block(last_eigenvalue):
 def test_jitter_escalates_from_a_later_block_to_the_dense_level():
     a, generator = _matrix_indefinite_in_its_last_block(-5e-8)
     n = len(a)
-    assert [r1 - r0 for r0, r1 in datagen._block_bounds(n)] == [512, 128, 128, 32]
+    assert [r1 - r0 for r0, r1 in datagen._block_bounds(n)] == [64] * 12 + [32]
     np.linalg.cholesky(a[:768, :768] + 1e-10 * np.eye(768))
     level = _dense_jitter_level(a)
     assert level == pytest.approx(1e-7)
     chol, used = _factor_of(a, generator)
     assert used == level
     # every block restarted at that level, the first one included
-    assert np.array_equal(chol[:512, :512], np.linalg.cholesky(a[:512, :512] + level * np.eye(512)))
+    assert np.array_equal(chol[:64, :64], np.linalg.cholesky(a[:64, :64] + level * np.eye(64)))
     assert np.max(np.abs(chol @ chol.T - (a + level * np.eye(n)))) <= 1e-12
     # no level up to 1e-6 fixes -1e-3
     with pytest.raises(NumericalError):
@@ -321,18 +349,22 @@ def test_jitter_escalates_from_a_later_block_to_the_dense_level():
 def test_grf_sampler_peak_memory_stays_near_the_covariance():
     import tracemalloc
 
-    # the darcy_transfer union of the 40-, 500-, 1000- and 2000-point grids
-    pts = np.unique(np.concatenate([np.linspace(0, 1, r) for r in (40, 500, 1000, 2000)]))
-    assert pts.size == 3532
+    # the first factor above 512 points imports scipy.linalg.blas; import it
+    # first, so that the peak is the sampler's whether this test runs alone or
+    # after others
+    import scipy.linalg.blas  # noqa: F401
+
+    pts = _transfer_union()
     tracemalloc.start()
     try:
         sample_grf_at(pts, 100, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 18.2 MB (the strip factor before it peaked at 41.8 MB), against
-    # 99.8 MB for one (n, n) float64 array
-    assert peak < 20e6
+    # measured 14.5 MB with blocks of 64 points (18.2 MB with a first block of
+    # 512, 41.8 MB with the strip factor before that), against 99.8 MB for one
+    # (n, n) float64 array
+    assert peak < 16e6
 
 
 def test_grf_joint_sampling_handles_near_duplicate_points():

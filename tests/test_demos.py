@@ -4,13 +4,15 @@ Demos 01 and 02 and README's python blocks take about a second each and are
 run; the other demos train for tens of seconds to minutes, so only the names
 they import from fbc2c and the arguments they pass to those names are
 checked.  The same check covers ``perfbench/workloads.py``, whose workloads
-that only build a config also build it here.
+that only build a config also build it here; ``darcy_transfer`` runs once,
+against its ``REFERENCE``.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -88,9 +90,10 @@ def test_workloads_that_only_build_a_config_prepare(monkeypatch, name):
     assert workload.config.input_encode.method == "tsvd"
 
 
-def _run_without_warnings(args):
-    """Run python on ``args`` from the repo root, with the source tree first and warnings as errors."""
-    env = dict(os.environ)
+def _run_without_warnings(args, **environ):
+    """Run python on ``args`` from the repo root, with the source tree first and warnings as
+    errors; ``environ`` adds to the environment."""
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
@@ -110,3 +113,26 @@ def test_readme_python_blocks_run_without_warnings():
     assert blocks
     for block in blocks:
         _run_without_warnings(["-c", block])
+
+
+# One darcy_transfer call at the default seed, as a benchmark worker makes it.
+_TRANSFER_CALL = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import workloads
+workload = workloads.WORKLOADS["darcy_transfer"](workloads.DEFAULT_SEED)
+workload.prepare()
+outcome = workload.check(workload.call(None), None)
+print(json.dumps({"error": outcome.test_rel_err, "problems": outcome.problems,
+                  "reference": workloads.REFERENCE["darcy_transfer"],
+                  "rtol": workloads.REFERENCE_RTOL}))
+"""
+
+
+def test_transfer_workload_stays_within_its_reference_at_the_default_seed():
+    # the benchmark checks REFERENCE only in a run at the default seed on one
+    # BLAS thread; this makes the same check on every test run (about 4 s)
+    pin = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    result = json.loads(_run_without_warnings(["-c", _TRANSFER_CALL], **pin).stdout)
+    assert result["problems"] == []
+    assert abs(result["error"] - result["reference"]) <= result["rtol"] * result["reference"]
