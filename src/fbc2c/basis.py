@@ -5,17 +5,15 @@ one way to make one; it is also the ``input_basis``/``output_basis`` section
 of a run config (``fbc2c.config``), so every setting is checked once, where
 the spec is made.  A basis object is immutable after construction and
 evaluation is pure, so instances can be shared freely across threads.
-Random-feature bases are fully determined by their structural parameters
-plus a 64-bit seed; two builds of equal specs produce bitwise-equal weights,
-which is what lets datasets serialize a basis as "parameters + seed" instead
-of weight dumps.  Every partition of a random-feature basis holds the same
-number of features, so its weights are one (P, J, dim) array and its
-design matrix is built in one (n, P*J) buffer.
+A basis is named by its spec alone: two builds of equal specs produce
+bitwise-equal weights, so a file records a basis as its spec (with the
+component count) instead of a weight dump.  Every partition of a
+random-feature basis holds the same number of features, so its weights are
+one (P, J, dim) array and its design matrix is built in one (n, P*J) buffer.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -101,20 +99,16 @@ class RfmBasis:
     the raw coordinate; only the window is expressed in the partition-local
     frame.  Every partition holds the same J features: ``weights`` is one
     (P, J, dim) array and ``biases`` one (P, J) array, and design-matrix
-    column n*J + j is feature j of partition n.  Weights and biases are
-    i.i.d. uniform on [-range_bound, range_bound], drawn feature-by-feature
-    from one child stream per partition: growing features_per_partition
-    keeps the earlier features of every partition unchanged, which gives
-    nested bases.
+    column n*J + j is feature j of partition n.  These fields are all that
+    sets the design; ``BasisSpec.build`` draws the weights and biases (see
+    ``_draw_rfm``).
     """
 
     partitions_per_dim: tuple
     weights: np.ndarray     # (P, J, dim)
     biases: np.ndarray      # (P, J)
-    range_bound: float
     activation: str         # "tanh" or "sin"
     window_kind: str        # "smooth" or "characteristic"
-    seed: int
     bounds: np.ndarray      # (dim, 2) tiled bounding box
 
     @property
@@ -138,18 +132,6 @@ class RfmBasis:
             # One edge array per axis: neighbouring cells share the same float.
             axes.append((centers, spacing / 2.0, np.linspace(lo, hi, count + 1)))
         return axes
-
-    def identity(self) -> str:
-        rounded = [np.round(centers, 15).tolist() for centers, _, _ in self._axes()]
-        centers = tuple([rounded[k][i] for k, i in enumerate(idx)]
-                        for idx in np.ndindex(*self.partitions_per_dim))
-        h = hashlib.sha256()
-        h.update(repr((
-            "rfm", self.dim, (self.features_per_partition,) * len(self.biases), centers,
-            float(self.range_bound), self.activation,
-            self.window_kind, int(self.seed),
-        )).encode())
-        return h.hexdigest()[:16]
 
     def windows(self, points) -> np.ndarray:
         """The (n, P) window values, one column per partition.
@@ -206,12 +188,6 @@ class FemBasis1D:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    def identity(self) -> str:
-        h = hashlib.sha256()
-        h.update(b"fem1d")
-        h.update(self.nodes.tobytes())
-        return h.hexdigest()[:16]
 
     def design_matrix(self, points) -> np.ndarray:
         pts = as_points(points, 1)[:, 0]
@@ -271,13 +247,6 @@ class VectorBasis:
     @property
     def dim(self) -> int:
         return self.components[0].dim
-
-    def identity(self) -> str:
-        h = hashlib.sha256()
-        h.update(b"vector")
-        for b in self.components:
-            h.update(b.identity().encode())
-        return h.hexdigest()[:16]
 
     def design_matrix(self, points) -> np.ndarray:
         """The (C*n, m) component-major stack of the component design matrices."""
@@ -385,10 +354,11 @@ class BasisSpec:
 def _draw_rfm(spec: BasisSpec, seed: int) -> RfmBasis:
     """The rfm basis of a checked ``spec``, drawn from ``seed``.
 
-    One child stream of ``SeedSequence(seed)`` per partition, drawn feature
-    by feature (k_nj then b_nj), so a longer draw extends a shorter one.
-    The weights and biases are made read-only once drawn: ``identity()``
-    hashes the seed, not the arrays.
+    Weights and biases are i.i.d. uniform on [-range_bound, range_bound],
+    from one child stream of ``SeedSequence(seed)`` per partition, drawn
+    feature by feature (k_nj then b_nj): growing features_per_partition
+    keeps the earlier features of every partition unchanged, which gives
+    nested bases.  The arrays are made read-only, as a basis is immutable.
     """
     partitions = tuple(int(p) for p in spec.partitions)
     dim, n_features, bound = len(partitions), int(spec.features_per_partition), spec.range_bound
@@ -403,7 +373,5 @@ def _draw_rfm(spec: BasisSpec, seed: int) -> RfmBasis:
     biases.flags.writeable = False
     bounds = (np.column_stack([-np.ones(dim), np.ones(dim)]) if spec.bounds is None
               else np.asarray(spec.bounds, dtype=np.float64).reshape(dim, 2))
-    return RfmBasis(partitions_per_dim=partitions, weights=weights,
-                    biases=biases, range_bound=float(bound),
-                    activation=spec.activation, window_kind=spec.window,
-                    seed=int(seed), bounds=bounds)
+    return RfmBasis(partitions_per_dim=partitions, weights=weights, biases=biases,
+                    activation=spec.activation, window_kind=spec.window, bounds=bounds)

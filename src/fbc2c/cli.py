@@ -5,15 +5,18 @@ Subcommands: gen, encode, train, eval, diagnose, sweep.  The run config
 dataset, the bases and the encodes: ``gen`` writes the splits of its
 dataset, ``encode`` uses its basis and encode of one side (the basis
 ``run`` builds for that side's components), ``train`` and ``sweep`` run
-it.  Exit codes: 0 success, 2 bad configuration (message names the field),
-3 missing file, 4 numerical failure.  A config is checked as it loads,
-before any data is read or generated.  Errors print one machine-parsable
-line to stderr.
+it.  ``encode`` records that basis as the side's spec (``basis``), its
+``mode`` and its ``components``, which rebuild it bit for bit.  Exit codes:
+0 success, 2 bad configuration or data (message names the field), 3
+missing file, 4 numerical failure.  A config is checked as it loads, before
+any data is read or generated.  Errors print one machine-parsable line to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -63,14 +66,16 @@ def _cmd_encode(args) -> int:
     points = arrays[names[0]]
     values = np.concatenate([arrays[names[1]], arrays[names[2]]])
     spec.check_dim(1 if points.ndim == 1 else points.shape[1], f"config.{args.side}_basis")
-    basis, _ = side_basis(config, args.side, values.shape[1] if values.ndim == 3 else 1)
+    components = values.shape[1] if values.ndim == 3 else 1
+    basis, mode = side_basis(config, args.side, components)
     coeffs = encode(basis, points, values, getattr(config, f"{args.side}_encode"))
     diag = diagnostics(coeffs)
     write_container(args.output,
                     arrays={"coefficients": coeffs,
                             "singular_values": diag.singular_values,
                             "per_basis_variance": diag.per_basis_variance},
-                    meta={"kind": "coefficients", "basis_id": basis.identity(),
+                    meta={"kind": "coefficients", "basis": dataclasses.asdict(spec),
+                          "mode": mode, "components": components,
                           "erank": diag.effective_rank,
                           "variance_entropy": diag.variance_entropy,
                           "source": str(args.dataset)})

@@ -517,30 +517,39 @@ def unit_square_grid(points_per_side: int) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def _sine_mode_tables(alpha_shape, points):
-    pts = np.asarray(points, dtype=np.float64)
-    p, q = alpha_shape
-    sx = np.stack([np.sin(i * np.pi * pts[:, 0]) for i in range(p)])
-    sy = np.stack([np.sin(j * np.pi * pts[:, 1]) for j in range(q)])
-    return sx, sy
-
-
 def _poisson_scale(p: int, q: int) -> np.ndarray:
     """Solution factor -1 / ((i^2 + j^2) pi^2) of each sine mode; 0 at (0, 0)."""
-    scale = np.zeros((p, q))
-    for i in range(p):
-        for j in range(q):
-            if i == j == 0:
-                continue
-            scale[i, j] = -1.0 / ((i * i + j * j) * np.pi ** 2)
-    return scale
+    eigen = np.add.outer(np.arange(p) ** 2, np.arange(q) ** 2) * np.pi ** 2
+    return np.divide(-1.0, eigen, out=np.zeros((p, q)), where=eigen > 0)
+
+
+def _sine_sums(alpha, points, solve: bool) -> np.ndarray:
+    """sum_ij c_ij sin(i pi x) sin(j pi y) at ``points`` for each (p, q) array of ``alpha``.
+
+    c is alpha, or alpha times ``_poisson_scale`` if ``solve``.  The sine
+    tables and the scale are built once per call and each sample is one
+    einsum, so a sample's values are the same bits alone or in a batch.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim not in (2, 3):
+        raise ConfigurationError(f"alpha must be (p, q) or (M, p, q), got shape {alpha.shape}")
+    p, q = alpha.shape[-2:]
+    pts = np.asarray(points, dtype=np.float64)
+    sx = np.stack([np.sin(i * np.pi * pts[:, 0]) for i in range(p)])
+    sy = np.stack([np.sin(j * np.pi * pts[:, 1]) for j in range(q)])
+    if solve:
+        alpha = alpha * _poisson_scale(p, q)
+    sums = [np.einsum("ij,in,jn->n", a, sx, sy) for a in alpha.reshape(-1, p, q)]
+    return np.stack(sums).reshape(*alpha.shape[:-2], len(pts))
 
 
 def poisson_2d_forcing(alpha: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """f(x, y) = sum_ij alpha_ij sin(i pi x) sin(j pi y) at the given points."""
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    sx, sy = _sine_mode_tables(alpha.shape, points)
-    return np.einsum("ij,in,jn->n", alpha, sx, sy)
+    """f(x, y) = sum_ij alpha_ij sin(i pi x) sin(j pi y) at the given points.
+
+    ``alpha`` is one (p, q) array, giving (n,) values, or an (M, p, q) batch,
+    giving (M, n).
+    """
+    return _sine_sums(alpha, points, solve=False)
 
 
 def solve_poisson_2d_square(alpha: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -549,10 +558,10 @@ def solve_poisson_2d_square(alpha: np.ndarray, points: np.ndarray) -> np.ndarray
     Each sine mode is an eigenfunction, so
     u = -sum_ij alpha_ij sin(i pi x) sin(j pi y) / ((i^2 + j^2) pi^2),
     with the (0, 0) mode skipped (it contributes nothing to f either).
+    ``alpha`` is one (p, q) array, giving (n,) values, or an (M, p, q) batch,
+    giving (M, n).
     """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    sx, sy = _sine_mode_tables(alpha.shape, points)
-    return np.einsum("ij,in,jn->n", alpha * _poisson_scale(*alpha.shape), sx, sy)
+    return _sine_sums(alpha, points, solve=True)
 
 
 def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
@@ -561,16 +570,10 @@ def make_poisson2d(points_per_side: int, m_train: int, m_test: int, seed: int,
     _check_sizes("poisson2d", points_per_side=points_per_side, m_train=m_train, m_test=m_test,
                  modes=modes)
     pts = unit_square_grid(points_per_side)
-    # the sums of poisson_2d_forcing and solve_poisson_2d_square, one einsum
-    # per sample, with the mode tables and scale built once, not per sample
-    sx, sy = _sine_mode_tables((modes, modes), pts)
-    scale = _poisson_scale(modes, modes)
 
     def draw(count, child):
         alphas = np.random.default_rng(child).uniform(-1.0, 1.0, size=(count, modes, modes))
-        f = np.stack([np.einsum("ij,in,jn->n", a, sx, sy) for a in alphas])
-        u = np.stack([np.einsum("ij,in,jn->n", a * scale, sx, sy) for a in alphas])
-        return f, u, {}
+        return poisson_2d_forcing(alphas, pts), solve_poisson_2d_square(alphas, pts), {}
 
     return _splits({"generator": "poisson2d", "points_per_side": points_per_side, "modes": modes,
                     "forcing_form": "separable products sin(i pi x) sin(j pi y)"},

@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import VectorBasis
 from .errors import ConfigurationError, check_real
-from .neuralop import check_targets, relative_loss
+from .neuralop import check_finite_rows, check_targets, relative_loss
 
 
 @dataclass
@@ -82,7 +82,6 @@ class LeastSquaresEncoder:
         if not isinstance(spec, EncodeSpec):
             raise ConfigurationError(f"expected an EncodeSpec, got {spec!r}")
         self.design = design
-        self.spec = spec
         if svd is None:
             svd = np.linalg.svd(design, full_matrices=False)
         u, s, vt = svd
@@ -184,6 +183,7 @@ def _design_and_rows(basis, points, values):
     A VectorBasis of C components takes (M, C, n) or (C, n) samples; a
     scalar basis takes (M, n) or (n,) samples of one component, or (M, C, n)
     samples of C, each component encoded in its own coefficient block.
+    A sample with a NaN or an Inf raises ``DataError``.
     """
     values = np.asarray(values, dtype=np.float64)
     if isinstance(basis, VectorBasis):
@@ -196,13 +196,15 @@ def _design_and_rows(basis, points, values):
         raise ConfigurationError(
             f"expected values of shape (n,), (M, n) or (M, C, n), got {values.shape}")
     components = values.shape[1] if values.ndim == 3 else 1
+    rows = stack_components(values)
+    check_finite_rows(rows, "samples")
     design = component_design(basis, points, components)
     n = design.shape[0] // components
     if values.ndim == 3 and values.shape[2] != n:
         raise ConfigurationError(
             f"samples have {values.shape[2]} points per component, design matrix has {n}"
         )
-    return design, stack_components(values)
+    return design, rows
 
 
 def encode(basis, points, values, spec: EncodeSpec) -> np.ndarray:
@@ -248,11 +250,13 @@ def diagnostics(coeffs: np.ndarray) -> CoefficientDiagnostics:
 
     The variance entropy is an implementer's proxy for how evenly the
     coefficient variation spreads across basis functions: exp of the entropy
-    of the normalized per-column sample variances.
+    of the normalized per-column sample variances.  A row with a NaN or an
+    Inf raises ``DataError``.
     """
     a = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if a.size == 0:
         raise ConfigurationError("coefficient matrix is empty")
+    check_finite_rows(a, "coefficient rows")
     s = np.linalg.svd(a, compute_uv=False)
     degenerate = bool(np.all(s == 0))
     erank = 1.0 if degenerate else effective_rank_of_singular_values(s)

@@ -392,8 +392,8 @@ def write_artifacts(result: RunResult, outdir) -> None:
 def load_run(run_dir) -> TrainedMap:
     """A run directory's ``config.json`` and ``checkpoint.fbc``; refused unless their hashes agree.
 
-    A checkpoint without a ``parameters`` array or a positive integer
-    dimension raises ``DataError``.
+    A checkpoint without a ``parameters`` array, with a NaN or an Inf
+    parameter, or without a positive integer dimension raises ``DataError``.
     """
     run_dir = pathlib.Path(run_dir)
     config = load_config(run_dir / "config.json")
@@ -405,6 +405,8 @@ def load_run(run_dir) -> TrainedMap:
             f"was trained under config_hash {meta.get('config_hash')!r}")
     if "parameters" not in arrays:
         raise DataError(f"checkpoint {checkpoint} has no 'parameters' array")
+    if not np.isfinite(arrays["parameters"]).all():
+        raise DataError(f"checkpoint {checkpoint} has a NaN or Inf parameter")
     for key in ("input_dim", "hidden_dim", "output_dim"):
         value = meta.get(key)
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:

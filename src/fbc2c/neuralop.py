@@ -111,6 +111,13 @@ def forward(net: OperatorNet, inputs: np.ndarray) -> np.ndarray:
     return _forward(net, _check_inputs(net, inputs))[1]
 
 
+def check_finite_rows(rows: np.ndarray, what: str) -> None:
+    """Refuse ``rows`` (one sample per row, or one sample) if any holds a NaN or an Inf."""
+    finite = np.isfinite(np.atleast_2d(rows)).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{what} with NaN or Inf at indices {np.flatnonzero(~finite).tolist()}")
+
+
 def check_targets(psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
     """(psi, u, per-sample ||u||) once psi fits the targets and every target is finite and nonzero."""
     psi = np.asarray(psi, dtype=np.float64)
@@ -119,9 +126,7 @@ def check_targets(psi: np.ndarray, targets: np.ndarray, what: str = "target samp
         raise ConfigurationError(
             f"{what} have {u.shape[1]} points, basis evaluation matrix has shape {psi.shape}"
         )
-    finite = np.isfinite(u).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{what} with NaN or Inf at indices {np.flatnonzero(~finite).tolist()}")
+    check_finite_rows(u, what)
     unorm = np.linalg.norm(u, axis=1)
     if np.any(unorm == 0):
         bad = np.flatnonzero(unorm == 0).tolist()

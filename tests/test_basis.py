@@ -52,13 +52,8 @@ def test_basis_spec_build_deterministic_per_seed():
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
-def test_rfm_identity_is_pinned():
-    # coefficient files and run directories name their bases by this hash
-    assert BasisSpec("rfm", [2, 3], 4, 1.5, seed=99).build().identity() == "bfc8d6246f8eec1c"
-
-
 def test_rfm_weights_and_biases_refuse_an_in_place_write():
-    # identity() hashes the seed, so a write would change the design under the same id
+    # a basis is immutable: a write would change the design its spec names
     basis = BasisSpec("rfm", [2], 3, seed=1).build()
     for component in (basis, *BasisSpec("rfm", [2], 3, seed=1).build(2).components):
         with pytest.raises(ValueError, match="read-only"):
@@ -228,42 +223,34 @@ def test_rfm_values_bounded():
 def test_forced_zero_weights_give_zero_columns():
     # single characteristic partition covering the domain, tanh(0) = 0
     basis = RfmBasis(partitions_per_dim=(1,), weights=np.zeros((1, 3, 1)),
-                     biases=np.zeros((1, 3)), range_bound=1.0,
-                     activation="tanh",
-                     window_kind="characteristic", seed=0,
-                     bounds=np.array([[-1.0, 1.0]]))
+                     biases=np.zeros((1, 3)), activation="tanh",
+                     window_kind="characteristic", bounds=np.array([[-1.0, 1.0]]))
     phi = basis.design_matrix(np.linspace(-1, 0.99, 50))
     assert np.all(phi == 0.0)
 
 
-# (spec, components, identity, sha256 prefix of the design's bytes at 23
+# (spec, components, sha256 prefix of the design's bytes at 23
 # points) recorded from the separate rfm, vector-rfm and fem builders that
 # BasisSpec.build replaced: a build must draw the same features in the same order
 _RECORDED = [
-    (dict(kind="rfm", partitions=[4], features_per_partition=3), 1,
-     "7ed08d3e5d3a5852", "55f4dadfa507b42f"),
+    (dict(kind="rfm", partitions=[4], features_per_partition=3), 1, "55f4dadfa507b42f"),
     (dict(kind="rfm", partitions=[2, 3], features_per_partition=2, window="characteristic",
-          activation="sin", seed=99, bounds=[[0.0, 1.0], [-1.0, 2.0]]), 1,
-     "cfe2e745a900fadc", "8a64f3f08209fc21"),
+          activation="sin", seed=99, bounds=[[0.0, 1.0], [-1.0, 2.0]]), 1, "8a64f3f08209fc21"),
     (dict(kind="rfm", partitions=[3, 2], features_per_partition=2, activation="sin",
-          seed=2 ** 40), 1,
-     "1d06b4920dd943d5", "42dd55ece8cf5c7e"),
+          seed=2 ** 40), 1, "42dd55ece8cf5c7e"),
     (dict(kind="rfm", partitions=[2, 1, 2], features_per_partition=2,
-          window="characteristic", seed=7), 1,
-     "88e922e49142a8c9", "11efacdee8237573"),
+          window="characteristic", seed=7), 1, "11efacdee8237573"),
     (dict(kind="rfm", partitions=[2], features_per_partition=3, seed=13,
-          bounds=[[0.0, 1.0]]), 3,
-     "3db97c8a20e9dac7", "67846397df1e26a6"),
-    (dict(kind="fem", n_nodes=9), 1, "bc4bf04ee644b743", "6adcf8a90547fca5"),
-    (dict(kind="fem", n_nodes=5, domain=[-1.0, 2.0]), 1,
-     "56bb107632a82634", "3ccf1a9f41d17b8c"),
+          bounds=[[0.0, 1.0]]), 3, "67846397df1e26a6"),
+    (dict(kind="fem", n_nodes=9), 1, "6adcf8a90547fca5"),
+    (dict(kind="fem", n_nodes=5, domain=[-1.0, 2.0]), 1, "3ccf1a9f41d17b8c"),
 ]
 
 
-@pytest.mark.parametrize("kwargs, components, identity, design", _RECORDED,
+@pytest.mark.parametrize("kwargs, components, design", _RECORDED,
                          ids=["rfm_smooth_tanh", "rfm_characteristic_sin", "rfm_smooth_sin",
                               "rfm_characteristic_tanh_3d", "vector_rfm", "fem", "fem_domain"])
-def test_build_matches_the_recorded_bases_bitwise(kwargs, components, identity, design):
+def test_build_matches_the_recorded_bases_bitwise(kwargs, components, design):
     spec = BasisSpec(**kwargs)
     basis = spec.build(components)
     if spec.kind == "fem":
@@ -271,7 +258,6 @@ def test_build_matches_the_recorded_bases_bitwise(kwargs, components, identity, 
     else:
         box = np.array(spec.bounds or [[-1.0, 1.0]] * spec.dim)
         pts = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(23, spec.dim))
-    assert basis.identity() == identity
     assert hashlib.sha256(basis.design_matrix(pts).tobytes()).hexdigest()[:16] == design
 
 

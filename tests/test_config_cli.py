@@ -1,12 +1,16 @@
 import json
+import os
 import pathlib
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fbc2c
 from fbc2c.cli import build_parser, main
 from fbc2c.config import (BasisSpec, DatasetSpec, EncodeSpec, ExperimentConfig,
                           NetSpec, config_from_dict, config_hash,
@@ -777,13 +781,62 @@ def test_cli_encode_refuses_a_nan_cut(tmp_path, capsys):
     assert not (tmp_path / "c.fbc").exists()
 
 
-def test_cli_encode_records_the_basis_identity(tmp_path):
+@pytest.mark.parametrize("side, mode", [("input", "scalar"), ("output", "scalar"),
+                                        ("output", "vector")],
+                         ids=["input", "output_scalar", "output_vector"])
+def test_cli_encode_metadata_rebuilds_the_basis(tmp_path, side, mode):
     cfg = _tiny_config_dict()
     cfg["input_basis"].update(features_per_partition=4, seed=7)
+    if side == "output":
+        cfg["dataset"] = {"kind": "multi_output_1d", "n": 30, "m_train": 3, "m_test": 2}
+        cfg["output_mode"] = mode
     path, data = _gen(tmp_path, cfg)
-    coeffs = tmp_path / "c.fbc"
-    assert main(["encode", str(data), "-c", str(path), "-o", str(coeffs)]) == 0
-    basis = BasisSpec(kind="rfm", partitions=[2], features_per_partition=4, seed=7,
-                      bounds=[[0.0, 1.0]]).build()
-    _, meta = read_container(coeffs)
-    assert meta["basis_id"] == basis.identity()
+    out = tmp_path / "c.fbc"
+    assert main(["encode", str(data), "-c", str(path), "--side", side, "-o", str(out)]) == 0
+    coeffs, meta = read_container(out)
+    assert (meta["mode"], meta["components"]) == (mode, 2 if side == "output" else 1)
+    rebuilt = BasisSpec(**meta["basis"]).build(meta["components"] if mode == "vector" else 1)
+    config = load_config(path)
+    spec = getattr(config, f"{side}_basis")
+    used = spec.build(n_components=2) if mode == "vector" else spec.build()
+    arrays, _ = read_container(data)
+    points = arrays[f"{side}_points"]
+    assert np.array_equal(rebuilt.design_matrix(points), used.design_matrix(points))
+    values = np.concatenate([arrays[f"{side}s_train"], arrays[f"{side}s_test"]])
+    assert np.array_equal(encode(rebuilt, points, values, getattr(config, f"{side}_encode")),
+                          coeffs["coefficients"])
+
+
+# main as the fbc2c console script runs it; under -W error a warning would be a traceback
+_CLI = "import sys; from fbc2c.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["encode", "diagnose", "eval"])
+def test_cli_refuses_non_finite_data_in_one_line(trained_run, tmp_path, command, bad):
+    if command == "encode":
+        path, data = _gen(tmp_path, _tiny_config_dict())
+        arrays, meta = read_container(data)
+        arrays["inputs_train"][1, 5] = bad
+        write_container(data, arrays, meta)
+        argv = ["encode", str(data), "-c", str(path), "-o", str(tmp_path / "c.fbc")]
+    elif command == "diagnose":
+        coeffs = np.random.default_rng(0).standard_normal((6, 4))
+        coeffs[2, 1] = bad
+        write_container(tmp_path / "d.fbc", {"coefficients": coeffs}, {"kind": "coefficients"})
+        argv = ["diagnose", str(tmp_path / "d.fbc")]
+    else:
+        outdir = _copy_run(trained_run, tmp_path)
+        arrays, meta = read_container(outdir / "checkpoint.fbc")
+        arrays["parameters"][3] = bad
+        write_container(outdir / "checkpoint.fbc", arrays, meta)
+        argv = ["eval", str(outdir)]
+    src = str(pathlib.Path(fbc2c.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2 and len(lines) == 1, done.stderr
+    assert lines[0].startswith("error code=2") and "NaN or Inf" in lines[0]
+    assert done.stdout == "" and not (tmp_path / "c.fbc").exists()

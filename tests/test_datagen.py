@@ -760,6 +760,15 @@ def test_make_poisson2d_splits_equal_the_per_sample_functions():
                               np.stack([solve_poisson_2d_square(a, pts) for a in alphas]))
 
 
+def test_poisson2d_functions_take_a_batch_of_mode_arrays():
+    alphas = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3, 5))
+    pts = np.random.default_rng(4).uniform(0, 1, (30, 2))
+    for func in (poisson_2d_forcing, solve_poisson_2d_square):
+        assert np.array_equal(func(alphas, pts), np.stack([func(a, pts) for a in alphas]))
+    with pytest.raises(ConfigurationError, match=r"alpha must be \(p, q\) or \(M, p, q\)"):
+        poisson_2d_forcing(np.ones(5), pts)
+
+
 # ---------------------------------------------------------------------------
 # multi-output problem
 

@@ -137,8 +137,7 @@ def test_encode_through_basis():
 def _zero_basis_like(basis):
     return RfmBasis(partitions_per_dim=basis.partitions_per_dim,
                     weights=np.zeros_like(basis.weights), biases=np.zeros_like(basis.biases),
-                    range_bound=basis.range_bound, activation="tanh",
-                    window_kind=basis.window_kind, seed=0, bounds=basis.bounds)
+                    activation="tanh", window_kind=basis.window_kind, bounds=basis.bounds)
 
 
 def test_encode_vector_single_component_reduces_to_encode():
@@ -301,6 +300,20 @@ def test_projection_error_matches_dense_oracle():
     coef, *_ = np.linalg.lstsq(phi, target[0], rcond=None)
     expected = np.linalg.norm(phi @ coef - target[0]) / np.linalg.norm(target[0])
     assert pe.mean == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_encode_and_diagnostics_refuse_non_finite_rows(bad):
+    basis = BasisSpec("fem", n_nodes=4).build()
+    pts = np.linspace(0, 1, 20)
+    values = np.vstack([np.sin(pts), np.cos(pts), np.sin(2 * pts)])
+    values[2, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # refused before any product, not warned about
+        with pytest.raises(DataError, match=r"^samples with NaN or Inf at indices \[2\]"):
+            encode(basis, pts, values, EncodeSpec())
+        with pytest.raises(DataError, match=r"^coefficient rows with NaN or Inf at indices \[2\]"):
+            diagnostics(values)
 
 
 @pytest.mark.parametrize("bad, what", [(np.nan, "NaN or Inf"), (np.inf, "NaN or Inf"),
