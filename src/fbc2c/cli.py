@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import pathlib
 import sys
 
 import numpy as np
@@ -85,6 +86,11 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # the run directory is made after training, so a path it cannot be is refused first
+    out = pathlib.Path(args.output)
+    blocker = next((p for p in (out, *out.parents) if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        raise ConfigurationError(f"--output: {blocker} exists and is not a directory")
     config = load_config(args.config)
     result = run(config, outdir=args.output)
     print(f"final test relative error {result.report.final_test_error:.6e}")

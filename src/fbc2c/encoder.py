@@ -99,15 +99,6 @@ class LeastSquaresEncoder:
         return self._filt.size
 
     @property
-    def coefficient_span(self) -> np.ndarray:
-        """The (m, kept_rank) right singular vectors with a nonzero filter factor.
-
-        Every row ``encode_values`` returns is a combination of them, since
-        the other filter factors are exact zeros.
-        """
-        return self.svd[2][:self.kept_rank].T
-
-    @property
     def sigma_max(self) -> float:
         return float(self.svd[1][0])
 

@@ -12,16 +12,17 @@ The net, its gradient and Adam's moments share one flat float64 layout
 gradient, which ``ReconstructionLoss.loss_and_grads`` returns with the
 loss, is one buffer per ``ReconstructionLoss``, overwritten every call.
 
-``train`` may be given an ``input_span``: columns that span the training
-rows, as the encoder's kept right singular vectors span truncated-SVD
-coefficients.  Each step's two first-layer products cost H * batch * m1
+``train`` steps through the span of its own training rows when that is
+cheaper.  Each step's two first-layer products cost H * batch * m1
 multiplies each on the rows, and H * k * (m1 + batch) through an
-orthonormal basis B of a rank-k span.  When the second count is smaller,
-``train`` factors the span once, checks that the rows lie in it, and steps
+orthonormal basis B of a rank-k span that holds them.  ``train`` takes B
+from a thin SVD of the rows, and when the second count is smaller it steps
 on z = aB: forward tanh(z (WB)^T + eta), first-layer gradient (dh^T z) B^T.
 W stays H x m1 and Adam updates every entry, so the iterates equal the
 plain ones up to rounding; the test loss, ``forward`` and checkpoints never
-see B.
+see B.  Truncated-SVD coefficients lie in the span of the encoder's kept
+right singular vectors, and data of low rank keep their rows in a smaller
+span still, which the rows' own SVD finds.
 """
 
 from __future__ import annotations
@@ -175,9 +176,10 @@ class ReconstructionLoss:
     overwrites on every call; copy it to keep it.  ``what`` names the targets
     in the errors their checks raise.
 
-    ``input_span``, which ``train`` may set, is an orthonormal (m1, k) B that
-    holds every input row; ``inputs`` are then the coordinates z = aB, and
-    the first-layer gradient is (dh^T z) B^T, still H x m1.
+    ``input_span``, which ``train`` sets when it steps through the span of
+    its rows, is an orthonormal (m1, k) B that holds every input row;
+    ``inputs`` are then the coordinates z = aB, and the first-layer gradient
+    is (dh^T z) B^T, still H x m1.
     """
 
     def __init__(self, psi: np.ndarray, targets: np.ndarray, what: str = "target samples"):
@@ -382,36 +384,38 @@ def _check_dataset(net: OperatorNet, inputs, targets, psi, what: str):
     return a, loss_ws
 
 
-# Training rows count as lying in a span when their part outside it is at
-# most this multiple of eps * ||a|| (Frobenius norms).  The standardized
-# truncated-SVD coefficients ``experiment.run`` trains on measured at most
-# 8 eps, on the benchmark's Darcy and Poisson sizes for every cut from 1e-1
-# to 1e-13 (seeds 0-2); a span that misses a direction of the rows leaves a
-# part of the order of that direction's share of ||a||.
+# The rows' span keeps the leading right singular vectors up to the first
+# whose dropped tail of singular values has norm at most this multiple of
+# eps * ||a|| (Frobenius norms); that tail is the norm of the rows' part
+# outside the span.  Standardized truncated-SVD coefficients, whose rows lie
+# in the encoder's kept span up to rounding, measured at most 8 eps outside
+# it on the benchmark's Darcy and Poisson sizes for every cut from 1e-1 to
+# 1e-13 (seeds 0-2), so the tail cut here drops only rounding.
 _SPAN_RESIDUAL = 1024 * np.finfo(np.float64).eps
 
 
-def _span_basis(a: np.ndarray, span, batch: int) -> np.ndarray | None:
-    """Orthonormal basis of ``span``'s range, which must hold the rows ``a``.
+def _span_basis(a: np.ndarray, batch: int) -> np.ndarray | None:
+    """Orthonormal (m1, k) basis of the span of the rows ``a``, from their thin SVD.
 
-    None when k (m1 + batch) >= batch * m1: stepping through it would then
-    take no fewer multiplies than stepping on the rows.
+    k is the fewest leading right singular vectors whose dropped singular
+    values have norm at most ``_SPAN_RESIDUAL`` * ||a||.  None when
+    k (m1 + batch) >= batch * m1: stepping through the basis would then take
+    no fewer multiplies than stepping on the rows.
     """
-    span = np.asarray(span, dtype=np.float64)
     m1 = a.shape[1]
-    if span.ndim != 2 or span.shape[0] != m1:
-        raise ConfigurationError(f"input_span has shape {span.shape}, expected ({m1}, k)")
-    k = span.shape[1]
+    # the rows' right singular vectors are the left ones of a^T; at one BLAS
+    # thread the Poisson sweep's 1024 x 200 a^T factors in 17-21 ms, its
+    # 200 x 1024 a in 21-28 ms
+    u, s, _ = np.linalg.svd(a.T, full_matrices=False)
+    if not s.any():             # no rows, or only zero rows: the span is {0}
+        k = 0
+    else:
+        # tail[k] = ||s[k:]|| / s[0], nonincreasing; scaled so that no square overflows
+        tail = np.sqrt(np.cumsum((s[::-1] / s[0]) ** 2))[::-1]
+        k = int(np.count_nonzero(tail > _SPAN_RESIDUAL * tail[0]))
     if k * (m1 + batch) >= batch * m1:
         return None
-    basis = np.linalg.qr(span)[0]
-    outside = float(np.linalg.norm(a - (a @ basis) @ basis.T))
-    total = float(np.linalg.norm(a))
-    if not outside <= _SPAN_RESIDUAL * total:      # also refuses a NaN
-        raise ConfigurationError(
-            f"training inputs do not lie in input_span: their part outside it has norm "
-            f"{outside:.3e} of {total:.3e}")
-    return basis
+    return u[:, :k].copy()
 
 
 def train(net: OperatorNet,
@@ -420,8 +424,7 @@ def train(net: OperatorNet,
           psi: np.ndarray,
           config: TrainConfig,
           test_inputs: np.ndarray | None = None,
-          test_targets: np.ndarray | None = None,
-          input_span: np.ndarray | None = None) -> tuple[OperatorNet, TrainTrace]:
+          test_targets: np.ndarray | None = None) -> tuple[OperatorNet, TrainTrace]:
     """Train a copy of ``net``; the argument itself is left untouched.
 
     The test set, when given, is checked as the training set is, before the
@@ -429,12 +432,10 @@ def train(net: OperatorNet,
     reductions are single matrix products, and mini-batch order comes from
     the config seed.
 
-    ``input_span``, optional and (m1, k), spans the training input rows.
-    When k (m1 + batch) < batch * m1, for batch the rows per step, the steps
-    go through it as the module docstring describes, once the rows' part
-    outside it is found to be at most ``_SPAN_RESIDUAL`` * ||a||; a larger
-    part raises ConfigurationError.  Otherwise it is checked only for its
-    shape and every step is the plain one, bit for bit.
+    The training rows' span is found from their thin SVD (``_span_basis``).
+    When its rank k has k (m1 + batch) < batch * m1, for batch the rows per
+    step, the steps go through it as the module docstring describes;
+    otherwise every step is the plain one, bit for bit.
     """
     a_train, loss_ws = _check_dataset(net, train_inputs, train_targets, psi, "training")
     if (test_inputs is None) != (test_targets is None):
@@ -451,11 +452,10 @@ def train(net: OperatorNet,
     full_batch = batch_size is None or batch_size >= n_samples
     batches = [slice(None)]     # full batch: every row, no permutation drawn
     x_train = a_train
-    if input_span is not None:
-        basis = _span_basis(a_train, input_span, n_samples if full_batch else batch_size)
-        if basis is not None:
-            loss_ws.input_span = basis
-            x_train = a_train @ basis
+    basis = _span_basis(a_train, n_samples if full_batch else batch_size)
+    if basis is not None:
+        loss_ws.input_span = basis
+        x_train = a_train @ basis
 
     train_hist = np.empty(config.epochs)
     lr_hist = np.empty(config.epochs)

@@ -17,8 +17,9 @@ def pytest_report_header(config):
 def svd_calls(monkeypatch):
     """Shapes of the matrices factored with singular vectors, in call order.
 
-    ``np.linalg.svd`` is replaced where ``encoder.py`` looks it up; calls
-    that ask for singular values only (``diagnostics``) are not counted.
+    ``np.linalg.svd`` is replaced in numpy, so both the encoder's design
+    factorings and ``train``'s factoring of its rows are counted; calls that
+    ask for singular values only (``diagnostics``) are not.
     """
     calls = []
     svd = np.linalg.svd

@@ -811,6 +811,15 @@ def test_cli_encode_metadata_rebuilds_the_basis(tmp_path, side, mode):
 _CLI = "import sys; from fbc2c.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
+def _run_cli(argv) -> subprocess.CompletedProcess:
+    """``fbc2c *argv`` in a fresh interpreter under ``-W error``."""
+    src = str(pathlib.Path(fbc2c.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-W", "error", "-c", _CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("command", ["encode", "diagnose", "eval"])
 def test_cli_refuses_non_finite_data_in_one_line(trained_run, tmp_path, command, bad):
@@ -831,12 +840,22 @@ def test_cli_refuses_non_finite_data_in_one_line(trained_run, tmp_path, command,
         arrays["parameters"][3] = bad
         write_container(outdir / "checkpoint.fbc", arrays, meta)
         argv = ["eval", str(outdir)]
-    src = str(pathlib.Path(fbc2c.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    done = subprocess.run([sys.executable, "-W", "error", "-c", _CLI, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run_cli(argv)
     lines = done.stderr.splitlines()
     assert done.returncode == 2 and len(lines) == 1, done.stderr
     assert lines[0].startswith("error code=2") and "NaN or Inf" in lines[0]
     assert done.stdout == "" and not (tmp_path / "c.fbc").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "path_below_a_file"])
+def test_cli_train_refuses_an_output_that_cannot_be_a_directory_before_running(tmp_path,
+                                                                               below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    output = blocker / "run" if below else blocker
+    path = _write_config(tmp_path, _tiny_config_dict())
+    done = _run_cli(["train", "-c", str(path), "-o", str(output)])
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2 and len(lines) == 1, done.stderr
+    assert lines[0] == f"error code=2 kind=config msg=--output: {blocker} exists and is not a directory"
+    assert done.stdout == "" and blocker.read_text() == "kept\n"

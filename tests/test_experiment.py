@@ -95,8 +95,8 @@ def test_run_is_deterministic_except_wall_clock():
 
 
 def test_run_trains_through_the_input_span_as_without_it(monkeypatch):
-    calls, folds = [], []
-    fold = experiment._fold_standardization
+    calls, folds, spans = [], [], []
+    fold, span_basis = experiment._fold_standardization, neuralop._span_basis
 
     def spy_train(*args, **kwargs):
         calls.append((args, dict(kwargs)))
@@ -106,13 +106,19 @@ def test_run_trains_through_the_input_span_as_without_it(monkeypatch):
         folds.append((mean, scale))
         fold(net, mean, scale)
 
+    def spy_span(*args):
+        spans.append(span_basis(*args))
+        return spans[-1]
+
     monkeypatch.setattr("fbc2c.experiment.train", spy_train)
     monkeypatch.setattr("fbc2c.experiment._fold_standardization", spy_fold)
+    monkeypatch.setattr(neuralop, "_span_basis", spy_span)
     result = run(_darcy_config())
     batch = result.config.dataset.m_train       # full batch
     (args, kwargs), = calls
-    m1, k = kwargs.pop("input_span").shape
+    m1, k = spans[0].shape
     assert k == result.report.input_kept_rank and k * (m1 + batch) < batch * m1
+    monkeypatch.setattr(neuralop, "_span_basis", lambda *args: None)     # the plain steps
     plain, _ = neuralop.train(*args, **kwargs)
     fold(plain, *folds[0])
     change = np.linalg.norm(result.net.parameters - plain.parameters)
@@ -202,8 +208,10 @@ def test_sweep_factors_each_design_once_per_call(svd_calls, monkeypatch):
     cuts = [1e-6, 1e-4, 1e-2]
     data = prepare_data(cfg.dataset)
     table = sweep_cutoff(cfg, cuts, prepared=data)
-    # the input design (train and test share the 9x9 grid), then the output design
-    assert svd_calls == [(81, 24), (81, 16)]
+    # the input design (train and test share the 9x9 grid), then the output design;
+    # the other factorings are train's, one of the 12 training rows (as a^T) per member
+    assert [shape for shape in svd_calls if shape[0] == 81] == [(81, 24), (81, 16)]
+    assert svd_calls.count((24, 12)) == len(cuts)
     assert len(design_calls) == 2
 
     # each member run on fresh data builds and factors its own two designs
@@ -213,13 +221,36 @@ def test_sweep_factors_each_design_once_per_call(svd_calls, monkeypatch):
         report = run(member, prepared=prepare_data(cfg.dataset)).report
         assert (row.erank, row.variance_entropy, row.final_test_error) == (
             report.erank, report.variance_entropy, report.final_test_error)
-    assert len(svd_calls) == 2 * len(cuts)
+    assert [shape for shape in svd_calls if shape[0] == 81] == [(81, 24), (81, 16)] * len(cuts)
 
-    # the designs belong to the PreparedData: a second sweep on it factors nothing
+    # the designs belong to the PreparedData: a second sweep on it factors only training rows
     svd_calls.clear()
     design_calls.clear()
     assert sweep_cutoff(cfg, cuts, prepared=data).rows == table.rows
-    assert svd_calls == [] and design_calls == []
+    assert svd_calls == [(24, 12)] * len(cuts) and design_calls == []
+
+
+def test_sweep_members_train_through_the_span_of_their_rows(monkeypatch):
+    # Poisson data span at most modes^2 functions, so each member's training
+    # rows do too, far fewer than the m1 = 64 input coefficients
+    cfg = _poisson_config()
+    cfg = dataclasses.replace(
+        cfg, dataset=dataclasses.replace(cfg.dataset, m_train=60),
+        input_basis=dataclasses.replace(cfg.input_basis, features_per_partition=16))
+    span_basis, spans = neuralop._span_basis, []
+
+    def spy(a, batch):
+        spans.append((a.shape[1], batch, span_basis(a, batch)))
+        return spans[-1][2]
+
+    monkeypatch.setattr(neuralop, "_span_basis", spy)
+    cuts = [1e-6, 1e-4, 1e-2]
+    sweep_cutoff(cfg, cuts)
+    assert len(spans) == len(cuts)
+    for m1, batch, basis in spans:
+        assert basis is not None, "the member trained on all of its input columns"
+        k = basis.shape[1]
+        assert k <= cfg.dataset.modes ** 2 and k * (m1 + batch) < batch * m1
 
 
 def test_evaluate_on_reproduces_test_error(darcy_result):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fbc2c import neuralop
 from fbc2c.errors import ConfigurationError, DataError, TrainingDiverged
 from fbc2c.neuralop import (_BLOCK, OperatorNet, ReconstructionLoss, TrainConfig, _Adam,
                             forward, init_net, learning_rate, relative_loss, train)
@@ -395,38 +396,41 @@ def test_trace_shapes_and_eval_interval():
     assert trace.wall_seconds > 0
 
 
-@pytest.mark.parametrize("k, bad", [(3, None), (6, None), (5, "missing"), (5, "nan")],
-                         ids=["below_break_even", "at_break_even", "span_misses_a_row",
-                              "nan_span"])
-def test_train_through_the_input_span(k, bad):
+@pytest.mark.parametrize("k", [3, 6, 24, 0],
+                         ids=["below_break_even", "at_break_even", "full_rank", "all_zero"])
+def test_train_through_the_input_span(monkeypatch, k):
     # m1 = 24 and batches of 8 break even at k = 8 * 24 / (24 + 8) = 6
     rng = np.random.default_rng(k)
     m1, batch = 24, 8
-    basis = rng.standard_normal((m1, k))
-    a = rng.standard_normal((40, k)) @ basis.T
+    a = rng.standard_normal((40, k)) @ rng.standard_normal((k, m1))
     psi = rng.standard_normal((20, 6))
     u = rng.standard_normal((40, 20))
     test_a, test_u = rng.standard_normal((10, m1)), rng.standard_normal((10, 20))
-    span = basis * rng.uniform(0.5, 2.0, size=k)
-    if bad == "missing":
-        span = span[:, :-1]
-    elif bad == "nan":
-        span[0, 0] = np.nan
     net = init_net(m1, 16, 6, seed=1)
     cfg = TrainConfig(epochs=40, batch_size=batch, lr_start=1e-2, lr_end=1e-4, seed=2,
                       eval_interval=7)
-    if bad:
-        with pytest.raises(ConfigurationError, match="do not lie in input_span"):
-            train(net, a, u, psi, cfg, input_span=span)
-        return
+    span_basis, found = neuralop._span_basis, []
+
+    def spy(*args):
+        found.append(span_basis(*args))
+        return found[-1]
+
+    monkeypatch.setattr(neuralop, "_span_basis", spy)
+    through, trace = train(net, a, u, psi, cfg, test_inputs=test_a, test_targets=test_u)
+    monkeypatch.setattr(neuralop, "_span_basis", lambda *args: None)     # the plain steps
     plain, plain_trace = train(net, a, u, psi, cfg, test_inputs=test_a, test_targets=test_u)
-    through, trace = train(net, a, u, psi, cfg, test_inputs=test_a, test_targets=test_u,
-                           input_span=span)
+    basis, = found
     if k * (m1 + batch) >= batch * m1:
+        assert basis is None
+    else:
+        assert basis.shape == (m1, k)
+    if basis is None or k == 0:
+        # zero rows give exact zero first-layer products either way
         assert np.array_equal(through.parameters, plain.parameters)
         assert np.array_equal(trace.train_loss, plain_trace.train_loss)
         assert np.array_equal(trace.test_loss, plain_trace.test_loss)
         return
+    np.testing.assert_allclose(basis.T @ basis, np.eye(k), atol=1e-14)
     # the factored steps round differently, and agree to that level
     assert not np.array_equal(through.parameters, plain.parameters)
     change = np.linalg.norm(through.parameters - plain.parameters)
